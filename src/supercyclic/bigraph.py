@@ -114,10 +114,6 @@ class Bigraph:
     def x_full(self) -> VertexSet:
         return VertexSet(SIDE_X, full_mask(self.x_count))
 
-    @property
-    def y_full(self) -> VertexSet:
-        return VertexSet(SIDE_Y, full_mask(self.y_count))
-
     def neighbors_mask(self, side: str, i: int) -> int:
         """Bitmask of the neighbors of vertex ``i`` on side ``side``."""
         adj = self._adj(side)

@@ -1,12 +1,21 @@
 """Graph sources: the three-part extremal construction, exhaustive
 enumeration of bigraphs up to isomorphism, and seeded random graphs.
 
-The enumerator is orderly: a graph is represented by the nondecreasing
-tuple of its Y-columns (each column is the bitmask of the y's X-neighbors),
-and the canonical form is the lexicographically least such tuple over all
-X-permutations.  Every prefix of a canonical tuple is canonical, so the
-depth-first extension can prune non-canonical prefixes and still emit each
-isomorphism class exactly once.
+The enumerator is orderly: a graph is the nondecreasing tuple of its
+Y-columns (bitmasks of X-neighbors), canonical when no X-permutation sigma
+maps it to a tuple that sorts smaller.  Prefixes of canonical tuples are
+canonical, so the depth-first walk prunes the rest and emits each
+isomorphism class once.
+
+Sorted tuples compare like their column-count vectors read with value 0 as
+the top digit, reversed: more copies of a smaller value sort first.  With
+key(cols) that vector in ``ny_max.bit_length()``-bit digits, cols is
+canonical iff no sigma.cols has a larger key.  Keys add over columns, so the
+walk carries one int holding ``guard + key(cols) - key(sigma.cols)`` per
+sigma, in byte-aligned fields with a guard bit above the top digit.  Keys
+stay below the guard, so fields never borrow; a field loses its guard bit
+iff sigma beats cols.  A child adds one precomputed int and is canonical iff
+every guard bit survives, exactly as sorting decides: the stream is unchanged.
 """
 
 from __future__ import annotations
@@ -83,8 +92,7 @@ def enumerate_bigraphs(nx: int, ny_max: int, *,
         raise CapacityError(
             f"enumeration caps are |X| <= {ENUM_MAX_X}, |Y| <= {ENUM_MAX_Y}; "
             f"got ({nx}, {ny_max})")
-    tables = _perm_tables(nx)
-    ncols = 1 << nx
+    guard, steps = _canonicity_steps(nx, ny_max)
 
     def emit(cols: tuple[int, ...]) -> Bigraph | None:
         g = _bigraph_from_columns(nx, cols)
@@ -99,51 +107,43 @@ def enumerate_bigraphs(nx: int, ny_max: int, *,
             return None
         return g
 
-    def walk(cols: tuple[int, ...], last: int) -> Iterator[Bigraph]:
+    def walk(cols: tuple[int, ...], last: int, pack: int) -> Iterator[Bigraph]:
         g = emit(cols)
         if g is not None:
             yield g
         if len(cols) == ny_max:
             return
-        for c in range(last, ncols):
-            nxt = cols + (c,)
-            if _is_canonical(nxt, tables):
-                yield from walk(nxt, c)
+        for c in range(last, len(steps)):
+            child = pack + steps[c]
+            if child & guard == guard:
+                yield from walk(cols + (c,), c, child)
 
-    yield from walk((), 0)
-
-
-def _perm_tables(nx: int) -> list[list[int]]:
-    """Column-relabeling table per nontrivial X-permutation."""
-    tables = []
-    for sigma in permutations(range(nx)):
-        if sigma == tuple(range(nx)):
-            continue
-        table = [0] * (1 << nx)
-        for code in range(1 << nx):
-            out = 0
-            for i in range(nx):
-                if code >> i & 1:
-                    out |= 1 << sigma[i]
-            table[code] = out
-        tables.append(table)
-    return tables
+    yield from walk((), 0, guard)
 
 
-def _is_canonical(cols: tuple[int, ...], tables: list[list[int]]) -> bool:
-    for table in tables:
-        if tuple(sorted(table[c] for c in cols)) < cols:
-            return False
-    return True
+def _canonicity_steps(nx: int, ny_max: int) -> tuple[int, list[int]]:
+    """The guard bits, and per column c what appending c adds to the pack."""
+    ncols, digit = 1 << nx, ny_max.bit_length()
+    width = digit * ncols // 8 + 1
+    shift = [digit * (ncols - 1 - v) for v in range(ncols)]
+    perms = list(permutations(range(nx)))
+    fields = [bytearray(width * len(perms)) for _ in range(ncols)]
+    for p, sigma in enumerate(perms):
+        image = [0]
+        for b in sigma:
+            image += [v | 1 << b for v in image]
+        for buf, v in zip(fields, image):
+            bit = 8 * width * p + shift[v]
+            buf[bit >> 3] |= 1 << (bit & 7)
+    rep = int.from_bytes(b"\1".ljust(width, b"\0") * len(perms), "little")
+    steps = [(rep << shift[c]) - int.from_bytes(buf, "little")
+             for c, buf in enumerate(fields)]
+    return rep << digit * ncols, steps
 
 
 def _bigraph_from_columns(nx: int, cols: tuple[int, ...]) -> Bigraph:
-    edges = []
-    for j, code in enumerate(cols, start=1):
-        for i in range(nx):
-            if code >> i & 1:
-                edges.append((i + 1, j))
-    return Bigraph(nx, len(cols), edges)
+    return Bigraph(nx, len(cols), [(i + 1, j) for j, code in enumerate(cols, 1)
+                                   for i in range(nx) if code >> i & 1])
 
 
 def random_bigraph(nx: int, ny: int, min_x_degree: int = 0,

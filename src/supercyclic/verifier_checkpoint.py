@@ -21,6 +21,11 @@ class CheckpointConfig:
     path: str | Path
     every: int = 500
 
+    def __post_init__(self) -> None:
+        if self.every < 1:
+            raise InputError(f"checkpoint interval must be at least 1, "
+                             f"got {self.every}")
+
 
 @dataclass(frozen=True)
 class CheckpointState:
@@ -78,16 +83,26 @@ def load_checkpoint(path: str | Path, campaign: str,
             f"checkpoint {path} belongs to campaign {got_campaign!r} with "
             f"parameters {got_key!r}; refusing to resume {campaign!r} "
             f"with {key!r}")
-    count = int(fields.get("violations", "0"))
+
+    def text(name: str) -> str:
+        if name not in fields:
+            raise InputError(f"checkpoint {path} has no {name}= line")
+        return unescape_value(fields[name])
+
+    def count(name: str) -> int:
+        value = text(name)
+        if not value.isdecimal():
+            raise InputError(f"checkpoint {path}: {name}={value!r} is not "
+                             f"a nonnegative integer")
+        return int(value)
+
     violations = tuple(
-        (unescape_value(fields[f"violation.{i}.check"]),
-         unescape_value(fields[f"violation.{i}.graph"]),
-         unescape_value(fields[f"violation.{i}.witness"]),
+        (text(f"violation.{i}.check"), text(f"violation.{i}.graph"),
+         text(f"violation.{i}.witness"),
          unescape_value(fields.get(f"violation.{i}.extra", "")))
-        for i in range(count))
+        for i in range(count("violations")))
     return CheckpointState(
         campaign=campaign, key=key,
-        examined=int(fields["examined"]),
-        checked=int(fields["checked"]),
+        examined=count("examined"), checked=count("checked"),
         complete=fields.get("complete") == "1",
         violations=violations)

@@ -179,6 +179,35 @@ def orbit_representatives(nx: int, ny: int) -> set[tuple[int, ...]]:
             for cols in product(range(1 << nx), repeat=ny)}
 
 
+def is_canonical_by_sorting(nx: int, cols: tuple[int, ...]) -> bool:
+    """True iff no row permutation maps the nondecreasing column tuple to
+    one that sorts smaller: every image is relabeled, sorted and compared."""
+    for sigma in permutations(range(nx)):
+        image = sorted(sum(1 << sigma[i] for i in range(nx) if c >> i & 1)
+                       for c in cols)
+        if tuple(image) < cols:
+            return False
+    return True
+
+
+def orderly_columns(nx: int, ny_max: int) -> list[tuple[int, ...]]:
+    """Every node of the orderly walk pruned by ``is_canonical_by_sorting``,
+    in visiting order: depth first, columns appended in nondecreasing
+    order, each node listed before its children."""
+    out: list[tuple[int, ...]] = []
+
+    def walk(cols: tuple[int, ...]) -> None:
+        out.append(cols)
+        if len(cols) == ny_max:
+            return
+        for c in range(cols[-1] if cols else 0, 1 << nx):
+            if is_canonical_by_sorting(nx, cols + (c,)):
+                walk(cols + (c,))
+
+    walk(())
+    return out
+
+
 def bigraph_to_columns(g: Bigraph) -> tuple[int, ...]:
     return tuple(sum(1 << (x - 1) for x in range(1, g.x_count + 1)
                      if g.has_edge(x, y))

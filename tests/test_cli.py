@@ -220,6 +220,44 @@ def test_checkpoint_env_dir(monkeypatch, capsys, tmp_path):
     assert code2 == 0 and out2 == out
 
 
+def test_checkpoint_every_zero_is_an_input_error(monkeypatch, capsys,
+                                                 tmp_path):
+    code, out, err = run(monkeypatch, capsys,
+                         ["verify", "kcyclic", "--nx", "3", "--ny-max", "3",
+                          "--k", "3", "--checkpoint", str(tmp_path / "c"),
+                          "--checkpoint-every", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+GOOD_CHECKPOINT = ("checkpoint=1\ncampaign=verify-k-cyclic\n"
+                   "key=nx=3;ny_max=3;k=3\nexamined=5\nchecked=2\n"
+                   "complete=0\nviolations=1\nviolation.0.check=c\n"
+                   "violation.0.graph=g\nviolation.0.witness=w\n"
+                   "violation.0.extra=\n")
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("examined", None), ("examined", "abc"), ("examined", "-1"),
+    ("checked", None), ("checked", "2.5"),
+    ("violations", None), ("violations", "one"),
+    ("violation.0.graph", None), ("violation.0.witness", None),
+])
+def test_garbled_checkpoint_exits_2(monkeypatch, capsys, tmp_path,
+                                    field, bad):
+    lines = [ln for ln in GOOD_CHECKPOINT.splitlines()
+             if not ln.startswith(field + "=")]
+    if bad is not None:
+        lines.append(f"{field}={bad}")
+    path = tmp_path / "run.ckpt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(monkeypatch, capsys,
+                         ["verify", "kcyclic", "--nx", "3", "--ny-max", "3",
+                          "--k", "3", "--checkpoint", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(path) in err and field in err
+
+
 def test_pipeline_through_real_processes():
     gen = f"{sys.executable} -m supercyclic.cli gen g3 --n 2,1,1 --delta 3"
     check = f"{sys.executable} -m supercyclic.cli check"

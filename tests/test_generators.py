@@ -23,6 +23,7 @@ from oracles import (
     burnside_class_count,
     orbit_canonical,
     orbit_representatives,
+    orderly_columns,
 )
 
 
@@ -80,8 +81,10 @@ def test_enumeration_matches_orbit_oracle_exactly():
 def test_enumeration_strata_counts():
     strata = Counter(g.y_count for g in enumerate_bigraphs(2, 2))
     assert strata == {0: 1, 1: 3, 2: 7}
-    strata = Counter(g.y_count for g in enumerate_bigraphs(3, 3))
-    assert strata == {k: burnside_class_count(3, k) for k in range(4)}
+    for nx, ny_max in [(3, 3), (5, 4), (6, 3)]:
+        strata = Counter(g.y_count for g in enumerate_bigraphs(nx, ny_max))
+        assert strata == {k: burnside_class_count(nx, k)
+                          for k in range(ny_max + 1)}
 
 
 def test_enumeration_totals_by_burnside(corpus_3_5, corpus_4_5, corpus_4_6):
@@ -91,6 +94,15 @@ def test_enumeration_totals_by_burnside(corpus_3_5, corpus_4_5, corpus_4_6):
                                   for k in range(6))
     assert len(corpus_4_6) == sum(burnside_class_count(4, k)
                                   for k in range(7))
+
+
+@pytest.mark.parametrize("nx, top", [(0, 5), (1, 5), (2, 5), (3, 5),
+                                     (4, 5), (5, 3), (6, 2)])
+def test_enumeration_stream_matches_sorting_oracle(nx, top):
+    # same predicate, same order: so every checkpoint prefix is unchanged
+    for ny_max in range(top + 1):
+        got = [bigraph_to_columns(g) for g in enumerate_bigraphs(nx, ny_max)]
+        assert got == orderly_columns(nx, ny_max)
 
 
 def test_enumeration_is_deterministic(corpus_3_5):
