@@ -13,6 +13,9 @@ Conventions:
   handful of machine words.  The cap is enforced at construction.
 * ``Bigraph`` and ``Hypergraph`` are immutable.  "Mutators" such as
   ``with_edge`` return new graphs, so derived statistics can never go stale.
+
+``_blocks`` is the one block (biconnected component) routine: both the
+2-connectivity tests here and the longest-cycle search in ``cycles`` use it.
 """
 
 from __future__ import annotations
@@ -274,10 +277,9 @@ def is_two_connected(g: Bigraph) -> bool:
 
 
 def _is_two_connected_induced(g: Bigraph, x_mask: int, y_mask: int) -> bool:
-    """2-connectivity of the induced subgraph, without building it."""
-    nx = x_mask.bit_count()
-    ny = y_mask.bit_count()
-    n = nx + ny
+    """2-connectivity of the induced subgraph, without building it: one block
+    that holds every vertex."""
+    n = x_mask.bit_count() + y_mask.bit_count()
     if n < 3:
         return False
     # cheap reject: 2-connected needs minimum degree >= 2 inside the subgraph
@@ -287,55 +289,67 @@ def _is_two_connected_induced(g: Bigraph, x_mask: int, y_mask: int) -> bool:
     for y in iter_bits(y_mask):
         if (g.y_adj[y] & x_mask).bit_count() < 2:
             return False
+    blocks = _blocks(_local_adjacency(g, x_mask, y_mask))
+    return len(blocks) == 1 and len(blocks[0]) == n
 
-    xs = indices_of(x_mask)
-    ys = indices_of(y_mask)
-    y_local = {old: nx + k for k, old in enumerate(ys)}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for k, x in enumerate(xs):
+
+def _local_adjacency(g: Bigraph, x_mask: int, y_mask: int) -> list[list[int]]:
+    """0-based adjacency lists of the induced subgraph: its X-vertices in
+    ascending order, then its Y-vertices."""
+    nx = x_mask.bit_count()
+    y_local = {old: nx + k for k, old in enumerate(indices_of(y_mask))}
+    adj: list[list[int]] = [[] for _ in range(nx + len(y_local))]
+    for k, x in enumerate(indices_of(x_mask)):
         for y in iter_bits(g.x_adj[x] & y_mask):
             j = y_local[y]
             adj[k].append(j)
             adj[j].append(k)
+    return adj
 
+
+def _blocks(adj: list[list[int]]) -> list[list[int]]:
+    """Vertex lists of the blocks of a simple graph on 0-based adjacency lists.
+
+    Hopcroft-Tarjan lowpoint DFS, iterative, with a stack of vertices not yet
+    assigned to a block.  When a child v finishes with low[v] >= disc[parent],
+    the vertices pushed since v was discovered, plus the parent, form a block.
+    The tree edge back to the parent is not skipped: it only lowers low[v] to
+    disc[parent], which leaves that test unchanged.  A bridge is a block of
+    two; an isolated vertex lies in no block.
+    """
+    n = len(adj)
     disc = [0] * n
     low = [0] * n
-    visited = [False] * n
     timer = 1
-    root_children = 0
-    has_cut = False
-    visited[0] = True
-    disc[0] = low[0] = timer
-    timer += 1
-    stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(adj[0]))]
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == parent:
-                continue
-            if visited[w]:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
+    verts: list[int] = []
+    blocks: list[list[int]] = []
+    while timer <= n:  # some vertex is still undiscovered
+        root = disc.index(0)
+        disc[root] = low[root] = timer
+        timer += 1
+        # (vertex, parent, height of verts when it was discovered, edges left)
+        stack = [(root, -1, 0, iter(adj[root]))]
+        while stack:
+            v, parent, height, it = stack[-1]
+            for w in it:
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, len(verts), iter(adj[w])))
+                    verts.append(w)
+                    break
             else:
-                visited[w] = True
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((w, v, iter(adj[w])))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-            if parent >= 0:
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if parent != 0 and low[v] >= disc[parent]:
-                    has_cut = True
-    if not all(visited):
-        return False
-    return not has_cut and root_children <= 1
+                stack.pop()
+                if parent >= 0:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        blocks.append(verts[height:] + [parent])
+                        del verts[height:]
+    return blocks
 
 
 def _require_x_subset(g: Bigraph, a: VertexSet) -> None:

@@ -9,7 +9,7 @@ Exit codes are part of the contract for scripting:
   campaign clean, graph critical);
 * 1: claim refuted / object absent (condition fails, no based cycle,
   campaign found violations, not critical);
-* 2: usage or format errors.
+* 2: usage or format errors, and files that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SupercyclicError as exc:
+    except (SupercyclicError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -206,7 +203,11 @@ def _cmd_analyze(args) -> int:
 
     ok = True
     if args.pair:
-        u, v = _parse_index_list(args.pair, "--pair")
+        pair = _parse_index_list(args.pair, "--pair")
+        if len(pair) != 2:
+            raise InputError(f"--pair takes exactly two cycle X-indices, "
+                             f"got {args.pair!r}")
+        u, v = pair
         rep = crossings(g, c, u, v)
         ok = crossing_bound_holds(g, c, u, v)
         crossed = ",".join(f"x{w}" for w in rep.crossed_at) or "none"

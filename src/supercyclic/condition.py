@@ -8,15 +8,21 @@ where N^(A) is the super-neighborhood (Y-vertices with two neighbors in A).
 The ``kim`` mode tests the 2-connectivity clause only on triples, which
 accepts exactly the same graphs; both modes are exposed so the equivalence
 stays testable.
+
+Both the condition and ``min_deficiency`` run over one subset walk,
+``_subsets``: ascending |A|, lexicographic within a size.  The condition
+stops at the first failing A, so its witness is minimal in that order, and
+``min_deficiency`` keeps the first A of least deficiency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator
 
 from .bigraph import (Bigraph, VertexSet, SIDE_X,
                       _is_two_connected_induced)
-from .bitset import bit
 from .errors import InputError
 
 MODES = ("full", "kim")
@@ -58,44 +64,16 @@ def check_condition(g: Bigraph, mode: str = "full") -> ConditionReport:
     """Test the neighborhood condition; vacuously true when |X| < 3."""
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    nx = g.x_count
-    if nx < 3:
-        return ConditionReport(True, mode)
-    for size in range(3, nx + 1):
-        check_conn = mode == "full" or size == 3
-        hit = _scan_size(g, size, check_conn)
-        if hit is not None:
-            kind, amask = hit
-            a = VertexSet(SIDE_X, amask)
-            if kind == "size":
-                return ConditionReport(False, mode, size_witness=a)
-            return ConditionReport(False, mode, connectivity_witness=a)
+    for amask, twice in _subsets(g):
+        size = amask.bit_count()
+        if twice.bit_count() < size:
+            return ConditionReport(False, mode,
+                                   size_witness=VertexSet(SIDE_X, amask))
+        if (mode == "full" or size == 3) and \
+                not _is_two_connected_induced(g, amask, twice):
+            return ConditionReport(False, mode,
+                                   connectivity_witness=VertexSet(SIDE_X, amask))
     return ConditionReport(True, mode)
-
-
-def _scan_size(g: Bigraph, size: int,
-               check_conn: bool) -> tuple[str, int] | None:
-    """First failing subset of the given size, in lexicographic order."""
-    nx = g.x_count
-    x_adj = g.x_adj
-
-    def rec(start: int, count: int, amask: int,
-            once: int, twice: int) -> tuple[str, int] | None:
-        if count == size:
-            if twice.bit_count() < size:
-                return ("size", amask)
-            if check_conn and not _is_two_connected_induced(g, amask, twice):
-                return ("conn", amask)
-            return None
-        for i in range(start, nx - (size - count) + 2):
-            nbr = x_adj[i]
-            hit = rec(i + 1, count + 1, amask | bit(i),
-                      once | nbr, twice | (once & nbr))
-            if hit is not None:
-                return hit
-        return None
-
-    return rec(1, 0, 0, 0, 0)
 
 
 def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
@@ -105,28 +83,34 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
     means the size clause of the condition fails; 0 means the graph sits on
     its boundary.  Defined only for |X| >= 3.
     """
-    nx = g.x_count
-    if nx < 3:
+    if g.x_count < 3:
         raise InputError("deficiency is defined for graphs with |X| >= 3")
+
+    def deficiency(pair: tuple[int, int]) -> int:
+        amask, twice = pair
+        return twice.bit_count() - amask.bit_count()
+
+    # min keeps the first of equal keys, which is the earliest in walk order
+    best = min(_subsets(g), key=deficiency)
+    return deficiency(best), VertexSet(SIDE_X, best[0])
+
+
+def _subsets(g: Bigraph) -> Iterator[tuple[int, int]]:
+    """Yield (A, N^(A)) as bitmasks for every A subset of X with |A| >= 3.
+
+    By ascending size, then lexicographically within a size.  N^(A) is the
+    set of Y-vertices seen twice while A's neighborhoods are or-ed in.
+    """
     x_adj = g.x_adj
-    best: tuple[int, int] | None = None  # (deficiency, mask)
-
-    def rec(start: int, count: int, amask: int, once: int, twice: int) -> None:
-        nonlocal best
-        if count == size:
-            d = twice.bit_count() - size
-            if best is None or d < best[0]:
-                best = (d, amask)
-            return
-        for i in range(start, nx - (size - count) + 2):
-            nbr = x_adj[i]
-            rec(i + 1, count + 1, amask | bit(i),
-                once | nbr, twice | (once & nbr))
-
-    for size in range(3, nx + 1):
-        rec(1, 0, 0, 0, 0)
-    assert best is not None
-    return best[0], VertexSet(SIDE_X, best[1])
+    for size in range(3, g.x_count + 1):
+        for combo in combinations(range(1, g.x_count + 1), size):
+            amask = once = twice = 0
+            for i in combo:
+                nbr = x_adj[i]
+                amask |= 1 << i
+                twice |= once & nbr
+                once |= nbr
+            yield amask, twice
 
 
 @dataclass(frozen=True)

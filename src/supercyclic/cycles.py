@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from itertools import combinations
 from dataclasses import dataclass
-from typing import Iterator
 
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
-                      incidence_graph, super_neighborhood, _require_x_subset)
-from .bitset import bit, iter_bits
+                      incidence_graph, super_neighborhood, _blocks,
+                      _local_adjacency, _require_x_subset)
+from .bitset import bit, full_mask, iter_bits
 from .errors import CapacityError, InputError
 from .reports import CheckReport
 
@@ -193,13 +193,7 @@ def longest_cycle_length(g: Bigraph) -> int:
     exponential search never leaves one.  Graphs whose cyclic blocks hold
     more than ELIGIBLE_CAP vertices in total are refused.
     """
-    n = g.x_count + g.y_count
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for x, y in g.edges():
-        u = x - 1
-        v = g.x_count + y - 1
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _local_adjacency(g, full_mask(g.x_count), full_mask(g.y_count))
     cyclic_blocks = [b for b in _blocks(adj) if len(b) >= 3]
     eligible = sum(len(b) for b in cyclic_blocks)
     if eligible > ELIGIBLE_CAP:
@@ -220,55 +214,6 @@ def longest_cycle_length(g: Bigraph) -> int:
         if got > best:
             best = got
     return best
-
-
-def _blocks(adj: list[list[int]]) -> list[list[int]]:
-    """Vertex sets of the biconnected components, via an edge-stack DFS."""
-    n = len(adj)
-    disc = [0] * n
-    low = [0] * n
-    timer = 1
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[list[int]] = []
-    for root in range(n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if disc[w]:
-                    if disc[w] < disc[v]:  # genuine back edge, push once
-                        edge_stack.append((v, w))
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                else:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if parent >= 0:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] >= disc[parent]:
-                        comp: set[int] = set()
-                        while edge_stack:
-                            a, b = edge_stack.pop()
-                            comp.add(a)
-                            comp.add(b)
-                            if (a, b) == (parent, v):
-                                break
-                        blocks.append(sorted(comp))
-    return blocks
 
 
 def _longest_cycle_in_block(masks: list[int], floor: int) -> int:

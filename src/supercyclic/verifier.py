@@ -203,6 +203,12 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     if examined:
         items = islice(items, examined, None)
 
+    def save(complete: bool) -> None:
+        save_checkpoint(checkpoint.path, CheckpointState(
+            campaign, key, examined, checked, complete,
+            tuple((v.check, v.graph_text, v.witness, v.extra)
+                  for v in violations)))
+
     def consume(results: Iterable[tuple[bool, Violation | None]]) -> None:
         nonlocal examined, checked
         for was_checked, viol in results:
@@ -215,10 +221,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
                 progress(f"{examined} examined, {checked} checked, "
                          f"{len(violations)} violations")
             if checkpoint is not None and examined % checkpoint.every == 0:
-                save_checkpoint(checkpoint.path, CheckpointState(
-                    campaign, key, examined, checked, False,
-                    tuple((v.check, v.graph_text, v.witness, v.extra)
-                          for v in violations)))
+                save(False)
 
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -226,10 +229,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     else:
         consume(map(evaluate, items))
     if checkpoint is not None:
-        save_checkpoint(checkpoint.path, CheckpointState(
-            campaign, key, examined, checked, True,
-            tuple((v.check, v.graph_text, v.witness, v.extra)
-                  for v in violations)))
+        save(True)
     return _assemble(campaign, parameters, examined, checked, violations, start)
 
 

@@ -89,19 +89,64 @@ def is_two_connected_bruteforce(g: Bigraph) -> bool:
     return connected(None) and all(connected(v) for v in range(n))
 
 
-def condition_bruteforce(g: Bigraph) -> bool:
-    """The neighborhood condition evaluated straight from its statement."""
+def cut_vertices_bruteforce(g: Bigraph) -> set[int]:
+    """Flat vertices whose removal leaves more components than before."""
+    n, adj = flat_adjacency(g)
+
+    def components(avoid: int | None) -> int:
+        seen: set[int] = set()
+        count = 0
+        for s in range(n):
+            if s == avoid or s in seen:
+                continue
+            count += 1
+            seen.add(s)
+            stack = [s]
+            while stack:
+                v = stack.pop()
+                for w in adj[v]:
+                    if w != avoid and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return count
+
+    whole = components(None)
+    return {v for v in range(n) if components(v) > whole}
+
+
+def first_condition_failure(g: Bigraph,
+                            mode: str) -> tuple[str, tuple[int, ...]] | None:
+    """The clause ("size" or "conn") and subset of the first A, by size and
+    then lexicographically, on which the condition fails; None if it holds.
+    In ``kim`` mode 2-connectivity is only asked of triples."""
     nx = g.x_count
     for size in range(3, nx + 1):
         for a in combinations(range(1, nx + 1), size):
             nh = super_neighborhood_naive(g, a)
             if len(nh) < size:
-                return False
+                return "size", a
+            if mode == "kim" and size > 3:
+                continue
             xm = sum(1 << x for x in a)
             ym = sum(1 << y for y in nh)
             if not is_two_connected_bruteforce(g.induced(xm, ym).graph):
-                return False
-    return True
+                return "conn", a
+    return None
+
+
+def min_deficiency_bruteforce(g: Bigraph) -> tuple[int, tuple[int, ...]]:
+    """Least |N^(A)| - |A| over |A| >= 3 and the first A attaining it, by
+    size and then lexicographically."""
+    nx = g.x_count
+    return min(((len(super_neighborhood_naive(g, a)) - size, a)
+                for size in range(3, nx + 1)
+                for a in combinations(range(1, nx + 1), size)),
+               key=lambda pair: pair[0])
+
+
+def condition_bruteforce(g: Bigraph) -> bool:
+    """The neighborhood condition evaluated straight from its statement."""
+    return first_condition_failure(g, "full") is None
 
 
 def has_berge_cycle_with_base(h: Hypergraph, base: tuple[int, ...]) -> bool:

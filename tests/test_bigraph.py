@@ -14,9 +14,11 @@ from supercyclic import (
     reduce_to_superneighborhood,
     super_neighborhood,
 )
-from supercyclic.bigraph import SIDE_X, SIDE_Y
+from supercyclic.bigraph import SIDE_X, SIDE_Y, _blocks
 
 from oracles import (
+    cut_vertices_bruteforce,
+    flat_adjacency,
     has_berge_cycle_with_base,
     is_two_connected_bruteforce,
     super_neighborhood_naive,
@@ -152,6 +154,25 @@ def test_two_connected_frozen_cases():
 @given(bigraphs(max_x=4, max_y=4))
 def test_two_connected_matches_bruteforce(g):
     assert is_two_connected(g) == is_two_connected_bruteforce(g)
+
+
+@given(bigraphs(max_x=5, max_y=5))
+def test_blocks_partition_edges_into_two_connected_pieces(g):
+    n, adj = flat_adjacency(g)
+    blocks = _blocks([sorted(a) for a in adj])
+    # every edge lies inside exactly one block
+    for x, y in g.edges():
+        u, v = x - 1, g.x_count + y - 1
+        assert sum(u in b and v in b for b in blocks) == 1
+    for b in blocks:
+        assert len(set(b)) == len(b) >= 2
+        if len(b) >= 3:
+            xm = sum(1 << (v + 1) for v in b if v < g.x_count)
+            ym = sum(1 << (v - g.x_count + 1) for v in b if v >= g.x_count)
+            assert is_two_connected_bruteforce(g.induced(xm, ym).graph)
+    # the cut vertices are exactly the vertices shared by two blocks
+    shared = {v for v in range(n) if sum(v in b for b in blocks) >= 2}
+    assert shared == cut_vertices_bruteforce(g)
 
 
 def test_induced_remaps_indices():

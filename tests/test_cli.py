@@ -128,6 +128,12 @@ def test_analyze_input_errors(monkeypatch, capsys):
     # claimed cycle edge missing from the graph
     assert run(monkeypatch, capsys,
                ["analyze", "--cycle", "1,1,2,2"], serialize(C6))[0] == 2
+    # --pair takes exactly two indices
+    for pair in ("1", "1,2,3"):
+        code, out, err = run(monkeypatch, capsys,
+                             ["analyze", "--cycle", "1,1,2,2,3,3",
+                              "--pair", pair], serialize(K33))
+        assert code == 2 and "--pair" in err and "Traceback" not in err
 
 
 def test_gen_g3_roundtrip(monkeypatch, capsys):
@@ -256,6 +262,28 @@ def test_garbled_checkpoint_exits_2(monkeypatch, capsys, tmp_path,
                           "--k", "3", "--checkpoint", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(path) in err and field in err
+
+
+@pytest.mark.parametrize("case", ["checkpoint-missing-dir",
+                                  "checkpoint-is-dir", "missing-input",
+                                  "non-utf8-input"])
+def test_unreadable_files_exit_2(monkeypatch, capsys, tmp_path, case):
+    verify = ["verify", "kcyclic", "--nx", "3", "--ny-max", "3", "--k", "3",
+              "--checkpoint-every", "5"]
+    if case == "checkpoint-missing-dir":
+        argv = verify + ["--checkpoint", str(tmp_path / "none" / "x.ckpt")]
+    elif case == "checkpoint-is-dir":
+        argv = verify + ["--checkpoint", str(tmp_path)]
+    elif case == "missing-input":
+        argv = ["check", "--input", str(tmp_path / "none.txt")]
+    else:
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(serialize(K33).encode() + b"c caf\xe9\n")
+        argv = ["check", "--input", str(path)]
+    code, out, err = run(monkeypatch, capsys, argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_pipeline_through_real_processes():

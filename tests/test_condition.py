@@ -13,7 +13,8 @@ from supercyclic import (
     min_deficiency,
 )
 
-from oracles import condition_bruteforce
+from oracles import (condition_bruteforce, first_condition_failure,
+                     min_deficiency_bruteforce)
 from strategies import bigraphs
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
@@ -72,6 +73,21 @@ def test_condition_matches_bruteforce_and_kim(g):
     assert kim.passed == full.passed
 
 
+@given(bigraphs(max_x=5, max_y=6))
+@settings(max_examples=200)
+def test_condition_witness_is_first_failure_in_walk_order(g):
+    for mode in ("full", "kim"):
+        rep = check_condition(g, mode=mode)
+        want = first_condition_failure(g, mode)
+        if want is None:
+            assert rep.passed
+            continue
+        clause, a = want
+        witness = rep.size_witness if clause == "size" \
+            else rep.connectivity_witness
+        assert witness is not None and witness.members == a
+
+
 def test_condition_necessary_for_super_cyclicity(corpus_3_5):
     # over every isomorphism class with |X| = 3, |Y| <= 5
     for g in corpus_3_5:
@@ -112,6 +128,12 @@ def test_min_deficiency_brackets_condition(g):
     # the witness really attains the reported deficiency
     from oracles import super_neighborhood_naive
     assert len(super_neighborhood_naive(g, a.members)) - len(a) == d
+
+
+@given(bigraphs(min_x=3, max_x=6, max_y=6))
+def test_min_deficiency_is_first_minimum_in_walk_order(g):
+    d, a = min_deficiency(g)
+    assert (d, a.members) == min_deficiency_bruteforce(g)
 
 
 def test_degree_hypothesis_frozen():
