@@ -16,6 +16,10 @@ Conventions:
 
 ``_blocks`` is the one block (biconnected component) routine: both the
 2-connectivity tests here and the longest-cycle search in ``cycles`` use it.
+``_cover`` is the one computation of the super-neighborhood N^(A), the
+Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
+masks of the Y-vertices seen once and twice.  The condition's subset walk,
+the based-cycle search, criticality and the hunt's repairs all call it.
 """
 
 from __future__ import annotations
@@ -247,11 +251,18 @@ class Hypergraph:
 def super_neighborhood(g: Bigraph, a: VertexSet) -> VertexSet:
     """Y-vertices with at least two neighbors inside ``a`` (an X-subset)."""
     _require_x_subset(g, a)
-    m = 0
-    for j in g.y_indices():
-        if (g.y_adj[j] & a.mask).bit_count() >= 2:
-            m |= bit(j)
-    return VertexSet(SIDE_Y, m)
+    return VertexSet(SIDE_Y, _cover(g.x_adj, iter_bits(a.mask))[1])
+
+
+def _cover(x_adj: tuple[int, ...], members: Iterable[int]) -> tuple[int, int]:
+    """Masks of the Y-vertices adjacent to at least one (``once``) and to at
+    least two (``twice``) of the X-vertices ``members``; ``twice`` is N^."""
+    once = twice = 0
+    for i in members:
+        nbr = x_adj[i]
+        twice |= once & nbr
+        once |= nbr
+    return once, twice
 
 
 def induced_with_superneighborhood(g: Bigraph, a: VertexSet) -> InducedSubgraph:
@@ -286,9 +297,8 @@ def _is_two_connected_induced(g: Bigraph, x_mask: int, y_mask: int) -> bool:
     for x in iter_bits(x_mask):
         if (g.x_adj[x] & y_mask).bit_count() < 2:
             return False
-    for y in iter_bits(y_mask):
-        if (g.y_adj[y] & x_mask).bit_count() < 2:
-            return False
+    if y_mask & ~_cover(g.x_adj, iter_bits(x_mask))[1]:
+        return False
     blocks = _blocks(_local_adjacency(g, x_mask, y_mask))
     return len(blocks) == 1 and len(blocks[0]) == n
 

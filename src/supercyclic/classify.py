@@ -15,7 +15,8 @@ they exist so that any future hunt hit gets dissected automatically.
 
 from __future__ import annotations
 
-from .bigraph import Bigraph, VertexSet, SIDE_X, SIDE_Y, induced_with_superneighborhood
+from .bigraph import (Bigraph, VertexSet, SIDE_Y,
+                      induced_with_superneighborhood, super_neighborhood)
 from .bitset import bit, full_mask, iter_bits
 from .condition import check_condition
 from .cycles import find_based_cycle, is_super_cyclic
@@ -38,10 +39,10 @@ def is_critical(g: Bigraph) -> CheckReport:
     if sc.passed:
         return CheckReport("critical", False,
                            detail="graph is super-cyclic, no failing subset")
-    uncovered = [j for j in g.y_indices() if g.degree(SIDE_Y, j) < 2]
+    uncovered = full_mask(g.y_count) & ~super_neighborhood(g, g.x_full).mask
     if uncovered:
         return CheckReport("critical", False,
-                           witness=VertexSet.of(SIDE_Y, uncovered),
+                           witness=VertexSet(SIDE_Y, uncovered),
                            detail="N^(X) misses the witness ys (degree < 2)")
     # the super-cyclicity witness is minimal, so it is proper exactly when
     # some proper restriction already fails

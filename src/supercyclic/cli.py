@@ -230,11 +230,10 @@ def _cmd_gen(args) -> int:
                                  args.seed + i)
                   for i in range(args.count)]
     else:  # enum
-        graphs = enumerate_bigraphs(
-            args.nx, args.ny_max,
-            min_x_degree=args.min_x_degree,
-            min_y_degree=args.min_y_degree,
-            require_condition=args.filter == "cond1")
+        graphs = (g for g in enumerate_bigraphs(args.nx, args.ny_max)
+                  if g.min_x_degree >= args.min_x_degree
+                  and (not g.y_count or g.min_y_degree >= args.min_y_degree)
+                  and (not args.filter or check_condition(g, "kim").passed))
     first = True
     for g in graphs:
         if not first:
@@ -371,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="all isomorphism classes within the caps")
     pe.add_argument("--nx", type=int, required=True)
     pe.add_argument("--ny-max", type=int, required=True)
-    pe.add_argument("--min-x-degree", type=int, default=None)
-    pe.add_argument("--min-y-degree", type=int, default=None)
+    pe.add_argument("--min-x-degree", type=int, default=0)
+    pe.add_argument("--min-y-degree", type=int, default=0)
     pe.add_argument("--filter", choices=("cond1",), default=None,
                     help="cond1: only graphs passing the condition")
     pe.set_defaults(func=_cmd_gen)

@@ -10,9 +10,10 @@ accepts exactly the same graphs; both modes are exposed so the equivalence
 stays testable.
 
 Both the condition and ``min_deficiency`` run over one subset walk,
-``_subsets``: ascending |A|, lexicographic within a size.  The condition
-stops at the first failing A, so its witness is minimal in that order, and
-``min_deficiency`` keeps the first A of least deficiency.
+``_subsets``: ascending |A|, lexicographic within a size, with N^(A) from
+``bigraph._cover``.  The condition stops at the first failing A, so its
+witness is minimal in that order, and ``min_deficiency`` keeps the first A
+of least deficiency.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .bigraph import (Bigraph, VertexSet, SIDE_X,
+from .bigraph import (Bigraph, VertexSet, SIDE_X, _cover,
                       _is_two_connected_induced)
+from .bitset import mask_of
 from .errors import InputError
 
 MODES = ("full", "kim")
@@ -96,21 +98,12 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
 
 
 def _subsets(g: Bigraph) -> Iterator[tuple[int, int]]:
-    """Yield (A, N^(A)) as bitmasks for every A subset of X with |A| >= 3.
-
-    By ascending size, then lexicographically within a size.  N^(A) is the
-    set of Y-vertices seen twice while A's neighborhoods are or-ed in.
-    """
+    """Yield (A, N^(A)) as bitmasks for every A subset of X with |A| >= 3,
+    by ascending size, then lexicographically within a size."""
     x_adj = g.x_adj
     for size in range(3, g.x_count + 1):
         for combo in combinations(range(1, g.x_count + 1), size):
-            amask = once = twice = 0
-            for i in combo:
-                nbr = x_adj[i]
-                amask |= 1 << i
-                twice |= once & nbr
-                once |= nbr
-            yield amask, twice
+            yield mask_of(combo), _cover(x_adj, combo)[1]
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,24 @@ A cycle C is *based on* the X-subset A when V(C) intersected with X is
 exactly A.  Through the incidence correspondence this captures Berge cycles
 of a hypergraph with a prescribed base vertex set, which is why everything
 in this module is phrased relative to the X side.
+
+Every Y-vertex of a cycle based on A lies in the super-neighborhood N^(A).
+The based-cycle DFS prunes each node on the part still to build: its
+unused Y-vertices with two neighbors among the X-vertices left and the two
+ends, computed by ``bigraph._cover``, must outnumber the X-vertices left.
+At the root that test is |N^(A)| >= |A|, so there is no separate pre-check.
+``is_k_cyclic`` and ``is_super_cyclic`` share one subset loop.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from dataclasses import dataclass
+from typing import Iterable
 
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
-                      incidence_graph, super_neighborhood, _blocks,
-                      _local_adjacency, _require_x_subset)
+                      incidence_graph, _blocks, _cover, _local_adjacency,
+                      _require_x_subset)
 from .bitset import bit, full_mask, iter_bits
 from .errors import CapacityError, InputError
 from .reports import CheckReport
@@ -93,16 +101,9 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
     tuple (x_2, y_1, x_3, y_2, ...) among all cycles based on ``a``.
     """
     _require_x_subset(g, a)
-    k = len(a)
-    if k < 3:
+    if len(a) < 3:
         raise InputError("based cycles are defined for |A| >= 3")
-    # every cycle y has two neighbors in the base, so it lies in N^(a)
-    if len(super_neighborhood(g, a)) < k:
-        return None
-
     x_adj = g.x_adj
-    y_adj = g.y_adj
-    ny = g.y_count
     x1 = a.members[0]
 
     def dfs(last: int, rem: int, used: int,
@@ -116,16 +117,10 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
         for r in iter_bits(rem):
             if (x_adj[r] & ~used).bit_count() < 2:
                 return None
-        # the walk still to build stays inside rem plus its two ends
-        s_mask = rem | bit(last) | bit(x1)
-        needed = rem.bit_count() + 1
-        avail = 0
-        for j in range(1, ny + 1):
-            if not used >> j & 1 and (y_adj[j] & s_mask).bit_count() >= 2:
-                avail += 1
-                if avail >= needed:
-                    break
-        if avail < needed:
+        # the walk still to build needs |rem| + 1 unused ys, each with two
+        # neighbors among rem and its two ends: at the root, |N^(a)| >= |a|
+        twice = _cover(x_adj, iter_bits(rem | bit(last) | bit(x1)))[1]
+        if (twice & ~used).bit_count() <= rem.bit_count():
             return None
         for nxt in iter_bits(rem):
             pair = x_adj[last] & x_adj[nxt] & ~used
@@ -151,12 +146,7 @@ def is_k_cyclic(g: Bigraph, k: int) -> CheckReport:
     """
     if not 3 <= k <= g.x_count:
         raise InputError(f"k must be in 3..|X|, got k={k} with |X|={g.x_count}")
-    for combo in combinations(g.x_indices(), k):
-        a = VertexSet.of(SIDE_X, combo)
-        if find_based_cycle(g, a) is None:
-            return CheckReport("k_cyclic", False, witness=a,
-                               detail=f"no cycle based on {a}")
-    return CheckReport("k_cyclic", True, detail=f"k={k}")
+    return _check_bases(g, "k_cyclic", (k,), f"k={k}")
 
 
 def is_super_cyclic(g: Bigraph) -> CheckReport:
@@ -165,16 +155,21 @@ def is_super_cyclic(g: Bigraph) -> CheckReport:
     Vacuously true when |X| <= 2.  On failure the witness is minimal:
     smallest size first, lexicographically first within that size.
     """
-    nx = g.x_count
-    if nx <= 2:
-        return CheckReport("super_cyclic", True, detail="trivial: |X| <= 2")
-    for size in range(3, nx + 1):
+    return _check_bases(g, "super_cyclic", range(3, g.x_count + 1),
+                        "trivial: |X| <= 2" if g.x_count <= 2 else "")
+
+
+def _check_bases(g: Bigraph, check: str, sizes: Iterable[int],
+                 detail: str) -> CheckReport:
+    """Pass iff every X-subset whose size is in ``sizes`` carries a based
+    cycle; the witness is the first one without, by size then lex order."""
+    for size in sizes:
         for combo in combinations(g.x_indices(), size):
             a = VertexSet.of(SIDE_X, combo)
             if find_based_cycle(g, a) is None:
-                return CheckReport("super_cyclic", False, witness=a,
+                return CheckReport(check, False, witness=a,
                                    detail=f"no cycle based on {a}")
-    return CheckReport("super_cyclic", True)
+    return CheckReport(check, True, detail=detail)
 
 
 def is_super_pancyclic(h: Hypergraph) -> CheckReport:
@@ -190,8 +185,10 @@ def longest_cycle_length(g: Bigraph) -> int:
     """Exact longest cycle length (vertex count; 0 when the graph is a forest).
 
     Works block by block: only 2-connected blocks can hold cycles, and the
-    exponential search never leaves one.  Graphs whose cyclic blocks hold
-    more than ELIGIBLE_CAP vertices in total are refused.
+    exponential search never leaves one.  A block's cycles alternate sides,
+    so none is longer than twice its smaller side, and the search stops at
+    that bound.  Graphs whose cyclic blocks hold more than ELIGIBLE_CAP
+    vertices in total are refused.
     """
     adj = _local_adjacency(g, full_mask(g.x_count), full_mask(g.y_count))
     cyclic_blocks = [b for b in _blocks(adj) if len(b) >= 3]
@@ -210,18 +207,23 @@ def longest_cycle_length(g: Bigraph) -> int:
             for w in adj[v]:
                 if w in local:
                     masks[local[v]] |= 1 << local[w]
-        got = _longest_cycle_in_block(masks, best)
+        # _local_adjacency numbers the X-vertices first
+        x_side = sum(1 << i for i, v in enumerate(block) if v < g.x_count)
+        got = _longest_cycle_in_block(masks, x_side, best)
         if got > best:
             best = got
     return best
 
 
-def _longest_cycle_in_block(masks: list[int], floor: int) -> int:
+def _longest_cycle_in_block(masks: list[int], x_side: int, floor: int) -> int:
     """Longest cycle in one 2-connected block given 0-based adjacency masks.
 
     Anchored DFS: for each anchor s ascending, search cycles whose least
     vertex is s using only vertices >= s, pruning on the best length found
     so far (seeded with ``floor`` from larger blocks already searched).
+    A cycle alternates sides, so within the allowed vertices it is at most
+    twice as long as the smaller side (``x_side`` masks the X-vertices);
+    an anchor's search stops once ``best`` reaches that bound.
     """
     n = len(masks)
     best = floor
@@ -231,14 +233,16 @@ def _longest_cycle_in_block(masks: list[int], floor: int) -> int:
         if length >= 4 and masks[v] >> anchor & 1 and length > best:
             best = length
         rest = allowed & ~visited
-        if length + rest.bit_count() <= best:
+        if length + rest.bit_count() <= best or bound <= best:
             return
         for w in iter_bits(masks[v] & rest):
             dfs(w, visited | (1 << w), length + 1)
 
     for anchor in range(n):
-        if n - anchor < 4 or n - anchor <= best:
-            break
         allowed = ((1 << n) - 1) & ~((1 << anchor) - 1)
+        xs = (allowed & x_side).bit_count()
+        bound = 2 * min(xs, allowed.bit_count() - xs)
+        if bound < 4 or bound <= best:
+            break
         dfs(anchor, 1 << anchor, 1)
     return best

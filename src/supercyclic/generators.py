@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .bigraph import Bigraph
-from .condition import check_condition
 from .errors import CapacityError, InputError
 
 #: enumeration caps: isomorphism classes explode combinatorially past these
@@ -72,19 +71,14 @@ def complete_bipartite(nx: int, ny: int) -> Bigraph:
                             for y in range(1, ny + 1)))
 
 
-def enumerate_bigraphs(nx: int, ny_max: int, *,
-                       min_x_degree: int | None = None,
-                       min_y_degree: int | None = None,
-                       require_condition: bool = False,
-                       predicate: Callable[[Bigraph], bool] | None = None,
-                       ) -> Iterator[Bigraph]:
+def enumerate_bigraphs(nx: int, ny_max: int) -> Iterator[Bigraph]:
     """All bigraphs with |X| = nx and |Y| <= ny_max, one per isomorphism
     class (isomorphism respects the bipartition and may permute both sides).
 
     Deterministic order: depth-first by appending Y-columns in nondecreasing
     bitmask order, emitting a graph at every canonical node, smallest |Y|
-    first along each branch.  Filters gate emission only, never recursion,
-    since none of them are monotone under adding columns.
+    first along each branch.  The stream is unfiltered: callers that want
+    degree or condition filters apply them to the emitted graphs.
     """
     if nx < 0 or ny_max < 0:
         raise InputError("sizes must be nonnegative")
@@ -94,23 +88,8 @@ def enumerate_bigraphs(nx: int, ny_max: int, *,
             f"got ({nx}, {ny_max})")
     guard, steps = _canonicity_steps(nx, ny_max)
 
-    def emit(cols: tuple[int, ...]) -> Bigraph | None:
-        g = _bigraph_from_columns(nx, cols)
-        if min_x_degree is not None and g.min_x_degree < min_x_degree:
-            return None
-        if min_y_degree is not None and g.y_count and \
-                g.min_y_degree < min_y_degree:
-            return None
-        if require_condition and not check_condition(g, "kim").passed:
-            return None
-        if predicate is not None and not predicate(g):
-            return None
-        return g
-
     def walk(cols: tuple[int, ...], last: int, pack: int) -> Iterator[Bigraph]:
-        g = emit(cols)
-        if g is not None:
-            yield g
+        yield _bigraph_from_columns(nx, cols)
         if len(cols) == ny_max:
             return
         for c in range(last, len(steps)):

@@ -19,8 +19,8 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
-                      reduce_to_superneighborhood, super_neighborhood)
-from .bitset import bit, full_mask, iter_bits, mask_of
+                      reduce_to_superneighborhood, super_neighborhood, _cover)
+from .bitset import bit, full_mask, indices_of, iter_bits, mask_of
 from .classify import find_critical_core, is_critical, is_saturated, is_y_minimal
 from .condition import check_condition, degree_hypothesis, min_deficiency
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
@@ -313,12 +313,9 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
             g = g.without_edge(x, y)
             continue
         if rep.size_witness is not None:
-            amask = rep.size_witness.mask
-            ones = [j for j in g.y_indices()
-                    if (g.y_adj[j] & amask).bit_count() == 1]
-            zeros = [j for j in g.y_indices()
-                     if (g.y_adj[j] & amask).bit_count() == 0]
-            cands = ones or zeros
+            once, twice = _cover(g.x_adj, rep.size_witness.members)
+            cands = indices_of(once & ~twice) or \
+                indices_of(full_mask(g.y_count) & ~once)
             if not cands:
                 return last_good
             j = cands[rng.randrange(len(cands))]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
-from .reports import escape_value, unescape_value
+from .reports import machine_lines, unescape_value
 
 
 @dataclass(frozen=True)
@@ -38,23 +38,17 @@ class CheckpointState:
 
 
 def save_checkpoint(path: str | Path, state: CheckpointState) -> None:
-    lines = [
-        "checkpoint=1",
-        f"campaign={escape_value(state.campaign)}",
-        f"key={escape_value(state.key)}",
-        f"examined={state.examined}",
-        f"checked={state.checked}",
-        f"complete={1 if state.complete else 0}",
-        f"violations={len(state.violations)}",
-    ]
-    for i, (check, graph, witness, extra) in enumerate(state.violations):
-        lines.append(f"violation.{i}.check={escape_value(check)}")
-        lines.append(f"violation.{i}.graph={escape_value(graph)}")
-        lines.append(f"violation.{i}.witness={escape_value(witness)}")
-        lines.append(f"violation.{i}.extra={escape_value(extra)}")
+    pairs = [("checkpoint", "1"), ("campaign", state.campaign),
+             ("key", state.key), ("examined", str(state.examined)),
+             ("checked", str(state.checked)),
+             ("complete", "1" if state.complete else "0"),
+             ("violations", str(len(state.violations)))]
+    for i, violation in enumerate(state.violations):
+        pairs += [(f"violation.{i}.{name}", value) for name, value in
+                  zip(("check", "graph", "witness", "extra"), violation)]
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(machine_lines(pairs))
     os.replace(tmp, path)
 
 

@@ -149,6 +149,31 @@ def condition_bruteforce(g: Bigraph) -> bool:
     return first_condition_failure(g, "full") is None
 
 
+def least_based_cycle(g: Bigraph, base: tuple[int, ...]
+                      ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Among all cycles x_1 y_1 x_2 ... x_k y_k with {x_i} = base and
+    x_1 = min(base), the (xs, ys) whose interleaved tuple
+    (x_2, y_1, x_3, y_2, ..., x_k, y_{k-1}, y_k) is least; None when no
+    cycle is based on ``base``.  Tries every order of the base and every
+    choice of a common neighbor per consecutive pair."""
+    x1, *rest = sorted(base)
+    best = None
+    for tail in permutations(rest):
+        xs = (x1, *tail)
+        k = len(xs)
+        common = [[y for y in g.y_indices()
+                   if g.has_edge(xs[i], y) and g.has_edge(xs[(i + 1) % k], y)]
+                  for i in range(k)]
+        for ys in product(*common):
+            if len(set(ys)) < k:
+                continue
+            key = tuple(v for i in range(1, k) for v in (xs[i], ys[i - 1]))
+            key += (ys[-1],)
+            if best is None or key < best[0]:
+                best = (key, xs, ys)
+    return None if best is None else best[1:]
+
+
 def has_berge_cycle_with_base(h: Hypergraph, base: tuple[int, ...]) -> bool:
     """Distinct vertices v_1..v_l (= base), distinct edges e_1..e_l with
     v_i, v_{i+1} both in e_i; decided by trying every vertex order and

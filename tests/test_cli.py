@@ -167,6 +167,29 @@ def test_gen_enum_stream(monkeypatch, capsys):
     assert all(check_condition(g).passed for g in got)
 
 
+def test_gen_enum_filters_gate_emission_only(monkeypatch, capsys):
+    def gen_enum(ny_max, *flags):
+        code, out, _ = run(monkeypatch, capsys,
+                           ["gen", "enum", "--nx", "3", "--ny-max", str(ny_max),
+                            *flags])
+        assert code == 0
+        return list(iter_records(out))
+
+    total = list(enumerate_bigraphs(3, 3))
+    heavy = gen_enum(3, "--min-x-degree", "2")
+    assert all(g.min_x_degree >= 2 for g in heavy)
+    assert heavy == [g for g in total if g.min_x_degree >= 2]
+
+    sturdy = gen_enum(3, "--min-y-degree", "2")
+    assert sturdy == [g for g in total
+                      if g.y_count == 0 or g.min_y_degree >= 2]
+
+    good = gen_enum(4, "--filter", "cond1")
+    assert good == [g for g in enumerate_bigraphs(3, 4)
+                    if check_condition(g).passed]
+    assert len(good) > 0
+
+
 def test_gen_random_deterministic(monkeypatch, capsys):
     argv = ["gen", "random", "--nx", "4", "--ny", "4", "--seed", "5",
             "--count", "3"]

@@ -22,7 +22,7 @@ from supercyclic import (
 )
 from supercyclic.bigraph import SIDE_X
 
-from oracles import cycle_survey, longest_cycle_bruteforce
+from oracles import cycle_survey, least_based_cycle, longest_cycle_bruteforce
 from strategies import bigraphs
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
@@ -124,6 +124,11 @@ def test_longest_cycle_frozen():
     assert longest_cycle_length(K33) == 6
     assert longest_cycle_length(complete_bipartite(4, 4)) == 8
     assert longest_cycle_length(complete_bipartite(12, 12)) == 24
+    # unbalanced: a cycle alternates sides, so the smaller side bounds it
+    assert longest_cycle_length(complete_bipartite(6, 8)) == 12
+    assert longest_cycle_length(complete_bipartite(7, 8)) == 14
+    assert longest_cycle_length(complete_bipartite(7, 9)) == 14
+    assert longest_cycle_length(complete_bipartite(5, 12)) == 10
     assert longest_cycle_length(Bigraph(1, 3, [(1, 1), (1, 2), (1, 3)])) == 0
     assert longest_cycle_length(Bigraph(0, 0, [])) == 0
     assert longest_cycle_length(construct_g3(2, 1, 1, 3)) == 6
@@ -164,6 +169,30 @@ def test_found_cycles_are_real(g):
                 assert c.base == a
                 assert frozenset(combo) in xsets
                 c.reverse().validate_in(g)
+
+
+@given(bigraphs(min_x=3, max_x=5, max_y=5))
+@settings(max_examples=100)
+def test_found_cycle_is_least_interleaved(g):
+    for size in range(3, g.x_count + 1):
+        for combo in combinations(range(1, g.x_count + 1), size):
+            c = find_based_cycle(g, VertexSet.of(SIDE_X, combo))
+            got = None if c is None else (c.xs, c.ys)
+            assert got == least_based_cycle(g, combo)
+
+
+@given(bigraphs(min_x=3, max_x=5, max_y=5))
+@settings(max_examples=100)
+def test_k_cyclic_witness_is_first_missing_k_subset(g):
+    xsets, _ = cycle_survey(g)
+    for k in range(3, g.x_count + 1):
+        missing = [c for c in combinations(range(1, g.x_count + 1), k)
+                   if frozenset(c) not in xsets]
+        rep = is_k_cyclic(g, k)
+        if missing:
+            assert not rep.passed and rep.witness.members == missing[0]
+        else:
+            assert rep.passed and rep.witness is None
 
 
 def test_seeded_sweep_against_oracle():

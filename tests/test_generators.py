@@ -118,26 +118,6 @@ def test_enumeration_caps_and_validation():
         list(enumerate_bigraphs(-1, 2))
 
 
-def test_enumeration_filters_gate_emission_only():
-    total = list(enumerate_bigraphs(3, 3))
-    heavy = list(enumerate_bigraphs(3, 3, min_x_degree=2))
-    assert all(g.min_x_degree >= 2 for g in heavy)
-    assert heavy == [g for g in total if g.min_x_degree >= 2]
-
-    sturdy = list(enumerate_bigraphs(3, 3, min_y_degree=2))
-    assert sturdy == [g for g in total
-                      if g.y_count == 0 or g.min_y_degree >= 2]
-
-    good = list(enumerate_bigraphs(3, 4, require_condition=True))
-    assert good == [g for g in enumerate_bigraphs(3, 4)
-                    if check_condition(g).passed]
-    assert len(good) > 0
-
-    odd_edges = list(enumerate_bigraphs(3, 3,
-                                        predicate=lambda g: g.edge_count % 2))
-    assert all(g.edge_count % 2 == 1 for g in odd_edges)
-
-
 def test_random_bigraph_deterministic():
     a = random_bigraph(5, 6, 2, seed=99)
     b = random_bigraph(5, 6, 2, seed=99)

@@ -1,3 +1,5 @@
+from hashlib import sha256
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,8 @@ from supercyclic import (
     verify_degree_theorem,
     verify_k_cyclic,
 )
+from supercyclic import verifier
+from supercyclic.formats import serialize_bigraph
 from supercyclic.reports import escape_value, machine_lines, unescape_value
 from supercyclic.verifier_checkpoint import (CheckpointState, load_checkpoint,
                                              save_checkpoint)
@@ -108,6 +112,28 @@ def test_checkpoint_resume_partial(tmp_path):
     assert state.complete and state.examined == 141
 
 
+def test_checkpoint_bytes_frozen(tmp_path):
+    path = tmp_path / "c.ckpt"
+    state = CheckpointState(
+        "hunt", "mode=random;nx=4", 12, 7, False,
+        (("counterexample", "p bigraph 1 1\ne 1 1\n", "X{1,2,3}",
+          "a\\b\nc"),))
+    save_checkpoint(path, state)
+    assert path.read_bytes() == (
+        b"checkpoint=1\n"
+        b"campaign=hunt\n"
+        b"key=mode=random;nx=4\n"
+        b"examined=12\n"
+        b"checked=7\n"
+        b"complete=0\n"
+        b"violations=1\n"
+        b"violation.0.check=counterexample\n"
+        b"violation.0.graph=p bigraph 1 1\\ne 1 1\\n\n"
+        b"violation.0.witness=X{1,2,3}\n"
+        b"violation.0.extra=a\\\\b\\nc\n")
+    assert load_checkpoint(path, "hunt", "mode=random;nx=4") == state
+
+
 def test_checkpoint_refuses_mismatched_parameters(tmp_path):
     path = tmp_path / "other.ckpt"
     cfg = CheckpointConfig(str(path))
@@ -146,6 +172,32 @@ def test_hunt_random_is_seed_deterministic():
     shifted = hunt_counterexample(HuntConfig(5, 6, mode="random", seed=12,
                                              trials=40))
     assert shifted.to_machine() != a.to_machine()
+
+
+@pytest.mark.parametrize("nx,ny_max,seed,trials,checked,digest", [
+    (4, 5, 3, 60, 40, "b42eee21640347e0"),
+    (5, 7, 29, 50, 32, "4eded4c124ee5c0a"),
+    (6, 8, 101, 30, 13, "2b9e61522a3f8562"),
+])
+def test_hunt_random_graphs_checked_frozen(monkeypatch, nx, ny_max, seed,
+                                           trials, checked, digest):
+    # the count only says how many repairs reached the condition; the digest
+    # of the repaired graphs also pins every seeded choice on the way,
+    # including the order of the repair's candidate ys
+    seen = []
+    evaluate = verifier._eval_hunt_graph
+
+    def record(g):
+        seen.append(serialize_bigraph(g))
+        return evaluate(g)
+
+    monkeypatch.setattr(verifier, "_eval_hunt_graph", record)
+    rep = hunt_counterexample(HuntConfig(nx, ny_max, mode="random",
+                                         seed=seed, trials=trials))
+    assert rep.confirmed
+    assert (rep.graphs_examined, rep.graphs_checked) == (trials, checked)
+    assert len(seen) == checked
+    assert sha256("".join(seen).encode()).hexdigest()[:16] == digest
 
 
 def test_hunt_config_validation():
