@@ -14,8 +14,15 @@ Conventions:
 * ``Bigraph`` and ``Hypergraph`` are immutable.  "Mutators" such as
   ``with_edge`` return new graphs, so derived statistics can never go stale.
 
-``_blocks`` is the one block (biconnected component) routine: both the
-2-connectivity tests here and the longest-cycle search in ``cycles`` use it.
+``_blocks`` is the one block (biconnected component) routine: the
+2-connectivity test here and the longest-cycle search in ``cycles`` use it.
+The one exception is an induced graph on three X-vertices, which
+``_is_two_connected_induced`` decides in closed form: every y needs two of
+the three as neighbors, and either two y see all three, or one y sees all
+three and two pairs have a y of their own, or each of the three pairs has
+one.  Deleting an X-vertex must leave the other two a shared y, and deleting
+a y must leave the three X-vertices joined.
+
 ``_cover`` is the one computation of the super-neighborhood N^(A), the
 Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
 masks of the Y-vertices seen once and twice.  The condition's subset walk,
@@ -289,8 +296,25 @@ def is_two_connected(g: Bigraph) -> bool:
 
 def _is_two_connected_induced(g: Bigraph, x_mask: int, y_mask: int) -> bool:
     """2-connectivity of the induced subgraph, without building it: one block
-    that holds every vertex."""
-    n = x_mask.bit_count() + y_mask.bit_count()
+    that holds every vertex.
+
+    Three X-vertices with Y-neighborhoods a, b, c (inside ``y_mask``) are
+    decided in closed form.  The graph is 2-connected iff every y has two
+    neighbors among them, and t >= 2 or t + k >= 3, where t counts the y
+    seen by all three and k the pairs with a y of their own.  Proof: deleting
+    one X-vertex leaves the other two joined only through a y they share, so
+    t >= 1 or k = 3; deleting one y must leave the three X-vertices joined,
+    so if t = 1 then k >= 2.  Every other size runs ``_blocks``.
+    """
+    nx = x_mask.bit_count()
+    if nx == 3:
+        a, b, c = [g.x_adj[x] & y_mask for x in iter_bits(x_mask)]
+        if a & b | a & c | b & c != y_mask:
+            return False
+        t = (a & b & c).bit_count()
+        k = bool(a & b & ~c) + bool(a & c & ~b) + bool(b & c & ~a)
+        return t >= 2 or t + k >= 3
+    n = nx + y_mask.bit_count()
     if n < 3:
         return False
     # cheap reject: 2-connected needs minimum degree >= 2 inside the subgraph

@@ -9,7 +9,8 @@ Exit codes are part of the contract for scripting:
   campaign clean, graph critical);
 * 1: claim refuted / object absent (condition fails, no based cycle,
   campaign found violations, not critical);
-* 2: usage or format errors, and files that cannot be read or written.
+* 2: usage or format errors, and files that cannot be read or written;
+* 3: an internal error (any other exception), reported on one line.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SupercyclicError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 # -- input helpers -----------------------------------------------------------

@@ -7,7 +7,8 @@ The condition: for every A subset of X with |A| >= 3,
 where N^(A) is the super-neighborhood (Y-vertices with two neighbors in A).
 The ``kim`` mode tests the 2-connectivity clause only on triples, which
 accepts exactly the same graphs; both modes are exposed so the equivalence
-stays testable.
+stays testable.  A triple's test is a few mask operations on its three
+neighborhoods, with no block search (see ``bigraph._is_two_connected_induced``).
 
 Both the condition and ``min_deficiency`` run over one subset walk,
 ``_subsets``: ascending |A|, lexicographic within a size, with N^(A) from

@@ -8,7 +8,7 @@ graph format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bigraph import VertexSet
 

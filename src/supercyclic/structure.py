@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .bigraph import Bigraph, SIDE_X, SIDE_Y
-from .bitset import iter_bits, mask_of
+from .bitset import mask_of
 from .cycles import BaseCycle
 from .errors import InputError
 

@@ -1,5 +1,7 @@
+from itertools import combinations, product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from supercyclic import (
     Bigraph,
@@ -14,7 +16,9 @@ from supercyclic import (
     reduce_to_superneighborhood,
     super_neighborhood,
 )
-from supercyclic.bigraph import SIDE_X, SIDE_Y, _blocks
+from supercyclic.bigraph import (SIDE_X, SIDE_Y, _blocks,
+                                 _is_two_connected_induced, _local_adjacency)
+from supercyclic.bitset import full_mask
 
 from oracles import (
     cut_vertices_bruteforce,
@@ -173,6 +177,36 @@ def test_blocks_partition_edges_into_two_connected_pieces(g):
     # the cut vertices are exactly the vertices shared by two blocks
     shared = {v for v in range(n) if sum(v in b for b in blocks) >= 2}
     assert shared == cut_vertices_bruteforce(g)
+
+
+def test_triple_rule_matches_blocks_on_all_81_count_vectors():
+    # (n_ab, n_ac, n_bc, n_abc), each capped at 2: the Y-vertices seen by
+    # exactly that pair, or by all three, of X = {x1, x2, x3}
+    connected = 0
+    for counts in product(range(3), repeat=4):
+        neighbors = [(1, 2)] * counts[0] + [(1, 3)] * counts[1] + \
+            [(2, 3)] * counts[2] + [(1, 2, 3)] * counts[3]
+        g = Bigraph(3, len(neighbors), [(x, y) for y, xs in
+                                        enumerate(neighbors, start=1)
+                                        for x in xs])
+        x_mask = full_mask(3)
+        y_mask = super_neighborhood(g, g.x_full).mask
+        assert y_mask == full_mask(g.y_count)
+        blocks = _blocks(_local_adjacency(g, x_mask, y_mask))
+        by_dfs = len(blocks) == 1 and len(blocks[0]) == 3 + g.y_count
+        assert _is_two_connected_induced(g, x_mask, y_mask) == by_dfs, counts
+        connected += by_dfs
+    assert connected == 55
+
+
+@settings(max_examples=60)
+@given(bigraphs(min_x=3, max_x=6, max_y=6))
+def test_triple_rule_matches_bruteforce_on_every_y_mask(g):
+    for xs in combinations(g.x_indices(), 3):
+        xm = sum(1 << x for x in xs)
+        for ym in range(0, full_mask(g.y_count) + 1, 2):
+            assert _is_two_connected_induced(g, xm, ym) == \
+                is_two_connected_bruteforce(g.induced(xm, ym).graph)
 
 
 def test_induced_remaps_indices():

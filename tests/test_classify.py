@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from supercyclic import (
-    Bigraph,
     CapacityError,
     InputError,
     PreconditionError,

@@ -13,6 +13,7 @@ from supercyclic import (
     iter_records,
     serialize,
 )
+from supercyclic import cli
 from supercyclic.cli import main
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
@@ -306,6 +307,17 @@ def test_unreadable_files_exit_2(monkeypatch, capsys, tmp_path, case):
     code, out, err = run(monkeypatch, capsys, argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    code, _, err = run(monkeypatch, capsys, ["check"], serialize(C6))
+    assert code == 3
+    assert err == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in err
 
 
