@@ -36,7 +36,8 @@ def main():
                            (1, 3), (3, 3), (1, 4), (3, 4)])
     report(hinge, "two rings hinged at x1")
 
-    # kim mode checks 2-connectivity only on triples; it never disagrees
+    # both modes check 2-connectivity only on triples: once every triple
+    # passes, every larger A is 2-connected too, so they never disagree
     print("\nscanning every class with |X|=3, |Y|<=4 for mode disagreement:")
     diff = sum(1 for g in enumerate_bigraphs(3, 4)
                if check_condition(g, "full").passed

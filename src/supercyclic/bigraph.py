@@ -14,14 +14,11 @@ Conventions:
 * ``Bigraph`` and ``Hypergraph`` are immutable.  "Mutators" such as
   ``with_edge`` return new graphs, so derived statistics can never go stale.
 
-``_blocks`` is the one block (biconnected component) routine: the
-2-connectivity test here and the longest-cycle search in ``cycles`` use it.
-The one exception is an induced graph on three X-vertices, which
-``_is_two_connected_induced`` decides in closed form: every y needs two of
-the three as neighbors, and either two y see all three, or one y sees all
-three and two pairs have a y of their own, or each of the three pairs has
-one.  Deleting an X-vertex must leave the other two a shared y, and deleting
-a y must leave the three X-vertices joined.
+``_blocks`` is the one block (biconnected component) routine.  It serves
+only ``is_two_connected`` and the longest-cycle search in ``cycles``, both on
+the whole graph.  The neighborhood condition asks 2-connectivity only of
+graphs induced on three X-vertices, which ``_triple_is_two_connected``
+decides in closed form, with no block search.
 
 ``_cover`` is the one computation of the super-neighborhood N^(A), the
 Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
@@ -34,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .bitset import bit, full_mask, indices_of, iter_bits, mask_of
+from .bitset import full_mask, indices_of, iter_bits, mask_of
 from .errors import InputError
 
 SIDE_X = "X"
@@ -109,8 +106,8 @@ class Bigraph:
             if not 1 <= x <= x_count or not 1 <= y <= y_count:
                 raise InputError(f"edge ({x}, {y}) out of range for "
                                  f"({x_count}, {y_count})")
-            x_adj[x] |= bit(y)
-            y_adj[y] |= bit(x)
+            x_adj[x] |= 1 << y
+            y_adj[y] |= 1 << x
         self.x_count = x_count
         self.y_count = y_count
         self.x_adj = tuple(x_adj)
@@ -289,55 +286,45 @@ def reduce_to_superneighborhood(g: Bigraph) -> InducedSubgraph:
 
 
 def is_two_connected(g: Bigraph) -> bool:
-    """True iff the whole graph is 2-connected (>= 3 vertices, no cutvertex)."""
-    return _is_two_connected_induced(g, full_mask(g.x_count),
-                                     full_mask(g.y_count))
-
-
-def _is_two_connected_induced(g: Bigraph, x_mask: int, y_mask: int) -> bool:
-    """2-connectivity of the induced subgraph, without building it: one block
-    that holds every vertex.
-
-    Three X-vertices with Y-neighborhoods a, b, c (inside ``y_mask``) are
-    decided in closed form.  The graph is 2-connected iff every y has two
-    neighbors among them, and t >= 2 or t + k >= 3, where t counts the y
-    seen by all three and k the pairs with a y of their own.  Proof: deleting
-    one X-vertex leaves the other two joined only through a y they share, so
-    t >= 1 or k = 3; deleting one y must leave the three X-vertices joined,
-    so if t = 1 then k >= 2.  Every other size runs ``_blocks``.
-    """
-    nx = x_mask.bit_count()
-    if nx == 3:
-        a, b, c = [g.x_adj[x] & y_mask for x in iter_bits(x_mask)]
-        if a & b | a & c | b & c != y_mask:
-            return False
-        t = (a & b & c).bit_count()
-        k = bool(a & b & ~c) + bool(a & c & ~b) + bool(b & c & ~a)
-        return t >= 2 or t + k >= 3
-    n = nx + y_mask.bit_count()
+    """True iff the whole graph is 2-connected (>= 3 vertices, no cutvertex):
+    one block that holds every vertex."""
+    n = g.x_count + g.y_count
     if n < 3:
         return False
-    # cheap reject: 2-connected needs minimum degree >= 2 inside the subgraph
-    for x in iter_bits(x_mask):
-        if (g.x_adj[x] & y_mask).bit_count() < 2:
-            return False
-    if y_mask & ~_cover(g.x_adj, iter_bits(x_mask))[1]:
-        return False
-    blocks = _blocks(_local_adjacency(g, x_mask, y_mask))
+    blocks = _blocks(_local_adjacency(g))
     return len(blocks) == 1 and len(blocks[0]) == n
 
 
-def _local_adjacency(g: Bigraph, x_mask: int, y_mask: int) -> list[list[int]]:
-    """0-based adjacency lists of the induced subgraph: its X-vertices in
-    ascending order, then its Y-vertices."""
-    nx = x_mask.bit_count()
-    y_local = {old: nx + k for k, old in enumerate(indices_of(y_mask))}
-    adj: list[list[int]] = [[] for _ in range(nx + len(y_local))]
-    for k, x in enumerate(indices_of(x_mask)):
-        for y in iter_bits(g.x_adj[x] & y_mask):
-            j = y_local[y]
-            adj[k].append(j)
-            adj[j].append(k)
+def _triple_is_two_connected(x_adj: tuple[int, ...], x_mask: int,
+                             y_mask: int) -> bool:
+    """2-connectivity of the graph induced on three X-vertices (``x_mask``)
+    and ``y_mask``, in closed form, without building it.
+
+    With Y-neighborhoods a, b, c inside ``y_mask``, the graph is 2-connected
+    iff every y has two neighbors among the three, and t >= 2 or t + k >= 3,
+    where t counts the y seen by all three and k the pairs with a y of their
+    own.  Proof: deleting one X-vertex leaves the other two joined only
+    through a y they share, so t >= 1 or k = 3; deleting one y must leave the
+    three X-vertices joined, so if t = 1 then k >= 2.
+    """
+    a, b, c = [x_adj[x] & y_mask for x in iter_bits(x_mask)]
+    if a & b | a & c | b & c != y_mask:
+        return False
+    t = (a & b & c).bit_count()
+    k = bool(a & b & ~c) + bool(a & c & ~b) + bool(b & c & ~a)
+    return t >= 2 or t + k >= 3
+
+
+def _local_adjacency(g: Bigraph) -> list[list[int]]:
+    """0-based adjacency lists of the whole graph: x_i is i - 1 and y_j is
+    x_count + j - 1, so the X-vertices come first."""
+    nx = g.x_count
+    adj: list[list[int]] = [[] for _ in range(nx + g.y_count)]
+    for x in g.x_indices():
+        for y in iter_bits(g.x_adj[x]):
+            j = nx + y - 1
+            adj[x - 1].append(j)
+            adj[j].append(x - 1)
     return adj
 
 

@@ -1,7 +1,8 @@
 """Bitmask helpers for 1-indexed vertex sets.
 
-Bit ``i`` of a mask stands for vertex ``i``; bit 0 is never used.  Counting
-set bits is ``int.bit_count()`` at call sites, no wrapper needed.
+Bit ``i`` of a mask stands for vertex ``i``; bit 0 is never used.  A single
+vertex is ``1 << i`` and counting set bits is ``int.bit_count()`` at call
+sites, no wrapper needed.
 """
 
 from __future__ import annotations
@@ -9,10 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .errors import InputError
-
-
-def bit(i: int) -> int:
-    return 1 << i
 
 
 def mask_of(indices: Iterable[int]) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .bigraph import (Bigraph, VertexSet, SIDE_Y,
                       induced_with_superneighborhood, super_neighborhood)
-from .bitset import bit, full_mask, iter_bits
+from .bitset import full_mask, iter_bits
 from .condition import check_condition
 from .cycles import find_based_cycle, is_super_cyclic
 from .errors import CapacityError, InputError, PreconditionError, SupercyclicError
@@ -118,7 +118,7 @@ def _y_minimal_one_deletion(g: Bigraph) -> CheckReport:
                        f"condition-satisfying non-super-cyclic subgraph")
     full_x = full_mask(g.x_count)
     for j in g.y_indices():
-        sub = g.induced(full_x, full_mask(g.y_count) & ~bit(j)).graph
+        sub = g.induced(full_x, full_mask(g.y_count) & ~(1 << j)).graph
         if _counterexample_like(sub):
             return CheckReport(
                 "y_minimal", False, approximate=True,
@@ -139,8 +139,8 @@ def _y_minimal_exhaustive(g: Bigraph) -> CheckReport:
         xm = 0
         ym = 0
         for x, y in chosen:
-            xm |= bit(x)
-            ym |= bit(y)
+            xm |= 1 << x
+            ym |= 1 << y
         if xm.bit_count() < 3:
             continue  # trivially super-cyclic, never a violation
         x_new = {old: i for i, old in enumerate(iter_bits(xm), start=1)}

@@ -5,10 +5,19 @@ The condition: for every A subset of X with |A| >= 3,
     |N^(A)| >= |A|   and   the induced graph on A union N^(A) is 2-connected,
 
 where N^(A) is the super-neighborhood (Y-vertices with two neighbors in A).
-The ``kim`` mode tests the 2-connectivity clause only on triples, which
-accepts exactly the same graphs; both modes are exposed so the equivalence
-stays testable.  A triple's test is a few mask operations on its three
-neighborhoods, with no block search (see ``bigraph._is_two_connected_induced``).
+Its 2-connectivity clause needs testing only on triples.  Lemma: if every
+triple T passes, so does every A with |A| >= 4.  Proof: each y of
+H = G[A union N^(A)] has two neighbors in A, and N^(T) lies in N^(A) for
+T in A.  Delete any vertex v of H.  Two X-vertices left lie in a triple T
+of A that avoids v, and G[T union N^(T)] - v is connected, so they stay
+joined; every y left keeps a neighbor in A - v.  So H - v is connected.
+
+The scan goes by size, so every triple is tested before any larger A, and
+the first failure is always a size failure or a triple.  The ``full`` and
+``kim`` modes therefore run the same scan and differ only in the label of
+the report; ``tests/oracles.py`` keeps the literal every-A scan as the
+referee.  A triple's test is a few mask operations on its three
+neighborhoods, with no block search (see ``bigraph._triple_is_two_connected``).
 
 Both the condition and ``min_deficiency`` run over one subset walk,
 ``_subsets``: ascending |A|, lexicographic within a size, with N^(A) from
@@ -24,7 +33,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .bigraph import (Bigraph, VertexSet, SIDE_X, _cover,
-                      _is_two_connected_induced)
+                      _triple_is_two_connected)
 from .bitset import mask_of
 from .errors import InputError
 
@@ -64,7 +73,17 @@ class ConditionReport:
 
 
 def check_condition(g: Bigraph, mode: str = "full") -> ConditionReport:
-    """Test the neighborhood condition; vacuously true when |X| < 3."""
+    """Test the neighborhood condition; vacuously true when |X| < 3.
+
+    2-connectivity is tested on triples only, in either mode; ``mode`` just
+    labels the report.  This decides the clause for every A: when the scan
+    reaches an A with |A| >= 4, every triple T in A has passed, so
+    G[T union N^(T)] is 2-connected, with N^(T) inside N^(A).  Deleting a
+    vertex v from H = G[A union N^(A)] leaves any two X-vertices of A - v in
+    a triple avoiding v (|A| >= 4 leaves a third), whose graph minus v is
+    connected, and every y of H - v a neighbor in A - v.  So H is
+    2-connected, and the first failure is a size failure or a triple.
+    """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     for amask, twice in _subsets(g):
@@ -72,8 +91,7 @@ def check_condition(g: Bigraph, mode: str = "full") -> ConditionReport:
         if twice.bit_count() < size:
             return ConditionReport(False, mode,
                                    size_witness=VertexSet(SIDE_X, amask))
-        if (mode == "full" or size == 3) and \
-                not _is_two_connected_induced(g, amask, twice):
+        if size == 3 and not _triple_is_two_connected(g.x_adj, amask, twice):
             return ConditionReport(False, mode,
                                    connectivity_witness=VertexSet(SIDE_X, amask))
     return ConditionReport(True, mode)

@@ -22,7 +22,7 @@ from typing import Iterable
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
                       incidence_graph, _blocks, _cover, _local_adjacency,
                       _require_x_subset)
-from .bitset import bit, full_mask, iter_bits
+from .bitset import iter_bits
 from .errors import CapacityError, InputError
 from .reports import CheckReport
 
@@ -119,19 +119,19 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
                 return None
         # the walk still to build needs |rem| + 1 unused ys, each with two
         # neighbors among rem and its two ends: at the root, |N^(a)| >= |a|
-        twice = _cover(x_adj, iter_bits(rem | bit(last) | bit(x1)))[1]
+        twice = _cover(x_adj, iter_bits(rem | 1 << last | 1 << x1))[1]
         if (twice & ~used).bit_count() <= rem.bit_count():
             return None
         for nxt in iter_bits(rem):
             pair = x_adj[last] & x_adj[nxt] & ~used
             for y in iter_bits(pair):
-                hit = dfs(nxt, rem ^ bit(nxt), used | bit(y),
+                hit = dfs(nxt, rem ^ 1 << nxt, used | 1 << y,
                           order + [nxt], ys + [y])
                 if hit:
                     return hit
         return None
 
-    hit = dfs(x1, a.mask ^ bit(x1), 0, [x1], [])
+    hit = dfs(x1, a.mask ^ 1 << x1, 0, [x1], [])
     if hit is None:
         return None
     order, ys = hit
@@ -190,7 +190,7 @@ def longest_cycle_length(g: Bigraph) -> int:
     that bound.  Graphs whose cyclic blocks hold more than ELIGIBLE_CAP
     vertices in total are refused.
     """
-    adj = _local_adjacency(g, full_mask(g.x_count), full_mask(g.y_count))
+    adj = _local_adjacency(g)
     cyclic_blocks = [b for b in _blocks(adj) if len(b) >= 3]
     eligible = sum(len(b) for b in cyclic_blocks)
     if eligible > ELIGIBLE_CAP:

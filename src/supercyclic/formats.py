@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Union
 
 from .bigraph import Bigraph, Hypergraph
-from .errors import FormatError
+from .errors import FormatError, InputError
 
 Graph = Union[Bigraph, Hypergraph]
 
@@ -127,7 +127,7 @@ def _parse_bigraph_body(nx: int, ny: int, lines: list[str]) -> Bigraph:
         edges.append((x, y))
     try:
         return Bigraph(nx, ny, edges)
-    except Exception as exc:  # counts out of cap, etc.
+    except InputError as exc:  # counts out of cap
         raise FormatError(str(exc)) from None
 
 
@@ -151,5 +151,5 @@ def _parse_hypergraph_body(nv: int, ne: int, lines: list[str]) -> Hypergraph:
         raise FormatError(f"header announces {ne} edges, found {len(edges)}")
     try:
         return Hypergraph(nv, edges)
-    except Exception as exc:
+    except InputError as exc:  # count out of cap
         raise FormatError(str(exc)) from None

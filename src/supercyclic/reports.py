@@ -61,13 +61,3 @@ class CheckReport:
         if self.approximate:
             parts.append("(approximate)")
         return "; ".join(parts)
-
-    def machine(self) -> str:
-        pairs = [("check", self.check), ("passed", str(self.passed).lower())]
-        if self.witness is not None:
-            pairs.append(("witness", str(self.witness)))
-        if self.detail:
-            pairs.append(("detail", self.detail))
-        if self.approximate:
-            pairs.append(("approximate", "true"))
-        return machine_lines(pairs)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
                       reduce_to_superneighborhood, super_neighborhood, _cover)
-from .bitset import bit, full_mask, indices_of, iter_bits, mask_of
+from .bitset import full_mask, indices_of, iter_bits, mask_of
 from .classify import find_critical_core, is_critical, is_saturated, is_y_minimal
 from .condition import check_condition, degree_hypothesis, min_deficiency
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
@@ -411,7 +411,7 @@ def audit_critical_properties(g: Bigraph) -> VerificationReport:
     for x0 in g.x_indices():
         if nx - 1 < 3:
             break
-        a = VertexSet(SIDE_X, full_x & ~bit(x0))
+        a = VertexSet(SIDE_X, full_x & ~(1 << x0))
         c = find_based_cycle(g, a)
         if c is None:
             viol("proper_restriction_cycle", f"no cycle based on {a}")

@@ -17,7 +17,7 @@ from supercyclic import (
     super_neighborhood,
 )
 from supercyclic.bigraph import (SIDE_X, SIDE_Y, _blocks,
-                                 _is_two_connected_induced, _local_adjacency)
+                                 _local_adjacency, _triple_is_two_connected)
 from supercyclic.bitset import full_mask
 
 from oracles import (
@@ -192,9 +192,10 @@ def test_triple_rule_matches_blocks_on_all_81_count_vectors():
         x_mask = full_mask(3)
         y_mask = super_neighborhood(g, g.x_full).mask
         assert y_mask == full_mask(g.y_count)
-        blocks = _blocks(_local_adjacency(g, x_mask, y_mask))
+        blocks = _blocks(_local_adjacency(g))
         by_dfs = len(blocks) == 1 and len(blocks[0]) == 3 + g.y_count
-        assert _is_two_connected_induced(g, x_mask, y_mask) == by_dfs, counts
+        assert _triple_is_two_connected(g.x_adj, x_mask, y_mask) == by_dfs, \
+            counts
         connected += by_dfs
     assert connected == 55
 
@@ -205,7 +206,7 @@ def test_triple_rule_matches_bruteforce_on_every_y_mask(g):
     for xs in combinations(g.x_indices(), 3):
         xm = sum(1 << x for x in xs)
         for ym in range(0, full_mask(g.y_count) + 1, 2):
-            assert _is_two_connected_induced(g, xm, ym) == \
+            assert _triple_is_two_connected(g.x_adj, xm, ym) == \
                 is_two_connected_bruteforce(g.induced(xm, ym).graph)
 
 

@@ -13,7 +13,7 @@ from supercyclic import (
     iter_records,
     serialize,
 )
-from supercyclic import cli
+from supercyclic import cli, formats
 from supercyclic.cli import main
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
@@ -316,6 +316,20 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_cmd_check", broken)
     code, _, err = run(monkeypatch, capsys, ["check"], serialize(C6))
+    assert code == 3
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
+def test_defect_in_graph_constructor_exits_3(monkeypatch, capsys):
+    # only the constructors' InputError is a format error; anything else
+    # raised while building a parsed graph is a defect
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    text = serialize(C6)
+    monkeypatch.setattr(formats, "Bigraph", broken)
+    code, _, err = run(monkeypatch, capsys, ["check"], text)
     assert code == 3
     assert err == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in err

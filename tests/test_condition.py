@@ -1,5 +1,11 @@
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
+
+import supercyclic.bigraph
 
 from supercyclic import (
     Bigraph,
@@ -14,7 +20,8 @@ from supercyclic import (
 )
 
 from oracles import (condition_bruteforce, first_condition_failure,
-                     min_deficiency_bruteforce)
+                     is_two_connected_bruteforce, min_deficiency_bruteforce,
+                     super_neighborhood_naive)
 from strategies import bigraphs
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
@@ -86,6 +93,60 @@ def test_condition_witness_is_first_failure_in_walk_order(g):
         witness = rep.size_witness if clause == "size" \
             else rep.connectivity_witness
         assert witness is not None and witness.members == a
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _two_connected_with_superneighborhood(g, a):
+    nh = super_neighborhood_naive(g, a)
+    return is_two_connected_bruteforce(g.induced(_mask(a), _mask(nh)).graph)
+
+
+@given(bigraphs(min_x=4, max_x=7, max_y=7))
+@settings(max_examples=300)
+def test_triples_passing_make_every_larger_subset_two_connected(g):
+    # the lemma that lets check_condition test 2-connectivity on triples only
+    good = {t for t in combinations(g.x_indices(), 3)
+            if _two_connected_with_superneighborhood(g, t)}
+    for size in range(4, g.x_count + 1):
+        for a in combinations(g.x_indices(), size):
+            if all(t in good for t in combinations(a, 3)):
+                assert _two_connected_with_superneighborhood(g, a), a
+
+
+def test_witness_is_first_failure_at_larger_x():
+    # the literal every-A scan of the oracle, past the |X| <= 5 of the
+    # hypothesis test above
+    rng = random.Random(2006)
+    outcomes = Counter()
+    for _ in range(40):
+        nx, ny = rng.randint(6, 8), rng.randint(6, 12)
+        p = rng.uniform(0.4, 0.95)
+        g = Bigraph(nx, ny, [(x, y) for x in range(1, nx + 1)
+                             for y in range(1, ny + 1) if rng.random() < p])
+        rep = check_condition(g, "full")
+        want = first_condition_failure(g, "full")
+        if want is None:
+            assert rep.passed
+            outcomes["pass"] += 1
+            continue
+        clause, a = want
+        witness = rep.size_witness if clause == "size" \
+            else rep.connectivity_witness
+        assert witness is not None and witness.members == a
+        outcomes[clause] += 1
+    assert outcomes["pass"] and outcomes["conn"] and outcomes["size"]
+
+
+def test_condition_runs_no_block_search(monkeypatch, corpus_4_5):
+    def refuse(adj):
+        raise AssertionError("check_condition reached bigraph._blocks")
+
+    monkeypatch.setattr(supercyclic.bigraph, "_blocks", refuse)
+    for g in corpus_4_5:
+        check_condition(g, "full")
 
 
 def test_condition_necessary_for_super_cyclicity(corpus_3_5):
