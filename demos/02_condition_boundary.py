@@ -11,7 +11,7 @@ import argparse
 
 from supercyclic import (Bigraph, check_condition, complete_bipartite,
                          construct_g3, degree_hypothesis, enumerate_bigraphs,
-                         min_deficiency, random_bigraph)
+                         is_super_cyclic, min_deficiency, random_bigraph)
 
 
 def report(g, label):
@@ -36,13 +36,19 @@ def main():
                            (1, 3), (3, 3), (1, 4), (3, 4)])
     report(hinge, "two rings hinged at x1")
 
-    # both modes check 2-connectivity only on triples: once every triple
-    # passes, every larger A is 2-connected too, so they never disagree
-    print("\nscanning every class with |X|=3, |Y|<=4 for mode disagreement:")
-    diff = sum(1 for g in enumerate_bigraphs(3, 4)
-               if check_condition(g, "full").passed
-               != check_condition(g, "kim").passed)
-    print(f"   disagreements: {diff}")
+    # the condition is necessary: no super-cyclic class may fail it
+    print("\nscanning every class with |X|=4, |Y|<=5:")
+    classes = passing = cyclic = cyclic_failing = 0
+    for g in enumerate_bigraphs(4, 5):
+        cond = check_condition(g).passed
+        sc = is_super_cyclic(g).passed
+        classes += 1
+        passing += cond
+        cyclic += sc
+        cyclic_failing += sc and not cond
+    print(f"   {classes} classes, {passing} pass the condition, "
+          f"{cyclic} are super-cyclic")
+    print(f"   super-cyclic yet failing the condition: {cyclic_failing}")
 
     print("\nrandom graphs living exactly on the boundary (deficiency 0):")
     found = 0

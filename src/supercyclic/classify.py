@@ -143,10 +143,7 @@ def _y_minimal_exhaustive(g: Bigraph) -> CheckReport:
             ym |= 1 << y
         if xm.bit_count() < 3:
             continue  # trivially super-cyclic, never a violation
-        x_new = {old: i for i, old in enumerate(iter_bits(xm), start=1)}
-        y_new = {old: i for i, old in enumerate(iter_bits(ym), start=1)}
-        sub = Bigraph(len(x_new), len(y_new),
-                      [(x_new[x], y_new[y]) for x, y in chosen])
+        sub = Bigraph(g.x_count, g.y_count, chosen).induced(xm, ym).graph
         if _counterexample_like(sub):
             pretty = ",".join(f"(x{x},y{y})" for x, y in chosen)
             return CheckReport(

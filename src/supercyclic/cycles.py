@@ -6,9 +6,10 @@ of a hypergraph with a prescribed base vertex set, which is why everything
 in this module is phrased relative to the X side.
 
 Every Y-vertex of a cycle based on A lies in the super-neighborhood N^(A).
-The based-cycle DFS prunes each node on the part still to build: its
-unused Y-vertices with two neighbors among the X-vertices left and the two
-ends, computed by ``bigraph._cover``, must outnumber the X-vertices left.
+The based-cycle DFS keeps one path, appended on descent and popped on
+backtrack, and prunes each node on the part still to build: its unused
+Y-vertices with two neighbors among the X-vertices left and the two ends,
+computed by ``bigraph._cover``, must outnumber the X-vertices left.
 At the root that test is |N^(A)| >= |A|, so there is no separate pre-check.
 ``is_k_cyclic`` and ``is_super_cyclic`` share one subset loop.
 """
@@ -98,44 +99,44 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
 
     Deterministic: the search anchors at min(a) and extends by ascending
     vertex index, so the returned cycle minimizes the interleaved index
-    tuple (x_2, y_1, x_3, y_2, ...) among all cycles based on ``a``.
+    tuple (x_2, y_1, x_3, y_2, ...) among all cycles based on ``a``.  The
+    DFS keeps one path in ``xs`` and ``ys``: a descent appends to both and
+    clears its y from ``free``, the mask of unused ys, and a backtrack pops.
     """
     _require_x_subset(g, a)
     if len(a) < 3:
         raise InputError("based cycles are defined for |A| >= 3")
     x_adj = g.x_adj
-    x1 = a.members[0]
+    x1 = (a.mask & -a.mask).bit_length() - 1
+    xs, ys = [x1], []
 
-    def dfs(last: int, rem: int, used: int,
-            order: list[int], ys: list[int]) -> tuple[list[int], list[int]] | None:
-        if rem == 0:
-            close = x_adj[last] & x_adj[x1] & ~used
+    def dfs(last: int, rem: int, free: int) -> bool:
+        if not rem:
+            close = x_adj[last] & x_adj[x1] & free
             if close:
-                y = (close & -close).bit_length() - 1
-                return order, ys + [y]
-            return None
+                ys.append((close & -close).bit_length() - 1)
+            return bool(close)
         for r in iter_bits(rem):
-            if (x_adj[r] & ~used).bit_count() < 2:
-                return None
+            if (x_adj[r] & free).bit_count() < 2:
+                return False
         # the walk still to build needs |rem| + 1 unused ys, each with two
         # neighbors among rem and its two ends: at the root, |N^(a)| >= |a|
         twice = _cover(x_adj, iter_bits(rem | 1 << last | 1 << x1))[1]
-        if (twice & ~used).bit_count() <= rem.bit_count():
-            return None
+        if (twice & free).bit_count() <= rem.bit_count():
+            return False
         for nxt in iter_bits(rem):
-            pair = x_adj[last] & x_adj[nxt] & ~used
-            for y in iter_bits(pair):
-                hit = dfs(nxt, rem ^ 1 << nxt, used | 1 << y,
-                          order + [nxt], ys + [y])
-                if hit:
-                    return hit
-        return None
+            xs.append(nxt)
+            for y in iter_bits(x_adj[last] & x_adj[nxt] & free):
+                ys.append(y)
+                if dfs(nxt, rem ^ 1 << nxt, free ^ 1 << y):
+                    return True
+                ys.pop()
+            xs.pop()
+        return False
 
-    hit = dfs(x1, a.mask ^ 1 << x1, 0, [x1], [])
-    if hit is None:
+    if not dfs(x1, a.mask ^ 1 << x1, -1):
         return None
-    order, ys = hit
-    return BaseCycle(tuple(order), tuple(ys))
+    return BaseCycle(tuple(xs), tuple(ys))
 
 
 def is_k_cyclic(g: Bigraph, k: int) -> CheckReport:

@@ -268,6 +268,11 @@ def _eval_degree(g: Bigraph) -> tuple[bool, Violation | None]:
 def _eval_hunt_graph(g: Bigraph) -> tuple[bool, Violation | None]:
     if not check_condition(g, "kim").passed:
         return False, None
+    return _hunt_verdict(g)
+
+
+def _hunt_verdict(g: Bigraph) -> tuple[bool, Violation | None]:
+    """Verdict on a graph known to satisfy the condition."""
     sc = is_super_cyclic(g)
     if sc.passed:
         return True, None
@@ -283,7 +288,7 @@ def _hunt_trial(config: HuntConfig, i: int) -> tuple[bool, Violation | None]:
     g = _repair_to_boundary(g, rng)
     if g is None:
         return False, None
-    return _eval_hunt_graph(g)
+    return _hunt_verdict(g)
 
 
 def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
@@ -291,7 +296,8 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
 
     Alternates between repairing a failed clause by adding one helpful edge
     and thinning a comfortably-passing graph by deleting one edge.  Bounded;
-    returns the last condition-satisfying state, or None if never reached.
+    returns None or the last graph that passed ``check_condition``, which
+    is why the trial does not check it again.
     """
     if g.x_count < 3:
         return None
@@ -306,9 +312,8 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
             edges = sorted(g.edges())
             heavy = [e for e in edges
                      if g.degree(SIDE_X, e[0]) > 2 and g.degree(SIDE_Y, e[1]) > 2]
+            # never empty: the first triple passed, so |N^| >= 3 gives edges
             pool = heavy or edges
-            if not pool:
-                return g
             x, y = pool[rng.randrange(len(pool))]
             g = g.without_edge(x, y)
             continue
@@ -319,21 +324,16 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
             if not cands:
                 return last_good
             j = cands[rng.randrange(len(cands))]
+            # never empty: j sees at most one member of A, and |A| >= 3
             missing = [x for x in rep.size_witness.members
                        if not g.has_edge(x, j)]
-            if not missing:
-                return last_good
             g = g.with_edge(missing[rng.randrange(len(missing))], j)
         else:
             a = rep.connectivity_witness
             nh = super_neighborhood(g, a)
+            # never empty: else A spans K(3, |N^|), 2-connected as |N^| >= 3
             pairs = [(x, j) for x in a.members for j in nh.members
                      if not g.has_edge(x, j)]
-            if not pairs:
-                pairs = [(x, j) for x in a.members for j in g.y_indices()
-                         if not g.has_edge(x, j)]
-            if not pairs:
-                return last_good
             x, j = pairs[rng.randrange(len(pairs))]
             g = g.with_edge(x, j)
     return last_good

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from supercyclic import (
+    Bigraph,
     CapacityError,
     InputError,
     PreconditionError,
@@ -121,6 +122,32 @@ def test_exhaustive_walker_skips_tiny_bases(monkeypatch):
     assert seen and all(sub.x_count >= 3 for sub in seen)
     # proper subsets only: the full 9-edge graph is never probed
     assert all(sub.edge_count < 9 for sub in seen)
+
+
+def test_exhaustive_walker_probes_remapped_subgraphs(monkeypatch):
+    seen = []
+
+    def fake(sub):
+        seen.append(sub)
+        return False
+
+    monkeypatch.setattr(classify, "_counterexample_like", fake)
+    assert classify._y_minimal_exhaustive(K33).passed
+    # reference: each proper edge subset on >= 3 xs, its covered vertices
+    # renumbered 1..k in ascending order on both sides
+    edge_list = sorted(K33.edges())
+    want = []
+    for emask in range((1 << len(edge_list)) - 1):
+        chosen = [e for i, e in enumerate(edge_list) if emask >> i & 1]
+        xs = sorted({x for x, _ in chosen})
+        ys = sorted({y for _, y in chosen})
+        if len(xs) < 3:
+            continue
+        x_new = {old: i for i, old in enumerate(xs, start=1)}
+        y_new = {old: i for i, old in enumerate(ys, start=1)}
+        want.append(Bigraph(len(xs), len(ys),
+                            [(x_new[x], y_new[y]) for x, y in chosen]))
+    assert seen == want
 
 
 def test_find_critical_core_reachable_branches():

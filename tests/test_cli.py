@@ -1,8 +1,11 @@
+import contextlib
 import io
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercyclic import (
     Bigraph,
@@ -15,6 +18,8 @@ from supercyclic import (
 )
 from supercyclic import cli, formats
 from supercyclic.cli import main
+
+from strategies import base_cycles_with_graph, bigraphs, hypergraphs
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
 K33 = complete_bipartite(3, 3)
@@ -333,6 +338,145 @@ def test_defect_in_graph_constructor_exits_3(monkeypatch, capsys):
     assert code == 3
     assert err == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in err
+
+
+# -- fuzz: small argv values and junk stdin, in-process ----------------------
+
+SIZE = st.integers(-1, 4)
+FORMAT = st.sampled_from([[], ["--format", "human"], ["--format", "machine"]])
+AS_HYPERGRAPH = st.sampled_from([[], ["--as-hypergraph"]])
+INDEX_LIST = st.lists(st.integers(-1, 5), max_size=4).map(
+    lambda xs: ",".join(map(str, xs)))
+CYCLE_TEXT = st.lists(st.tuples(st.sampled_from(["", "x", "y", "z"]),
+                                st.integers(-1, 5)), max_size=8).map(
+    lambda toks: ",".join(f"{p}{i}" for p, i in toks))
+JUNK = st.text(alphabet="pesbigrahc 0123456789-,\n", max_size=12)
+
+
+def _opt(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+@st.composite
+def _stdins(draw):
+    """Valid, malformed, hypergraph or empty record streams."""
+    kind = draw(st.sampled_from(["valid", "malformed", "hypergraph",
+                                 "mixed", "empty"]))
+    if kind == "empty":
+        return draw(st.sampled_from(["", "\n", "c nothing here\n"]))
+    graphs = draw(st.lists(bigraphs(max_x=4, max_y=5), min_size=1,
+                           max_size=3))
+    if kind == "hypergraph":
+        graphs = draw(st.lists(hypergraphs(max_v=4, max_e=4), min_size=1,
+                               max_size=2))
+    elif kind == "mixed":
+        graphs.append(draw(hypergraphs(max_v=4, max_e=4)))
+    text = "\n".join(serialize(g) for g in graphs)
+    if kind == "malformed":
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(JUNK) + text[cut + draw(st.integers(0, 4)):]
+    return text
+
+
+@st.composite
+def _calls(draw):
+    """(argv, stdin) of one subcommand with tiny sizes, sometimes mangled.
+
+    ``analyze`` gets a graph together with a cycle in it half the time, so
+    that it gets past the cycle check; every other input is random.
+    """
+    cmd = draw(st.sampled_from(["check", "cycle", "classify", "analyze",
+                                "gen", "verify", "hunt"]))
+    stdin_text = draw(_stdins())
+    if cmd == "check":
+        argv = ["check"] + draw(_opt("--mode", st.sampled_from(
+            ["full", "kim"]))) + draw(AS_HYPERGRAPH) + draw(FORMAT)
+    elif cmd == "cycle":
+        base = st.lists(st.integers(1, 4), min_size=3, max_size=4,
+                        unique=True).map(lambda xs: ",".join(map(str, xs)))
+        argv = ["cycle", "--base", draw(base | INDEX_LIST)] + \
+            draw(AS_HYPERGRAPH)
+    elif cmd == "classify":
+        argv = ["classify"] + draw(_opt("--ym-mode", st.sampled_from(
+            ["one_deletion", "exhaustive"]))) + draw(AS_HYPERGRAPH) + \
+            draw(FORMAT)
+    elif cmd == "analyze":
+        cycle = draw(CYCLE_TEXT)
+        if draw(st.booleans()):
+            g, c = draw(base_cycles_with_graph(max_l=3, max_extra=1))
+            stdin_text = serialize(g)
+            cycle = str(c).replace(" ", ",")
+        argv = ["analyze", "--cycle", cycle] + \
+            draw(_opt("--pair", INDEX_LIST)) + \
+            draw(_opt("--fan-root", st.integers(-1, 5)))
+    elif cmd == "gen":
+        kind = draw(st.sampled_from(["g3", "complete", "enum", "random"]))
+        argv = ["gen", kind]
+        if kind == "g3":
+            argv += ["--n", draw(INDEX_LIST),
+                     "--delta", str(draw(st.integers(-1, 5)))]
+        elif kind == "complete":
+            argv += ["--nx", str(draw(SIZE)), "--ny", str(draw(SIZE))]
+        elif kind == "enum":
+            argv += ["--nx", str(draw(SIZE)),
+                     "--ny-max", str(draw(st.integers(-1, 5)))]
+            argv += draw(_opt("--min-x-degree", SIZE))
+            argv += draw(_opt("--min-y-degree", SIZE))
+            argv += draw(st.sampled_from([[], ["--filter", "cond1"]]))
+        else:
+            argv += ["--nx", str(draw(SIZE)), "--ny", str(draw(SIZE))]
+            argv += draw(_opt("--min-x-degree", SIZE))
+            argv += draw(_opt("--seed", st.integers(-2, 2)))
+            argv += draw(_opt("--count", st.integers(-1, 3)))
+    else:
+        if cmd == "verify":
+            claim = draw(st.sampled_from(["kcyclic", "degree"]))
+            argv = ["verify", claim]
+        else:
+            argv = ["hunt"]
+        argv += ["--nx", str(draw(SIZE)),
+                 "--ny-max", str(draw(st.integers(-1, 5)))]
+        if argv[1] == "kcyclic":
+            argv += ["--k", str(draw(st.integers(-1, 5)))]
+        if cmd == "hunt":
+            argv += draw(st.sampled_from([[], ["--random"]]))
+            argv += draw(_opt("--seed", st.integers(-2, 2)))
+            argv += draw(_opt("--trials", st.integers(-1, 3)))
+            argv += draw(_opt("--min-x-degree", SIZE))
+        argv += draw(st.sampled_from([[], ["--jobs", "1"]]))
+        argv += draw(st.sampled_from([[], ["--checkpoint", "{ckpt}"]]))
+        argv += draw(_opt("--checkpoint-every", st.integers(-1, 3)))
+        argv += draw(FORMAT) + draw(st.sampled_from([[], ["--progress"]]))
+    mangle = draw(st.sampled_from(["none", "none", "drop", "insert"]))
+    if mangle != "none" and len(argv) > 1:
+        i = draw(st.integers(1, len(argv) - 1))
+        if mangle == "drop":
+            del argv[i]
+        else:
+            argv.insert(i, draw(JUNK))
+    return argv, stdin_text
+
+
+@given(_calls())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(call):
+    argv, stdin_text = call
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{ckpt}", f"{tmp}/run.ckpt") for a in argv]
+        sys.stdin = io.StringIO(stdin_text)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+        finally:
+            sys.stdin = saved
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_pipeline_through_real_processes():

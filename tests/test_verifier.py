@@ -1,7 +1,7 @@
 from hashlib import sha256
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from supercyclic import (
     CheckpointConfig,
@@ -20,12 +20,15 @@ from supercyclic import (
     verify_k_cyclic,
 )
 from supercyclic import verifier
+from supercyclic.bigraph import _cover, super_neighborhood
+from supercyclic.bitset import full_mask, indices_of
 from supercyclic.formats import serialize_bigraph
 from supercyclic.reports import escape_value, machine_lines, unescape_value
 from supercyclic.verifier_checkpoint import (CheckpointState, load_checkpoint,
                                              save_checkpoint)
 
 from oracles import burnside_class_count, condition_bruteforce
+from strategies import bigraphs
 
 GOLDEN_333 = (
     "report=verify-k-cyclic\n"
@@ -185,19 +188,43 @@ def test_hunt_random_graphs_checked_frozen(monkeypatch, nx, ny_max, seed,
     # of the repaired graphs also pins every seeded choice on the way,
     # including the order of the repair's candidate ys
     seen = []
-    evaluate = verifier._eval_hunt_graph
+    evaluate = verifier._hunt_verdict
 
     def record(g):
         seen.append(serialize_bigraph(g))
         return evaluate(g)
 
-    monkeypatch.setattr(verifier, "_eval_hunt_graph", record)
+    monkeypatch.setattr(verifier, "_hunt_verdict", record)
     rep = hunt_counterexample(HuntConfig(nx, ny_max, mode="random",
                                          seed=seed, trials=trials))
     assert rep.confirmed
     assert (rep.graphs_examined, rep.graphs_checked) == (trials, checked)
     assert len(seen) == checked
     assert sha256("".join(seen).encode()).hexdigest()[:16] == digest
+
+
+@given(bigraphs(min_x=3, max_x=7, max_y=8))
+@settings(max_examples=400, deadline=None)
+def test_repair_always_has_an_edge_to_change(g):
+    # why _repair_to_boundary needs no fallback when it picks an edge
+    rep = check_condition(g, "kim")
+    if rep.passed:
+        # the first triple has |N^| >= 3, so there is an edge to delete
+        assert g.edge_count > 0
+    elif rep.size_witness is not None:
+        # each candidate y sees at most one member of A, and |A| >= 3
+        a = rep.size_witness.members
+        once, twice = _cover(g.x_adj, a)
+        cands = indices_of(once & ~twice) or \
+            indices_of(full_mask(g.y_count) & ~once)
+        for j in cands:
+            assert sum(not g.has_edge(x, j) for x in a) >= 2
+    else:
+        # the witness is a triple with |N^| >= 3; if its xs saw all of N^,
+        # it would span K(3, t), which is 2-connected
+        a = rep.connectivity_witness
+        assert any(not g.has_edge(x, j) for x in a.members
+                   for j in super_neighborhood(g, a).members)
 
 
 def test_hunt_config_validation():
