@@ -13,6 +13,10 @@ Conventions:
   handful of machine words.  The cap is enforced at construction.
 * ``Bigraph`` and ``Hypergraph`` are immutable.  "Mutators" such as
   ``with_edge`` return new graphs, so derived statistics can never go stale.
+* The edge-list constructor is the one public, validating build.  The
+  trusted mask-level ``Bigraph._of_masks`` has two callers: ``with_edge`` /
+  ``without_edge``, flipping one bit per side after ``has_edge`` checks the
+  range, and the enumerator's ``generators._bigraph_from_columns``.
 
 ``_blocks`` is the one block (biconnected component) routine.  It serves
 only ``is_two_connected`` and the longest-cycle search in ``cycles``, both on
@@ -23,7 +27,8 @@ decides in closed form, with no block search.
 ``_cover`` is the one computation of the super-neighborhood N^(A), the
 Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
 masks of the Y-vertices seen once and twice.  The condition's subset walk,
-the based-cycle search, criticality and the hunt's repairs all call it.
+criticality and the hunt's repairs call it; the based-cycle DFS folds the
+same way inline, together with its degree prune.
 """
 
 from __future__ import annotations
@@ -113,6 +118,15 @@ class Bigraph:
         self.x_adj = tuple(x_adj)
         self.y_adj = tuple(y_adj)
 
+    @classmethod
+    def _of_masks(cls, x_adj: tuple[int, ...],
+                  y_adj: tuple[int, ...]) -> "Bigraph":
+        """Unchecked build from in-range masks that transpose each other."""
+        g = object.__new__(cls)
+        g.x_count, g.y_count = len(x_adj) - 1, len(y_adj) - 1
+        g.x_adj, g.y_adj = x_adj, y_adj
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     def x_indices(self) -> range:
@@ -167,14 +181,18 @@ class Bigraph:
     def with_edge(self, x: int, y: int) -> "Bigraph":
         if self.has_edge(x, y):
             raise InputError(f"edge ({x}, {y}) already present")
-        return Bigraph(self.x_count, self.y_count,
-                       list(self.edges()) + [(x, y)])
+        return self._flip(x, y)
 
     def without_edge(self, x: int, y: int) -> "Bigraph":
         if not self.has_edge(x, y):
             raise InputError(f"edge ({x}, {y}) not present")
-        return Bigraph(self.x_count, self.y_count,
-                       (e for e in self.edges() if e != (x, y)))
+        return self._flip(x, y)
+
+    def _flip(self, x: int, y: int) -> "Bigraph":
+        """The graph with edge (x, y) toggled; both must be in range."""
+        xa, ya = self.x_adj, self.y_adj
+        return Bigraph._of_masks(xa[:x] + (xa[x] ^ 1 << y,) + xa[x + 1:],
+                                 ya[:y] + (ya[y] ^ 1 << x,) + ya[y + 1:])
 
     def induced(self, x_mask: int, y_mask: int) -> InducedSubgraph:
         """Induced subgraph on the given masks, vertices renumbered 1..k."""

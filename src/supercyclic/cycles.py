@@ -7,11 +7,15 @@ in this module is phrased relative to the X side.
 
 Every Y-vertex of a cycle based on A lies in the super-neighborhood N^(A).
 The based-cycle DFS keeps one path, appended on descent and popped on
-backtrack, and prunes each node on the part still to build: its unused
-Y-vertices with two neighbors among the X-vertices left and the two ends,
-computed by ``bigraph._cover``, must outnumber the X-vertices left.
-At the root that test is |N^(A)| >= |A|, so there is no separate pre-check.
-``is_k_cyclic`` and ``is_super_cyclic`` share one subset loop.
+backtrack, and works on masks throughout: every loop over a set is a
+low-bit loop (``low = m & -m; m ^= low``), with no generator.  It prunes
+each node in one fold over the X-vertices left and the two ends of the
+path: each X-vertex left needs two unused Y-neighbors, and the unused
+Y-vertices with two neighbors in the fold must outnumber the X-vertices
+left.  At the root the ends coincide and that test is |N^(A)| >= |A|, so
+there is no separate pre-check.  ``is_k_cyclic`` and ``is_super_cyclic``
+share one subset loop, which walks subset masks and hands each to
+``find_based_cycle`` as a ``VertexSet``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
-                      incidence_graph, _blocks, _cover, _local_adjacency,
+                      incidence_graph, _blocks, _local_adjacency,
                       _require_x_subset)
 from .bitset import iter_bits
 from .errors import CapacityError, InputError
@@ -102,6 +106,8 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
     tuple (x_2, y_1, x_3, y_2, ...) among all cycles based on ``a``.  The
     DFS keeps one path in ``xs`` and ``ys``: a descent appends to both and
     clears its y from ``free``, the mask of unused ys, and a backtrack pops.
+    Sets are walked low bit first with no generator, and each node's two
+    prunes share one fold over the X-vertices left and the path's ends.
     """
     _require_x_subset(g, a)
     if len(a) < 3:
@@ -116,19 +122,34 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
             if close:
                 ys.append((close & -close).bit_length() - 1)
             return bool(close)
-        for r in iter_bits(rem):
-            if (x_adj[r] & free).bit_count() < 2:
+        # every x in rem needs two unused ys; the walk still to build needs
+        # |rem| + 1 unused ys with two neighbors among rem and its two ends,
+        # which are one vertex at the root: there, |N^(a)| >= |a|
+        once = twice = 0
+        m = rem | 1 << last | 1 << x1
+        while m:
+            low = m & -m
+            m ^= low
+            nbr = x_adj[low.bit_length() - 1] & free
+            if low & rem and nbr.bit_count() < 2:
                 return False
-        # the walk still to build needs |rem| + 1 unused ys, each with two
-        # neighbors among rem and its two ends: at the root, |N^(a)| >= |a|
-        twice = _cover(x_adj, iter_bits(rem | 1 << last | 1 << x1))[1]
-        if (twice & free).bit_count() <= rem.bit_count():
+            twice |= once & nbr
+            once |= nbr
+        if twice.bit_count() <= rem.bit_count():
             return False
-        for nxt in iter_bits(rem):
+        here = x_adj[last] & free
+        m = rem
+        while m:
+            low = m & -m
+            m ^= low
+            nxt = low.bit_length() - 1
             xs.append(nxt)
-            for y in iter_bits(x_adj[last] & x_adj[nxt] & free):
-                ys.append(y)
-                if dfs(nxt, rem ^ 1 << nxt, free ^ 1 << y):
+            both = here & x_adj[nxt]
+            while both:
+                y = both & -both
+                both ^= y
+                ys.append(y.bit_length() - 1)
+                if dfs(nxt, rem ^ low, free ^ y):
                     return True
                 ys.pop()
             xs.pop()
@@ -164,9 +185,10 @@ def _check_bases(g: Bigraph, check: str, sizes: Iterable[int],
                  detail: str) -> CheckReport:
     """Pass iff every X-subset whose size is in ``sizes`` carries a based
     cycle; the witness is the first one without, by size then lex order."""
+    bits = [1 << x for x in g.x_indices()]
     for size in sizes:
-        for combo in combinations(g.x_indices(), size):
-            a = VertexSet.of(SIDE_X, combo)
+        for amask in map(sum, combinations(bits, size)):
+            a = VertexSet(SIDE_X, amask)
             if find_based_cycle(g, a) is None:
                 return CheckReport(check, False, witness=a,
                                    detail=f"no cycle based on {a}")

@@ -105,24 +105,31 @@ def _canonicity_steps(nx: int, ny_max: int) -> tuple[int, list[int]]:
     ncols, digit = 1 << nx, ny_max.bit_length()
     width = digit * ncols // 8 + 1
     shift = [digit * (ncols - 1 - v) for v in range(ncols)]
-    perms = list(permutations(range(nx)))
-    fields = [bytearray(width * len(perms)) for _ in range(ncols)]
-    for p, sigma in enumerate(perms):
+    images = []
+    for sigma in permutations(range(nx)):
         image = [0]
         for b in sigma:
             image += [v | 1 << b for v in image]
-        for buf, v in zip(fields, image):
-            bit = 8 * width * p + shift[v]
-            buf[bit >> 3] |= 1 << (bit & 7)
-    rep = int.from_bytes(b"\1".ljust(width, b"\0") * len(perms), "little")
-    steps = [(rep << shift[c]) - int.from_bytes(buf, "little")
-             for c, buf in enumerate(fields)]
+        images.append(image)
+    # sigma's field of c's subtrahend has one bit: the digit of sigma.c
+    block = [(1 << s).to_bytes(width, "little") for s in shift]
+    rep = int.from_bytes(b"\1".ljust(width, b"\0") * len(images), "little")
+    steps = [(rep << shift[c]) - int.from_bytes(
+                 b"".join(map(block.__getitem__, column)), "little")
+             for c, column in enumerate(zip(*images))]
     return rep << digit * ncols, steps
 
 
 def _bigraph_from_columns(nx: int, cols: tuple[int, ...]) -> Bigraph:
-    return Bigraph(nx, len(cols), [(i + 1, j) for j, code in enumerate(cols, 1)
-                                   for i in range(nx) if code >> i & 1])
+    """The graph whose y_j has X-neighbors ``cols[j - 1]`` (bit i is x_{i+1}):
+    ``y_adj`` is the columns shifted up one bit, ``x_adj`` their transpose."""
+    x_adj = [0] * (nx + 1)
+    for j, code in enumerate(cols, 1):
+        while code:
+            low = code & -code
+            code ^= low
+            x_adj[low.bit_length()] |= 1 << j
+    return Bigraph._of_masks(tuple(x_adj), (0,) + tuple(c << 1 for c in cols))
 
 
 def random_bigraph(nx: int, ny: int, min_x_degree: int = 0,

@@ -278,6 +278,28 @@ def orderly_columns(nx: int, ny_max: int) -> list[tuple[int, ...]]:
     return out
 
 
+def canonicity_steps_bytewise(nx: int, ny_max: int) -> tuple[int, list[int]]:
+    """Reference build of ``generators._canonicity_steps``: each column's
+    subtrahend is one bytearray, and the bit of sigma.c's digit is set in
+    sigma's ``width``-byte field one byte at a time."""
+    ncols, digit = 1 << nx, ny_max.bit_length()
+    width = digit * ncols // 8 + 1
+    shift = [digit * (ncols - 1 - v) for v in range(ncols)]
+    perms = list(permutations(range(nx)))
+    fields = [bytearray(width * len(perms)) for _ in range(ncols)]
+    for p, sigma in enumerate(perms):
+        image = [0]
+        for b in sigma:
+            image += [v | 1 << b for v in image]
+        for buf, v in zip(fields, image):
+            bit = 8 * width * p + shift[v]
+            buf[bit >> 3] |= 1 << (bit & 7)
+    rep = int.from_bytes(b"\1".ljust(width, b"\0") * len(perms), "little")
+    steps = [(rep << shift[c]) - int.from_bytes(buf, "little")
+             for c, buf in enumerate(fields)]
+    return rep << digit * ncols, steps
+
+
 def bigraph_to_columns(g: Bigraph) -> tuple[int, ...]:
     return tuple(sum(1 << (x - 1) for x in range(1, g.x_count + 1)
                      if g.has_edge(x, y))

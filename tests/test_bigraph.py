@@ -96,6 +96,29 @@ def test_with_and_without_edge():
         C6.without_edge(1, 2)  # absent
 
 
+@given(bigraphs(max_x=5, max_y=5), st.data())
+@settings(max_examples=150)
+def test_edge_flips_equal_edge_list_rebuilds(g, data):
+    # flips build from masks; __eq__ and hash read only x_adj
+    x = data.draw(st.integers(-1, g.x_count + 1))
+    y = data.draw(st.integers(-1, g.y_count + 1))
+    if not (1 <= x <= g.x_count and 1 <= y <= g.y_count):
+        for flip in (g.with_edge, g.without_edge):
+            with pytest.raises(InputError):
+                flip(x, y)
+        return
+    edges = set(g.edges())
+    present = (x, y) in edges
+    with pytest.raises(InputError):
+        (g.with_edge if present else g.without_edge)(x, y)
+    got = g.without_edge(x, y) if present else g.with_edge(x, y)
+    want = Bigraph(g.x_count, g.y_count, edges ^ {(x, y)})
+    assert (got.x_count, got.y_count, got.x_adj, got.y_adj) == \
+        (want.x_count, want.y_count, want.x_adj, want.y_adj)
+    assert type(got.x_adj) is tuple and type(got.y_adj) is tuple
+    assert hash(got) == hash(want)
+
+
 def test_min_degrees():
     assert C6.min_x_degree == 2
     assert C6.min_y_degree == 2

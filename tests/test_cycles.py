@@ -181,6 +181,22 @@ def test_found_cycle_is_least_interleaved(g):
             assert got == least_based_cycle(g, combo)
 
 
+def test_found_cycle_is_least_interleaved_at_six_x():
+    # classify runs |X| = 8; the hypothesis runs above stop at |X| = 5
+    rng = random.Random(606)
+    long_found = 0
+    for _ in range(10):
+        g = random_bigraph(6, rng.randint(4, 6), rng.randint(2, 4),
+                           rng.randrange(1 << 30))
+        for size in range(3, 7):
+            for combo in combinations(range(1, 7), size):
+                c = find_based_cycle(g, VertexSet.of(SIDE_X, combo))
+                got = None if c is None else (c.xs, c.ys)
+                assert got == least_based_cycle(g, combo)
+                long_found += size >= 5 and c is not None
+    assert long_found > 0
+
+
 @given(bigraphs(min_x=3, max_x=5, max_y=5))
 @settings(max_examples=100)
 def test_k_cyclic_witness_is_first_missing_k_subset(g):

@@ -17,10 +17,12 @@ from supercyclic import (
     VertexSet,
 )
 from supercyclic.bigraph import SIDE_X
+from supercyclic.generators import _canonicity_steps
 
 from oracles import (
     bigraph_to_columns,
     burnside_class_count,
+    canonicity_steps_bytewise,
     orbit_canonical,
     orbit_representatives,
     orderly_columns,
@@ -103,6 +105,27 @@ def test_enumeration_stream_matches_sorting_oracle(nx, top):
     for ny_max in range(top + 1):
         got = [bigraph_to_columns(g) for g in enumerate_bigraphs(nx, ny_max)]
         assert got == orderly_columns(nx, ny_max)
+
+
+def test_canonicity_steps_match_bytewise_build():
+    for nx in range(7):
+        for ny_max in range(9):
+            assert _canonicity_steps(nx, ny_max) == \
+                canonicity_steps_bytewise(nx, ny_max)
+
+
+@pytest.mark.parametrize("nx, ny_max", [(0, 5), (1, 5), (2, 5), (3, 5),
+                                        (4, 5), (5, 5), (6, 3)])
+def test_enumerated_graphs_equal_edge_list_builds(nx, ny_max):
+    # the enumerator builds from masks; __eq__ and hash read only x_adj
+    for g in enumerate_bigraphs(nx, ny_max):
+        cols = bigraph_to_columns(g)
+        want = Bigraph(nx, len(cols), [(i + 1, j) for j, c in enumerate(cols, 1)
+                                       for i in range(nx) if c >> i & 1])
+        assert (g.x_count, g.y_count, g.x_adj, g.y_adj) == \
+            (want.x_count, want.y_count, want.x_adj, want.y_adj)
+        assert type(g.x_adj) is tuple and type(g.y_adj) is tuple
+        assert hash(g) == hash(want)
 
 
 def test_enumeration_is_deterministic(corpus_3_5):
