@@ -325,7 +325,12 @@ def _triple_is_two_connected(x_adj: tuple[int, ...], x_mask: int,
     through a y they share, so t >= 1 or k = 3; deleting one y must leave the
     three X-vertices joined, so if t = 1 then k >= 2.
     """
-    a, b, c = [x_adj[x] & y_mask for x in iter_bits(x_mask)]
+    low = x_mask & -x_mask
+    a = x_adj[low.bit_length() - 1] & y_mask
+    x_mask ^= low
+    low = x_mask & -x_mask
+    b = x_adj[low.bit_length() - 1] & y_mask
+    c = x_adj[(x_mask ^ low).bit_length() - 1] & y_mask
     if a & b | a & c | b & c != y_mask:
         return False
     t = (a & b & c).bit_count()

@@ -16,13 +16,20 @@ left.  At the root the ends coincide and that test is |N^(A)| >= |A|, so
 there is no separate pre-check.  ``is_k_cyclic`` and ``is_super_cyclic``
 share one subset loop, which walks subset masks and hands each to
 ``find_based_cycle`` as a ``VertexSet``.
+
+Over several sizes, each cycle found certifies bases one size up: if it
+runs x_i y_i x_{i+1} on A and an X-vertex x off it has distinct neighbors
+y' of x_i and y'' of x_{i+1}, each unused or y_i, then y' x y'' in place of
+y_i is a cycle based on A + x (``_insert``), and the DFS skips A + x.  Every
+skipped base has a real cycle, so the first base without one, by size and
+then lex order, still meets the DFS.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
                       incidence_graph, _blocks, _local_adjacency,
@@ -175,24 +182,82 @@ def is_super_cyclic(g: Bigraph) -> CheckReport:
     """Does every X-subset of size >= 3 carry a based cycle?
 
     Vacuously true when |X| <= 2.  On failure the witness is minimal:
-    smallest size first, lexicographically first within that size.
+    smallest size first, lexicographically first within that size.  A base
+    A + x is taken without search when x fits into a cycle found on A
+    between consecutive x_i, x_{i+1}, through two distinct common neighbors
+    that are off that cycle or equal to y_i.  That cycle is real, so only
+    bases that carry a cycle are skipped, and the witness is the one a
+    search of every base would give.
     """
     return _check_bases(g, "super_cyclic", range(3, g.x_count + 1),
                         "trivial: |X| <= 2" if g.x_count <= 2 else "")
 
 
-def _check_bases(g: Bigraph, check: str, sizes: Iterable[int],
+def _check_bases(g: Bigraph, check: str, sizes: Sequence[int],
                  detail: str) -> CheckReport:
     """Pass iff every X-subset whose size is in ``sizes`` carries a based
-    cycle; the witness is the first one without, by size then lex order."""
+    cycle; the witness is the first one without, by size then lex order.
+
+    ``certified`` maps each base of the current size that some smaller
+    cycle extends to (by ``_insert``) to that cycle; only the other bases
+    reach the DFS.  When size + 1 is in ``sizes`` too, every base's cycle is
+    offered each X-vertex outside it to certify bases one size up.
+    """
+    x_adj = g.x_adj
     bits = [1 << x for x in g.x_indices()]
+    certified: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for size in sizes:
+        grow = size + 1 in sizes
+        above: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for amask in map(sum, combinations(bits, size)):
-            a = VertexSet(SIDE_X, amask)
-            if find_based_cycle(g, a) is None:
-                return CheckReport(check, False, witness=a,
-                                   detail=f"no cycle based on {a}")
+            cycle = certified.get(amask)
+            if cycle is None:
+                a = VertexSet(SIDE_X, amask)
+                found = find_based_cycle(g, a)
+                if found is None:
+                    return CheckReport(check, False, witness=a,
+                                       detail=f"no cycle based on {a}")
+                cycle = found.xs, found.ys
+            if grow:
+                for b in bits:
+                    if not b & amask and amask | b not in above:
+                        got = _insert(x_adj, *cycle, b.bit_length() - 1)
+                        if got is not None:
+                            above[amask | b] = got
+        certified = above
     return CheckReport(check, True, detail=detail)
+
+
+def _insert(x_adj: tuple[int, ...], xs: tuple[int, ...], ys: tuple[int, ...],
+            x: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Extend the cycle (``xs``, ``ys``) through the X-vertex ``x`` not on
+    it, or None.
+
+    At the first position i where it works, y_i is replaced by y' x y'' with
+    y' in N(x_i) and y'' in N(x_{i+1}), both in N(x), distinct, and each
+    either off the cycle or y_i itself: both candidate sets are non-empty
+    and their union has at least two bits.
+    """
+    nbr = x_adj[x]
+    used = 0
+    for y in ys:
+        used |= 1 << y
+    free = nbr & ~used
+    l = len(xs)
+    for i in range(l):
+        here = free | nbr & 1 << ys[i]
+        p = x_adj[xs[i]] & here
+        q = x_adj[xs[(i + 1) % l]] & here
+        if not p or not q or (p | q).bit_count() < 2:
+            continue
+        y2 = q & -q
+        y1 = p & ~y2
+        if not y1:
+            y1, y2 = y2, q ^ y2
+        return (xs[:i + 1] + (x,) + xs[i + 1:],
+                ys[:i] + ((y1 & -y1).bit_length() - 1,
+                          (y2 & -y2).bit_length() - 1) + ys[i + 1:])
+    return None
 
 
 def is_super_pancyclic(h: Hypergraph) -> CheckReport:

@@ -10,7 +10,6 @@ of workers.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -224,6 +223,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
                 save(False)
 
     if jobs > 1:
+        import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
             consume(pool.imap(evaluate, items, chunksize=16))
     else:

@@ -174,6 +174,24 @@ def least_based_cycle(g: Bigraph, base: tuple[int, ...]
     return None if best is None else best[1:]
 
 
+def insertion_exists(g: Bigraph, xs: tuple[int, ...], ys: tuple[int, ...],
+                     x: int) -> bool:
+    """Can the cycle x_1 y_1 ... x_l y_l take the X-vertex ``x`` by
+    replacing some y_i with y' x y''?  Tries every position i and every
+    ordered pair of distinct Y-vertices, each off the cycle or equal to
+    y_i, with y' joining x_i to x and y'' joining x to x_{i+1}."""
+    l = len(xs)
+    for i in range(l):
+        a, b = xs[i], xs[(i + 1) % l]
+        allowed = [y for y in g.y_indices() if y not in ys or y == ys[i]]
+        for y1 in allowed:
+            for y2 in allowed:
+                if (y1 != y2 and g.has_edge(a, y1) and g.has_edge(x, y1)
+                        and g.has_edge(x, y2) and g.has_edge(b, y2)):
+                    return True
+    return False
+
+
 def has_berge_cycle_with_base(h: Hypergraph, base: tuple[int, ...]) -> bool:
     """Distinct vertices v_1..v_l (= base), distinct edges e_1..e_l with
     v_i, v_{i+1} both in e_i; decided by trying every vertex order and

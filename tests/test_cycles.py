@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from supercyclic import (
     BaseCycle,
@@ -20,9 +20,12 @@ from supercyclic import (
     longest_cycle_length,
     random_bigraph,
 )
+from supercyclic import cycles
 from supercyclic.bigraph import SIDE_X
+from supercyclic.cycles import _insert
 
-from oracles import cycle_survey, least_based_cycle, longest_cycle_bruteforce
+from oracles import (cycle_survey, insertion_exists, least_based_cycle,
+                     longest_cycle_bruteforce, random_cycle_instance)
 from strategies import bigraphs
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
@@ -231,3 +234,107 @@ def test_seeded_sweep_against_oracle():
             # super-cyclic is inherited by every uniform size
             for k in range(3, nx + 1):
                 assert is_k_cyclic(g, k).passed
+
+
+def _check_insert(g, xs, ys, x):
+    got = _insert(g.x_adj, xs, ys, x)
+    assert (got is not None) == insertion_exists(g, xs, ys, x)
+    if got is not None:
+        grown = BaseCycle(*got)
+        grown.validate_in(g)
+        assert grown.base == VertexSet.of(SIDE_X, xs + (x,))
+    return got is not None
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((0.15, 0.35, 0.6)))
+@settings(max_examples=300)
+def test_insert_matches_bruteforce_on_planted_cycles(seed, p):
+    g, c, x = random_cycle_instance(random.Random(seed), max_l=5,
+                                    max_extra_x=3, max_extra_y=4, p=p)
+    _check_insert(g, c.xs, c.ys, x)
+
+
+def test_insert_matches_bruteforce_on_found_cycles():
+    # found cycles run in any order over any ys, unlike the planted ones
+    rng = random.Random(909)
+    inserted = refused = 0
+    for _ in range(30):
+        nx = rng.randint(4, 6)
+        g = random_bigraph(nx, rng.randint(3, 7), rng.randint(2, 3),
+                           rng.randrange(1 << 30))
+        for size in range(3, nx):
+            for combo in combinations(range(1, nx + 1), size):
+                c = find_based_cycle(g, VertexSet.of(SIDE_X, combo))
+                if c is None:
+                    continue
+                for x in set(range(1, nx + 1)) - set(combo):
+                    if _check_insert(g, c.xs, c.ys, x):
+                        inserted += 1
+                    else:
+                        refused += 1
+    assert inserted and refused
+
+
+def _survey_report(g):
+    """is_super_cyclic's verdict, witness and detail from the all-cycle
+    survey: the first missing base by size, then lex order."""
+    xsets, _ = cycle_survey(g)
+    nx = g.x_count
+    missing = next((c for size in range(3, nx + 1)
+                    for c in combinations(range(1, nx + 1), size)
+                    if frozenset(c) not in xsets), None)
+    if missing is None:
+        return True, None, "trivial: |X| <= 2" if nx <= 2 else ""
+    a = VertexSet.of(SIDE_X, missing)
+    return False, a, f"no cycle based on {a}"
+
+
+def _report(g):
+    rep = is_super_cyclic(g)
+    return rep.passed, rep.witness, rep.detail
+
+
+def test_super_cyclic_matches_survey_on_every_4_x_class(corpus_4_5):
+    verdicts = set()
+    for g in corpus_4_5:
+        want = _survey_report(g)
+        assert _report(g) == want, str(g)
+        verdicts.add(want[1] and len(want[1]))
+    assert verdicts == {None, 3, 4}
+
+
+def test_super_cyclic_matches_survey_on_seeded_graphs():
+    for g in (construct_g3(2, 1, 1, 3), construct_g3(2, 2, 2, 3)):
+        assert _report(g) == _survey_report(g)
+    assert str(_report(construct_g3(2, 1, 1, 3))[1]) == "X{1,3,4}"
+    rng = random.Random(68)
+    sizes = set()
+    for _ in range(16):
+        nx = rng.randint(6, 8)
+        ny = rng.randint(nx - 2, nx - 1) if nx == 8 else rng.randint(nx - 1, nx)
+        g = random_bigraph(nx, ny, rng.randint(3, 4), rng.randrange(1 << 30))
+        want = _survey_report(g)
+        assert _report(g) == want, str(g)
+        sizes.add(want[1] and len(want[1]))
+    # passes, triple witnesses, and witnesses above certified sizes
+    assert None in sizes and 3 in sizes and max(s or 0 for s in sizes) >= 6
+
+
+def test_super_cyclic_runs_the_dfs_on_triples_of_complete_graphs(monkeypatch):
+    calls = []
+    dfs = cycles.find_based_cycle
+
+    def counted(g, a):
+        calls.append(a)
+        return dfs(g, a)
+
+    monkeypatch.setattr(cycles, "find_based_cycle", counted)
+    for nx, ny, triples in ((6, 8, 20), (8, 12, 56)):
+        calls.clear()
+        assert is_super_cyclic(complete_bipartite(nx, ny)).passed
+        assert len(calls) == triples
+        assert all(len(a) == 3 for a in calls)
+    # one size only: is_k_cyclic still runs the DFS once per base
+    calls.clear()
+    assert is_k_cyclic(complete_bipartite(6, 8), 4).passed
+    assert len(calls) == 15
