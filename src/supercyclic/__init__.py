@@ -24,7 +24,8 @@ from .errors import (CapacityError, FormatError, InputError,
 from .formats import (iter_records, parse_bigraph, parse_graph,
                       parse_hypergraph, serialize, write_stream)
 from .generators import (complete_bipartite, construct_g3,
-                         enumerate_bigraphs, random_bigraph)
+                         enumerate_bigraphs, expected_class_count,
+                         random_bigraph)
 from .reports import CheckReport
 from .structure import (CrossingReport, Fan, SuccessorMaps,
                         crossing_bound_holds, crossings, max_fan,
@@ -44,10 +45,10 @@ __all__ = [
     "SupercyclicError", "VerificationReport", "VertexSet", "Violation",
     "audit_critical_properties", "check_condition", "complete_bipartite",
     "construct_g3", "crossing_bound_holds", "crossings", "degree_hypothesis",
-    "enumerate_bigraphs", "find_based_cycle", "find_critical_core",
-    "hunt_counterexample", "hypergraph_of", "incidence_graph",
-    "induced_with_superneighborhood", "is_critical", "is_k_cyclic",
-    "is_saturated", "is_super_cyclic", "is_super_pancyclic",
+    "enumerate_bigraphs", "expected_class_count", "find_based_cycle",
+    "find_critical_core", "hunt_counterexample", "hypergraph_of",
+    "incidence_graph", "induced_with_superneighborhood", "is_critical",
+    "is_k_cyclic", "is_saturated", "is_super_cyclic", "is_super_pancyclic",
     "is_two_connected", "is_y_minimal", "iter_records",
     "longest_cycle_length", "max_fan", "min_deficiency", "parse_bigraph",
     "parse_graph", "parse_hypergraph", "random_bigraph",

@@ -234,7 +234,8 @@ def _cmd_gen(args) -> int:
                                  args.seed + i)
                   for i in range(args.count)]
     else:  # enum
-        graphs = (g for g in enumerate_bigraphs(args.nx, args.ny_max)
+        graphs = (g for g in enumerate_bigraphs(args.nx, args.ny_max,
+                                                args.min_x_degree)
                   if g.min_x_degree >= args.min_x_degree
                   and (not g.y_count or g.min_y_degree >= args.min_y_degree)
                   and (not args.filter or check_condition(g, "kim").passed))

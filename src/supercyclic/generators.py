@@ -16,12 +16,22 @@ sigma, in byte-aligned fields with a guard bit above the top digit.  Keys
 stay below the guard, so fields never borrow; a field loses its guard bit
 iff sigma beats cols.  A child adds one precomputed int and is canonical iff
 every guard bit survives, exactly as sorting decides: the stream is unchanged.
+
+With a minimum X-degree d, each x also gets a field above the sigma fields
+holding ``guard + ny_max - d - (columns so far that miss x)``: its degree
+plus the columns still to come, less d.  A column that misses x subtracts
+one from that field inside the same precomputed int, so a child whose x can
+no longer reach degree d loses that guard bit and is cut by the same mask.
+Every prefix of a node in the cut walk is in it too, so it emits exactly the
+nodes of the full walk at which no x is short yet, in the same order.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import permutations
+from math import factorial, prod
 from typing import Iterator
 
 from .bigraph import Bigraph
@@ -71,22 +81,31 @@ def complete_bipartite(nx: int, ny: int) -> Bigraph:
                             for y in range(1, ny + 1)))
 
 
-def enumerate_bigraphs(nx: int, ny_max: int) -> Iterator[Bigraph]:
+def enumerate_bigraphs(nx: int, ny_max: int,
+                       min_x_degree: int = 0) -> Iterator[Bigraph]:
     """All bigraphs with |X| = nx and |Y| <= ny_max, one per isomorphism
     class (isomorphism respects the bipartition and may permute both sides).
 
     Deterministic order: depth-first by appending Y-columns in nondecreasing
     bitmask order, emitting a graph at every canonical node, smallest |Y|
-    first along each branch.  The stream is unfiltered: callers that want
-    degree or condition filters apply them to the emitted graphs.
+    first along each branch.  With ``min_x_degree`` d > 0 the walk cuts
+    every node where some x has degree plus columns left below d, so it
+    skips only classes with an X-degree below d; the graphs it emits keep
+    the full stream's order, and callers still filter them as they need.
     """
-    if nx < 0 or ny_max < 0:
-        raise InputError("sizes must be nonnegative")
-    if nx > ENUM_MAX_X or ny_max > ENUM_MAX_Y:
-        raise CapacityError(
-            f"enumeration caps are |X| <= {ENUM_MAX_X}, |Y| <= {ENUM_MAX_Y}; "
-            f"got ({nx}, {ny_max})")
+    _check_sizes(nx, ny_max)
+    if nx and ny_max < min_x_degree:
+        return
     guard, steps = _canonicity_steps(nx, ny_max)
+    pack = guard
+    if min_x_degree > 0:
+        # one slack field per x above the sigma fields (module docstring)
+        digit = ny_max.bit_length()  # 1 << digit exceeds every slack value
+        unit = [1 << (guard.bit_length() + (digit + 1) * x) for x in range(nx)]
+        steps = [s - sum(u for x, u in enumerate(unit) if not c >> x & 1)
+                 for c, s in enumerate(steps)]
+        guard += sum(unit) << digit
+        pack = guard + (ny_max - min_x_degree) * sum(unit)
 
     def walk(cols: tuple[int, ...], last: int, pack: int) -> Iterator[Bigraph]:
         yield _bigraph_from_columns(nx, cols)
@@ -97,7 +116,63 @@ def enumerate_bigraphs(nx: int, ny_max: int) -> Iterator[Bigraph]:
             if child & guard == guard:
                 yield from walk(cols + (c,), c, child)
 
-    yield from walk((), 0, guard)
+    yield from walk((), 0, pack)
+
+
+def expected_class_count(nx: int, ny_max: int) -> int:
+    """How many classes ``enumerate_bigraphs(nx, ny_max)`` emits, by
+    Burnside's lemma.
+
+    A class with |Y| = k is a multiset of k columns up to Sym(X), and sigma
+    fixes a multiset iff its multiplicities are constant on the cycles of
+    sigma acting on the 2^nx columns; the fixed multisets of size k are the
+    t^k coefficient of the product over those cycles c of 1 / (1 - t^|c|).
+    That depends only on sigma's cycle type, so the sum runs over the
+    partitions of nx, each weighted by the number of permutations of its
+    type, and not over all nx! permutations.
+    """
+    _check_sizes(nx, ny_max)
+    total = 0
+    for parts in _partitions(nx, nx):
+        sigma, start = [], 0
+        for n in parts:
+            sigma += range(start + 1, start + n)
+            sigma.append(start)
+            start += n
+        series = [1] + [0] * ny_max  # power series in t, cut after t^ny_max
+        seen = 0
+        for v in range(1 << nx):
+            if seen >> v & 1:
+                continue
+            length, w = 0, v
+            while not seen >> w & 1:
+                seen |= 1 << w
+                length += 1
+                w = sum(1 << sigma[i] for i in range(nx) if w >> i & 1)
+            for k in range(length, ny_max + 1):
+                series[k] += series[k - length]
+        size = factorial(nx) // prod(factorial(m) * n ** m
+                                     for n, m in Counter(parts).items())
+        total += size * sum(series)
+    return total // factorial(nx)
+
+
+def _check_sizes(nx: int, ny_max: int) -> None:
+    if nx < 0 or ny_max < 0:
+        raise InputError("sizes must be nonnegative")
+    if nx > ENUM_MAX_X or ny_max > ENUM_MAX_Y:
+        raise CapacityError(
+            f"enumeration caps are |X| <= {ENUM_MAX_X}, |Y| <= {ENUM_MAX_Y}; "
+            f"got ({nx}, {ny_max})")
+
+
+def _partitions(n: int, top: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most ``top``, largest first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 def _canonicity_steps(nx: int, ny_max: int) -> tuple[int, list[int]]:

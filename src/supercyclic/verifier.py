@@ -25,7 +25,8 @@ from .condition import check_condition, degree_hypothesis, min_deficiency
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
 from .errors import InputError, SupercyclicError
 from .formats import serialize_bigraph
-from .generators import enumerate_bigraphs, random_bigraph
+from .generators import (enumerate_bigraphs, expected_class_count,
+                         random_bigraph)
 from .reports import machine_lines
 from .structure import max_fan
 from .verifier_checkpoint import (CheckpointConfig, CheckpointState,
@@ -151,12 +152,20 @@ def verify_k_cyclic(nx: int, ny_max: int, k: int, *, jobs: int = 1,
 def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
                           checkpoint: CheckpointConfig | None = None,
                           progress: Progress | None = None) -> VerificationReport:
-    """Condition plus the quarter degree bound must force super-cyclicity."""
+    """Condition plus the quarter degree bound must force super-cyclicity.
+
+    The bound needs every X-degree >= nx, so the walk cuts every class with
+    a smaller X-degree and evaluates only the rest.  The report still counts
+    all ``expected_class_count(nx, ny_max)`` classes: those cut fail the
+    bound by their degree alone.  A checkpoint holds the position in the
+    cut stream.
+    """
     params = (("nx", str(nx)), ("ny_max", str(ny_max)))
     return _drive("verify-degree-theorem", params,
-                  lambda: enumerate_bigraphs(nx, ny_max),
+                  lambda: enumerate_bigraphs(nx, ny_max, nx),
                   _eval_degree,
-                  jobs=jobs, checkpoint=checkpoint, progress=progress)
+                  jobs=jobs, checkpoint=checkpoint, progress=progress,
+                  pruned_total=expected_class_count(nx, ny_max))
 
 
 def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
@@ -182,20 +191,37 @@ def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
 def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
            items_factory: Callable[[], Iterator], evaluate,
            *, jobs: int, checkpoint: CheckpointConfig | None,
-           progress: Progress | None) -> VerificationReport:
+           progress: Progress | None,
+           pruned_total: int | None = None) -> VerificationReport:
+    """Evaluate the stream in order and count what it examined.
+
+    A cut stream passes ``pruned_total``, the number of classes it stands
+    for, which the report gives as examined.  Its checkpoints count the cut
+    stream, and their key says so, so that neither kind of checkpoint
+    resumes the other kind of stream.
+    """
     start = time.perf_counter()
     key = ";".join(f"{k}={v}" for k, v in parameters)
+    if pruned_total is not None:
+        key += ";stream=pruned"
     examined = 0
     checked = 0
     violations: list[Violation] = []
+
+    def assemble() -> VerificationReport:
+        return VerificationReport(
+            campaign=campaign, parameters=tuple(parameters),
+            graphs_examined=examined if pruned_total is None else pruned_total,
+            graphs_checked=checked, violations=tuple(violations),
+            deterministic=True, elapsed_seconds=time.perf_counter() - start)
+
     if checkpoint is not None:
         state = load_checkpoint(checkpoint.path, campaign, key)
         if state is not None:
             examined, checked = state.examined, state.checked
             violations = [Violation(*v) for v in state.violations]
             if state.complete:
-                return _assemble(campaign, parameters, examined, checked,
-                                 violations, start)
+                return assemble()
             if progress:
                 progress(f"resuming after {examined} graphs")
     items = items_factory()
@@ -230,15 +256,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
         consume(map(evaluate, items))
     if checkpoint is not None:
         save(True)
-    return _assemble(campaign, parameters, examined, checked, violations, start)
-
-
-def _assemble(campaign, parameters, examined, checked, violations, start):
-    return VerificationReport(
-        campaign=campaign, parameters=tuple(parameters),
-        graphs_examined=examined, graphs_checked=checked,
-        violations=tuple(violations), deterministic=True,
-        elapsed_seconds=time.perf_counter() - start)
+    return assemble()
 
 
 # -- per-graph evaluators (module level: workers must pickle them) ----------

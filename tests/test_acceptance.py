@@ -15,6 +15,7 @@ from supercyclic import (
     construct_g3,
     crossing_bound_holds,
     enumerate_bigraphs,
+    expected_class_count,
     find_based_cycle,
     hunt_counterexample,
     longest_cycle_length,
@@ -209,3 +210,18 @@ def test_criterion_11_enumeration_vs_orbit_oracle():
                    f"(3,1) strata sizes "
                    f"{[len(by_stratum[0]), len(by_stratum[1])]} match the "
                    f"orbit oracle exactly")
+
+
+def test_criterion_12_degree_theorem_at_the_cap():
+    # the walk cuts every class with an X-degree below 6, which the quarter
+    # bound rules out at |X| = 6; the report still counts every class
+    t0 = time.perf_counter()
+    rep = verify_degree_theorem(6, 8)
+    dt = time.perf_counter() - t0
+    want = expected_class_count(6, 8)
+    ok = (rep.confirmed and rep.graphs_examined == want == 19_682_444
+          and rep.graphs_checked == 1_387 and dt < 10.0)
+    record(12, ok, f"(6, <=8): {rep.graphs_examined} classes covered "
+                   f"(Burnside count {want}), {rep.graphs_checked} met both "
+                   f"hypotheses, {len(rep.violations)} violations "
+                   f"in {dt:.1f}s")

@@ -3,6 +3,7 @@ import io
 import subprocess
 import sys
 import tempfile
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +197,29 @@ def test_gen_enum_filters_gate_emission_only(monkeypatch, capsys):
     assert len(good) > 0
 
 
+@pytest.mark.parametrize("nx, ny_max, digests", [
+    (4, 5, ["527af3d8d1ed70c9", "10b60599d12e1e5d", "a085f15e1bfb3629",
+            "d27613d30a08dd99", "81dac178ad86c0c2", "2e101be1bb76ec68",
+            "e3b0c44298fc1c14"]),
+    (5, 4, ["8d19fc2ee9ff516b", "2dd8f7a48610de66", "7a5ff086117049e1",
+            "fd988207b4d597eb", "1daece7ee2100a94", "e3b0c44298fc1c14"]),
+])
+def test_gen_enum_min_x_degree_output_frozen(monkeypatch, capsys, nx,
+                                             ny_max, digests):
+    # the walk cuts at the minimum X-degree; the digests are of the output
+    # of the full walk filtered after emission, for D = 0 .. ny_max + 1
+    full = list(enumerate_bigraphs(nx, ny_max))
+    for d, digest in enumerate(digests):
+        code, out, _ = run(monkeypatch, capsys,
+                           ["gen", "enum", "--nx", str(nx),
+                            "--ny-max", str(ny_max),
+                            "--min-x-degree", str(d)])
+        assert code == 0
+        assert sha256(out.encode()).hexdigest()[:16] == digest
+        assert list(iter_records(out)) == [g for g in full
+                                           if g.min_x_degree >= d]
+
+
 def test_gen_random_deterministic(monkeypatch, capsys):
     argv = ["gen", "random", "--nx", "4", "--ny", "4", "--seed", "5",
             "--count", "3"]
@@ -291,6 +315,22 @@ def test_garbled_checkpoint_exits_2(monkeypatch, capsys, tmp_path,
                           "--k", "3", "--checkpoint", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(path) in err and field in err
+
+
+@pytest.mark.parametrize("complete", ["0", "1"])
+def test_full_stream_degree_checkpoint_is_refused(monkeypatch, capsys,
+                                                  tmp_path, complete):
+    # written before the degree campaign cut its stream: its position counts
+    # a different stream, so resuming from it would skip the wrong prefix
+    path = tmp_path / "old.ckpt"
+    path.write_text("checkpoint=1\ncampaign=verify-degree-theorem\n"
+                    "key=nx=4;ny_max=5\nexamined=1000\nchecked=0\n"
+                    f"complete={complete}\nviolations=0\n")
+    code, out, err = run(monkeypatch, capsys,
+                         ["verify", "degree", "--nx", "4", "--ny-max", "5",
+                          "--checkpoint", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "refusing to resume" in err
 
 
 @pytest.mark.parametrize("case", ["checkpoint-missing-dir",

@@ -10,6 +10,7 @@ from supercyclic import (
     complete_bipartite,
     construct_g3,
     enumerate_bigraphs,
+    expected_class_count,
     find_based_cycle,
     longest_cycle_length,
     random_bigraph,
@@ -17,6 +18,7 @@ from supercyclic import (
     VertexSet,
 )
 from supercyclic.bigraph import SIDE_X
+from supercyclic import generators
 from supercyclic.generators import _canonicity_steps
 
 from oracles import (
@@ -101,10 +103,59 @@ def test_enumeration_totals_by_burnside(corpus_3_5, corpus_4_5, corpus_4_6):
 @pytest.mark.parametrize("nx, top", [(0, 5), (1, 5), (2, 5), (3, 5),
                                      (4, 5), (5, 3), (6, 2)])
 def test_enumeration_stream_matches_sorting_oracle(nx, top):
-    # same predicate, same order: so every checkpoint prefix is unchanged
+    # same predicate, same order: so every checkpoint prefix is unchanged;
+    # minimum X-degree 0 cuts nothing
     for ny_max in range(top + 1):
-        got = [bigraph_to_columns(g) for g in enumerate_bigraphs(nx, ny_max)]
-        assert got == orderly_columns(nx, ny_max)
+        want = orderly_columns(nx, ny_max)
+        for stream in (enumerate_bigraphs(nx, ny_max),
+                       enumerate_bigraphs(nx, ny_max, 0)):
+            assert [bigraph_to_columns(g) for g in stream] == want
+
+
+def _columns(g):
+    return tuple(c >> 1 for c in g.y_adj[1:])
+
+
+@pytest.mark.parametrize("nx, top", [(0, 6), (1, 6), (2, 6), (3, 6),
+                                     (4, 6), (5, 6), (6, 4)])
+def test_degree_cut_stream_is_the_full_stream_filtered(nx, top):
+    # a node survives iff no x is short yet: degree + columns left >= d
+    for ny_max in range(top + 1):
+        full = [_columns(g) for g in enumerate_bigraphs(nx, ny_max)]
+        for d in range(ny_max + 2):
+            want = [cols for cols in full if all(
+                sum(c >> x & 1 for c in cols) + ny_max - len(cols) >= d
+                for x in range(nx))]
+            got = [_columns(g) for g in enumerate_bigraphs(nx, ny_max, d)]
+            assert got == want, (ny_max, d)
+
+
+def test_degree_cut_returns_before_building_the_table(monkeypatch):
+    def no_table(nx, ny_max):
+        raise AssertionError("canonicity table built")
+
+    monkeypatch.setattr(generators, "_canonicity_steps", no_table)
+    assert list(enumerate_bigraphs(6, 3, 6)) == []
+    assert list(enumerate_bigraphs(1, 0, 1)) == []
+
+
+def test_expected_class_count_matches_burnside_oracle():
+    # every (nx, ny_max) whose strata the oracle sums in well under a second
+    for nx, top in [(0, 8), (1, 8), (2, 8), (3, 8), (4, 7), (5, 6), (6, 5)]:
+        strata = [burnside_class_count(nx, k) for k in range(top + 1)]
+        for ny_max in range(top + 1):
+            assert expected_class_count(nx, ny_max) == \
+                sum(strata[:ny_max + 1]), (nx, ny_max)
+
+
+def test_expected_class_count_at_the_caps():
+    assert expected_class_count(6, 6) == 283_880
+    assert expected_class_count(6, 7) == 2_425_613
+    assert expected_class_count(6, 8) == 19_682_444
+    with pytest.raises(CapacityError):
+        expected_class_count(7, 2)
+    with pytest.raises(InputError):
+        expected_class_count(3, -1)
 
 
 def test_canonicity_steps_match_bytewise_build():

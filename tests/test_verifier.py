@@ -15,6 +15,7 @@ from supercyclic import (
     construct_g3,
     degree_hypothesis,
     enumerate_bigraphs,
+    expected_class_count,
     hunt_counterexample,
     verify_degree_theorem,
     verify_k_cyclic,
@@ -79,6 +80,26 @@ def test_degree_campaign_counts():
     assert rep.graphs_checked == 1
 
 
+def _full_stream_degree_report(nx, ny_max):
+    """The degree campaign's report as the full stream, cut nowhere, gives
+    it through the same per-graph evaluator."""
+    results = list(map(verifier._eval_degree, enumerate_bigraphs(nx, ny_max)))
+    return VerificationReport(
+        "verify-degree-theorem", (("nx", str(nx)), ("ny_max", str(ny_max))),
+        len(results), sum(checked for checked, _ in results),
+        tuple(v for _, v in results if v is not None), True, 0.0).to_machine()
+
+
+@pytest.mark.parametrize("nx, top", [(0, 6), (1, 6), (2, 6), (3, 6),
+                                     (4, 6), (5, 6), (6, 5)])
+def test_degree_campaign_report_equals_full_stream_report(nx, top):
+    for ny_max in range(top + 1):
+        want = _full_stream_degree_report(nx, ny_max)
+        for jobs in (1, 2):
+            got = verify_degree_theorem(nx, ny_max, jobs=jobs).to_machine()
+            assert got == want, (ny_max, jobs)
+
+
 def test_campaigns_are_worker_count_independent():
     solo = verify_k_cyclic(3, 4, 3).to_machine()
     duo = verify_k_cyclic(3, 4, 3, jobs=2).to_machine()
@@ -113,6 +134,71 @@ def test_checkpoint_resume_partial(tmp_path):
     # and the file now records completion
     state = load_checkpoint(str(path), "verify-k-cyclic", "nx=3;ny_max=4;k=3")
     assert state.complete and state.examined == 141
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("every", [1, 3, 500])
+@pytest.mark.parametrize("claim", ["degree", "kcyclic"])
+def test_stopped_campaign_resumes_byte_identical(monkeypatch, tmp_path,
+                                                 claim, every):
+    # the degree campaign walks the cut stream: 2,169 of 14,078 classes
+    name, campaign, stream_length = {
+        "degree": ("_eval_degree", lambda cfg: verify_degree_theorem(
+            4, 7, checkpoint=cfg), 2169),
+        "kcyclic": ("_eval_k_cyclic", lambda cfg: verify_k_cyclic(
+            4, 5, 3, checkpoint=cfg), 1485),
+    }[claim]
+    want = campaign(None).to_machine()
+    evaluate = getattr(verifier, name)
+
+    def run(cfg, stop=None):
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            if calls == stop:
+                raise _Stop
+            return evaluate(*args)
+
+        monkeypatch.setattr(verifier, name, counting)
+        try:
+            return campaign(cfg).to_machine(), calls
+        finally:
+            monkeypatch.setattr(verifier, name, evaluate)
+
+    for stop in (8, 1001):  # before and after the first save at every=500
+        cfg = CheckpointConfig(tmp_path / f"{claim}{stop}.ckpt", every=every)
+        with pytest.raises(_Stop):
+            run(cfg, stop)
+        position = (stop - 1) // every * every
+        if position:
+            assert f"examined={position}\ncheck" in cfg.path.read_text()
+        else:
+            assert not cfg.path.exists()
+        report, calls = run(cfg)
+        assert report == want
+        assert calls == stream_length - position
+
+
+def test_complete_cut_checkpoint_reports_every_class(monkeypatch, tmp_path):
+    cfg = CheckpointConfig(tmp_path / "degree.ckpt")
+    first = verify_degree_theorem(4, 7, checkpoint=cfg)
+    state = load_checkpoint(cfg.path, "verify-degree-theorem",
+                            "nx=4;ny_max=7;stream=pruned")
+    assert state.complete
+    assert state.examined == len(list(enumerate_bigraphs(4, 7, 4))) == 2169
+
+    def no_walk(*args):
+        raise AssertionError("a complete checkpoint walked the stream")
+
+    monkeypatch.setattr(verifier, "enumerate_bigraphs", no_walk)
+    again = verify_degree_theorem(4, 7, checkpoint=cfg)
+    assert again.graphs_examined == expected_class_count(4, 7) == 14078
+    assert again.to_machine() == first.to_machine()
 
 
 def test_checkpoint_bytes_frozen(tmp_path):
