@@ -17,6 +17,9 @@ Conventions:
   trusted mask-level ``Bigraph._of_masks`` has two callers: ``with_edge`` /
   ``without_edge``, flipping one bit per side after ``has_edge`` checks the
   range, and the enumerator's ``generators._bigraph_from_columns``.
+* A record is a ``typing.NamedTuple`` when it is plain data, and a
+  ``__slots__`` class that checks its input in ``__init__`` when it
+  validates; those compared by value subclass ``_Record``.
 
 ``_blocks`` is the one block (biconnected component) routine.  It serves
 only ``is_two_connected`` and the longest-cycle search in ``cycles``, both on
@@ -33,7 +36,6 @@ same way inline, together with its degree prune.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .bitset import full_mask, indices_of, iter_bits, mask_of
@@ -44,18 +46,39 @@ SIDE_Y = "Y"
 MAX_SIDE = 64
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class _Record:
+    """Equality, hash and repr by the ``__slots__`` values, in order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class VertexSet(_Record):
     """A subset of one side's vertices, stored as a bitmask."""
 
-    side: str
-    mask: int = 0
+    __slots__ = ("side", "mask")
 
-    def __post_init__(self) -> None:
-        if self.side not in (SIDE_X, SIDE_Y):
-            raise InputError(f"side must be {SIDE_X!r} or {SIDE_Y!r}, got {self.side!r}")
-        if self.mask < 0 or self.mask & 1:
+    def __init__(self, side: str, mask: int = 0) -> None:
+        if side not in (SIDE_X, SIDE_Y):
+            raise InputError(f"side must be {SIDE_X!r} or {SIDE_Y!r}, got {side!r}")
+        if mask < 0 or mask & 1:
             raise InputError("vertex masks are 1-indexed; bit 0 must be clear")
+        self.side = side
+        self.mask = mask
 
     @classmethod
     def of(cls, side: str, indices: Iterable[int]) -> "VertexSet":
@@ -231,7 +254,7 @@ class Bigraph:
                 f"{sorted(self.edges())!r})")
 
 
-class Hypergraph:
+class Hypergraph(_Record):
     """Immutable hypergraph on 1-indexed vertices; edges may repeat or be empty."""
 
     __slots__ = ("vertex_count", "edges")
@@ -254,15 +277,6 @@ class Hypergraph:
         if not 1 <= v <= self.vertex_count:
             raise InputError(f"no vertex {v}")
         return sum(1 for e in self.edges if v in e)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return (self.vertex_count, self.edges) == \
-               (other.vertex_count, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
 
     def __repr__(self) -> str:
         return f"Hypergraph({self.vertex_count}, {[sorted(e) for e in self.edges]!r})"

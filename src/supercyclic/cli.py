@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .bigraph import Bigraph, Hypergraph, VertexSet, SIDE_X, incidence_graph
 from .classify import is_critical, is_saturated, is_y_minimal
@@ -53,7 +52,8 @@ def main(argv: list[str] | None = None) -> int:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_bigraphs(args) -> list[Bigraph]:
@@ -251,10 +251,9 @@ def _cmd_gen(args) -> int:
 def _checkpoint_from(args) -> CheckpointConfig | None:
     if not args.checkpoint:
         return None
-    path = Path(args.checkpoint)
-    base = os.environ.get("SUPERCYCLIC_CHECKPOINT_DIR")
-    if base and not path.is_absolute():
-        path = Path(base) / path
+    # join keeps an absolute --checkpoint as it is
+    path = os.path.join(os.environ.get("SUPERCYCLIC_CHECKPOINT_DIR", ""),
+                        args.checkpoint)
     return CheckpointConfig(path, every=args.checkpoint_every)
 
 
@@ -327,7 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="neighborhood condition + degree bounds")
     _add_input(p)
-    p.add_argument("--mode", choices=("full", "kim"), default="full")
+    p.add_argument("--mode", choices=("full", "kim"), default="full",
+                   help="both modes run the same scan; the mode only labels "
+                        "the report")
     p.add_argument("--as-hypergraph", action="store_true",
                    help="input records are hypergraphs; analyze their "
                         "incidence bigraphs")

@@ -28,11 +28,10 @@ of least deficiency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .bigraph import (Bigraph, VertexSet, SIDE_X, _cover,
+from .bigraph import (Bigraph, VertexSet, SIDE_X, _Record, _cover,
                       _triple_is_two_connected)
 from .bitset import mask_of
 from .errors import InputError
@@ -40,8 +39,7 @@ from .errors import InputError
 MODES = ("full", "kim")
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(_Record):
     """Outcome of the neighborhood condition on one graph.
 
     At most one witness is set; the scan goes by ascending subset size and
@@ -49,16 +47,17 @@ class ConditionReport:
     a witness is always a minimal failing subset in that order.
     """
 
-    passed: bool
-    mode: str
-    size_witness: VertexSet | None = None
-    connectivity_witness: VertexSet | None = None
+    __slots__ = ("passed", "mode", "size_witness", "connectivity_witness")
 
-    def __post_init__(self) -> None:
-        both_absent = self.size_witness is None and \
-            self.connectivity_witness is None
-        if self.passed != both_absent:
+    def __init__(self, passed: bool, mode: str,
+                 size_witness: VertexSet | None = None,
+                 connectivity_witness: VertexSet | None = None) -> None:
+        if passed != (size_witness is None and connectivity_witness is None):
             raise InputError("passed iff no witness is set")
+        self.passed = passed
+        self.mode = mode
+        self.size_witness = size_witness
+        self.connectivity_witness = connectivity_witness
 
     def describe(self) -> str:
         if self.passed:
@@ -125,8 +124,7 @@ def _subsets(g: Bigraph) -> Iterator[tuple[int, int]]:
             yield mask_of(combo), _cover(x_adj, combo)[1]
 
 
-@dataclass(frozen=True)
-class DegreeThresholds:
+class DegreeThresholds(NamedTuple):
     """Exact integer tests of the minimum-X-degree hypotheses.
 
     With n = |X|, m = |Y| and d the minimum X-side degree, the three bounds

@@ -28,11 +28,10 @@ then lex order, still meets the DFS.
 from __future__ import annotations
 
 from itertools import combinations
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
-                      incidence_graph, _blocks, _local_adjacency,
+                      incidence_graph, _Record, _blocks, _local_adjacency,
                       _require_x_subset)
 from .bitset import iter_bits
 from .errors import CapacityError, InputError
@@ -43,24 +42,24 @@ from .reports import CheckReport
 ELIGIBLE_CAP = 24
 
 
-@dataclass(frozen=True)
-class BaseCycle:
+class BaseCycle(_Record):
     """The cycle x_1 y_1 x_2 y_2 ... x_l y_l x_1, stored as two index tuples.
 
     ``ys[i]`` joins ``xs[i]`` to ``xs[i + 1]`` (wrapping), so the two tuples
     have equal length l >= 2 and are duplicate-free.
     """
 
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
+    __slots__ = ("xs", "ys")
 
-    def __post_init__(self) -> None:
-        l = len(self.xs)
-        if l != len(self.ys) or l < 2:
+    def __init__(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> None:
+        l = len(xs)
+        if l != len(ys) or l < 2:
             raise InputError("a cycle interleaves equally many xs and ys, "
                              "at least two of each")
-        if len(set(self.xs)) != l or len(set(self.ys)) != l:
+        if len(set(xs)) != l or len(set(ys)) != l:
             raise InputError("cycle vertices must be distinct")
+        self.xs = xs
+        self.ys = ys
 
     @property
     def half_length(self) -> int:

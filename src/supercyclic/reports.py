@@ -8,7 +8,7 @@ graph format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigraph import VertexSet
 
@@ -36,8 +36,7 @@ def machine_lines(pairs: list[tuple[str, str]]) -> str:
     return "\n".join(f"{k}={escape_value(v)}" for k, v in pairs) + "\n"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a single boolean check on a single graph.
 
     ``witness`` carries the vertex set that exhibits a failure when one

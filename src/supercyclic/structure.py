@@ -10,7 +10,7 @@ by a vertex cut of matching size.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigraph import Bigraph, SIDE_X, SIDE_Y
 from .bitset import mask_of
@@ -20,8 +20,7 @@ from .errors import InputError
 Vertex = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class SuccessorMaps:
+class SuccessorMaps(NamedTuple):
     """Next/previous vertex of each side along the cycle's orientation.
 
     Keys are (side, index) pairs over the cycle's vertices.  x_plus maps a
@@ -57,8 +56,7 @@ def successor_maps(c: BaseCycle) -> SuccessorMaps:
     return SuccessorMaps(x_plus, x_minus, y_plus, y_minus)
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     """X-vertices of the cycle at which the pair (u, v) crosses."""
 
     u: int
@@ -118,8 +116,7 @@ def crossing_bound_holds(g: Bigraph, c: BaseCycle, u: int, v: int) -> bool:
     return du + dv <= c.half_length + 2 + rep.count
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Internally disjoint paths from ``root`` (off the cycle) to the cycle.
 
     Each path starts at the root, stays off the cycle internally, and stops

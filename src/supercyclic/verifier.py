@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
                       reduce_to_superneighborhood, super_neighborhood, _cover)
@@ -35,8 +34,7 @@ from .verifier_checkpoint import (CheckpointConfig, CheckpointState,
 Progress = Callable[[str], None]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One graph that refutes the claim a campaign tests."""
 
     check: str
@@ -45,8 +43,7 @@ class Violation:
     extra: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     campaign: str
     parameters: tuple[tuple[str, str], ...]
     graphs_examined: int
@@ -100,7 +97,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
 class HuntConfig:
     """Parameters of a counterexample hunt.
 
@@ -111,19 +107,17 @@ class HuntConfig:
     tested.  Trial i uses seed + i, so reports do not depend on --jobs.
     """
 
-    nx: int
-    ny_max: int
-    mode: str = "exhaustive"
-    seed: int = 0
-    trials: int = 0
-    min_x_degree: int = 2
+    __slots__ = ("nx", "ny_max", "mode", "seed", "trials", "min_x_degree")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "random"):
+    def __init__(self, nx: int, ny_max: int, mode: str = "exhaustive",
+                 seed: int = 0, trials: int = 0, min_x_degree: int = 2) -> None:
+        if mode not in ("exhaustive", "random"):
             raise InputError(f"hunt mode must be exhaustive or random, "
-                             f"got {self.mode!r}")
-        if self.mode == "random" and self.trials < 1:
+                             f"got {mode!r}")
+        if mode == "random" and trials < 1:
             raise InputError("random mode needs trials >= 1")
+        self.nx, self.ny_max, self.mode = nx, ny_max, mode
+        self.seed, self.trials, self.min_x_degree = seed, trials, min_x_degree
 
     def parameters(self) -> tuple[tuple[str, str], ...]:
         out = [("mode", self.mode), ("nx", str(self.nx)),
@@ -196,14 +190,16 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     """Evaluate the stream in order and count what it examined.
 
     A cut stream passes ``pruned_total``, the number of classes it stands
-    for, which the report gives as examined.  Its checkpoints count the cut
-    stream, and their key says so, so that neither kind of checkpoint
-    resumes the other kind of stream.
+    for, which the report gives as examined.  Its checkpoints and progress
+    lines count the cut stream, and their key says so, so that neither kind
+    of checkpoint resumes the other kind of stream.
     """
     start = time.perf_counter()
     key = ";".join(f"{k}={v}" for k, v in parameters)
+    unit = ""
     if pruned_total is not None:
         key += ";stream=pruned"
+        unit = f" (positions in the cut stream; {pruned_total} classes in all)"
     examined = 0
     checked = 0
     violations: list[Violation] = []
@@ -223,16 +219,14 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
             if state.complete:
                 return assemble()
             if progress:
-                progress(f"resuming after {examined} graphs")
+                progress(f"resuming after {examined} graphs{unit}")
     items = items_factory()
     if examined:
         items = islice(items, examined, None)
 
     def save(complete: bool) -> None:
         save_checkpoint(checkpoint.path, CheckpointState(
-            campaign, key, examined, checked, complete,
-            tuple((v.check, v.graph_text, v.witness, v.extra)
-                  for v in violations)))
+            campaign, key, examined, checked, complete, tuple(violations)))
 
     def consume(results: Iterable[tuple[bool, Violation | None]]) -> None:
         nonlocal examined, checked
@@ -243,7 +237,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
             if viol is not None:
                 violations.append(viol)
             if progress and examined % 2000 == 0:
-                progress(f"{examined} examined, {checked} checked, "
+                progress(f"{examined} examined{unit}, {checked} checked, "
                          f"{len(violations)} violations")
             if checkpoint is not None and examined % checkpoint.every == 0:
                 save(False)

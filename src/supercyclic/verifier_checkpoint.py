@@ -9,26 +9,24 @@ or parameter set fails loudly instead of silently mixing runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError
 from .reports import machine_lines, unescape_value
 
 
-@dataclass(frozen=True)
 class CheckpointConfig:
-    path: str | Path
-    every: int = 500
+    __slots__ = ("path", "every")
 
-    def __post_init__(self) -> None:
-        if self.every < 1:
+    def __init__(self, path: str | os.PathLike, every: int = 500) -> None:
+        if every < 1:
             raise InputError(f"checkpoint interval must be at least 1, "
-                             f"got {self.every}")
+                             f"got {every}")
+        self.path = path
+        self.every = every
 
 
-@dataclass(frozen=True)
-class CheckpointState:
+class CheckpointState(NamedTuple):
     campaign: str
     key: str
     examined: int
@@ -37,7 +35,7 @@ class CheckpointState:
     violations: tuple[tuple[str, str, str, str], ...]  # check, graph, witness, extra
 
 
-def save_checkpoint(path: str | Path, state: CheckpointState) -> None:
+def save_checkpoint(path: str | os.PathLike, state: CheckpointState) -> None:
     pairs = [("checkpoint", "1"), ("campaign", state.campaign),
              ("key", state.key), ("examined", str(state.examined)),
              ("checked", str(state.checked)),
@@ -52,7 +50,7 @@ def save_checkpoint(path: str | Path, state: CheckpointState) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str | Path, campaign: str,
+def load_checkpoint(path: str | os.PathLike, campaign: str,
                     key: str) -> CheckpointState | None:
     """Read a checkpoint; None when the file does not exist yet."""
     try:

@@ -1,13 +1,16 @@
+import pickle
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercyclic import (
+    BaseCycle,
     Bigraph,
     Hypergraph,
     InputError,
     VertexSet,
+    check_condition,
     complete_bipartite,
     hypergraph_of,
     incidence_graph,
@@ -31,6 +34,19 @@ from strategies import bigraphs, hypergraphs
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
 K33 = complete_bipartite(3, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: VertexSet.of(SIDE_X, [1, 3]),
+    lambda: BaseCycle((1, 3, 2), (6, 5, 4)),
+    lambda: check_condition(C6),
+    lambda: check_condition(Bigraph(3, 2, [(1, 1), (2, 1), (3, 2)]), "kim"),
+])
+def test_records_compare_hash_and_pickle_by_value(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__ + "(")
 
 
 def test_vertex_set_basics():

@@ -279,6 +279,19 @@ def test_checkpoint_env_dir(monkeypatch, capsys, tmp_path):
     assert code2 == 0 and out2 == out
 
 
+def test_checkpoint_env_dir_keeps_an_absolute_path(monkeypatch, capsys,
+                                                  tmp_path):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    monkeypatch.setenv("SUPERCYCLIC_CHECKPOINT_DIR", str(env_dir))
+    code, _, _ = run(monkeypatch, capsys,
+                     ["verify", "kcyclic", "--nx", "3", "--ny-max", "3",
+                      "--k", "3", "--checkpoint", str(tmp_path / "abs.ckpt")])
+    assert code == 0
+    assert (tmp_path / "abs.ckpt").exists()
+    assert list(env_dir.iterdir()) == []
+
+
 def test_checkpoint_every_zero_is_an_input_error(monkeypatch, capsys,
                                                  tmp_path):
     code, out, err = run(monkeypatch, capsys,

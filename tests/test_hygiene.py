@@ -1,4 +1,4 @@
-"""Import hygiene: every imported name is used.
+"""Import hygiene: every imported name is used, and the CLI imports light.
 
 Each ``.py`` file under ``src/``, ``tests/`` and ``demos/`` is parsed with
 ``ast``.  An imported name counts as used when the module refers to it as a
@@ -8,6 +8,8 @@ name anywhere, lists it in ``__all__``, or imports it ``from __future__``.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,15 @@ def test_sources_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_cli_import_skips_heavy_modules():
+    # every CLI call would pay their import; dataclasses also pulls in
+    # inspect, ast, dis and tokenize
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import supercyclic.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} "
+            "& set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

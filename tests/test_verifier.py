@@ -1,3 +1,4 @@
+from functools import partial
 from hashlib import sha256
 
 import pytest
@@ -182,6 +183,26 @@ def test_stopped_campaign_resumes_byte_identical(monkeypatch, tmp_path,
         report, calls = run(cfg)
         assert report == want
         assert calls == stream_length - position
+
+
+@pytest.mark.parametrize("claim", ["degree", "kcyclic"])
+def test_progress_lines_say_what_they_count(tmp_path, claim):
+    campaign, unit, checked = {
+        "degree": (partial(verify_degree_theorem, 4, 7),
+                   " (positions in the cut stream; 14078 classes in all)", 164),
+        "kcyclic": (partial(verify_k_cyclic, 3, 8, 3), "", 683),
+    }[claim]
+
+    def stop(msg):
+        raise _Stop
+
+    cfg = CheckpointConfig(tmp_path / f"{claim}.ckpt", every=500)
+    with pytest.raises(_Stop):  # at the first progress line, 2000
+        campaign(checkpoint=cfg, progress=stop)
+    lines = []
+    campaign(checkpoint=cfg, progress=lines.append)
+    assert lines == [f"resuming after 1500 graphs{unit}",
+                     f"2000 examined{unit}, {checked} checked, 0 violations"]
 
 
 def test_complete_cut_checkpoint_reports_every_class(monkeypatch, tmp_path):
