@@ -29,9 +29,10 @@ decides in closed form, with no block search.
 
 ``_cover`` is the one computation of the super-neighborhood N^(A), the
 Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
-masks of the Y-vertices seen once and twice.  The condition's subset walk,
-criticality and the hunt's repairs call it; the based-cycle DFS folds the
-same way inline, together with its degree prune.
+masks of the Y-vertices seen once and twice.  Criticality and the hunt's
+repairs call it.  The condition's subset walk folds the same way, one
+neighborhood onto the cover of A's lex prefix, and the based-cycle DFS
+folds inline, together with its degree prune.
 """
 
 from __future__ import annotations

@@ -20,10 +20,14 @@ referee.  A triple's test is a few mask operations on its three
 neighborhoods, with no block search (see ``bigraph._triple_is_two_connected``).
 
 Both the condition and ``min_deficiency`` run over one subset walk,
-``_subsets``: ascending |A|, lexicographic within a size, with N^(A) from
-``bigraph._cover``.  The condition stops at the first failing A, so its
-witness is minimal in that order, and ``min_deficiency`` keeps the first A
-of least deficiency.
+``_subsets``: ascending |A|, lexicographic within a size.  The condition
+stops at the first failing A, so its witness is minimal in that order, and
+``min_deficiency`` keeps the first A of least deficiency.  The walk does a
+constant amount of work per subset: a triple's N^ comes from its three
+neighborhoods, and a larger A's from the cover of its lex prefix
+A - max(A), one size down, folded with one more neighborhood the way
+``bigraph._cover`` folds.  The order of each size is built once per |X|,
+when a walk first reaches that size.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .bigraph import (Bigraph, VertexSet, SIDE_X, _Record, _cover,
+from .bigraph import (Bigraph, VertexSet, SIDE_X, _Record,
                       _triple_is_two_connected)
-from .bitset import mask_of
 from .errors import InputError
 
 MODES = ("full", "kim")
@@ -115,13 +118,54 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
     return deficiency(best), VertexSet(SIDE_X, best[0])
 
 
+#: the walk order of each (|X|, size), built when a walk first reaches that
+#: size: (A, x1, x2, x3) for triples, (A, A - max(A), max(A)) above them
+_ORDERS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _order(nx: int, size: int) -> tuple[tuple[int, ...], ...]:
+    order = _ORDERS.get((nx, size))
+    if order is None:
+        rows = []
+        for combo in combinations(range(1, nx + 1), size):
+            amask = sum(1 << i for i in combo)
+            rows.append((amask, *combo) if size == 3
+                        else (amask, amask ^ 1 << combo[-1], combo[-1]))
+        order = _ORDERS[nx, size] = tuple(rows)
+    return order
+
+
 def _subsets(g: Bigraph) -> Iterator[tuple[int, int]]:
     """Yield (A, N^(A)) as bitmasks for every A subset of X with |A| >= 3,
-    by ascending size, then lexicographically within a size."""
+    by ascending size, then lexicographically within a size.
+
+    A triple's cover comes from its three neighborhoods a, b, c: N^ is
+    a&b | (a|b)&c and the Y-vertices seen once are a|b|c.  A larger A
+    extends its lex prefix A - max(A), which the previous size has just
+    walked, by the one neighborhood of max(A), as ``bigraph._cover`` folds.
+    Only the covers of the previous size are kept, in a dict, so nothing
+    of size 2^|X| is built ahead of the walk.
+    """
     x_adj = g.x_adj
-    for size in range(3, g.x_count + 1):
-        for combo in combinations(range(1, g.x_count + 1), size):
-            yield mask_of(combo), _cover(x_adj, combo)[1]
+    nx = g.x_count
+    covers: dict[int, tuple[int, int]] = {}
+    for amask, i, j, k in _order(nx, 3):
+        a = x_adj[i]
+        b = x_adj[j]
+        c = x_adj[k]
+        ab = a | b
+        twice = a & b | ab & c
+        covers[amask] = ab | c, twice
+        yield amask, twice
+    for size in range(4, nx + 1):
+        level: dict[int, tuple[int, int]] = {}
+        for amask, rest, x in _order(nx, size):
+            once, twice = covers[rest]
+            nbr = x_adj[x]
+            twice |= once & nbr
+            level[amask] = once | nbr, twice
+            yield amask, twice
+        covers = level
 
 
 class DegreeThresholds(NamedTuple):

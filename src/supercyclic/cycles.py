@@ -23,6 +23,22 @@ y' of x_i and y'' of x_{i+1}, each unused or y_i, then y' x y'' in place of
 y_i is a cycle based on A + x (``_insert``), and the DFS skips A + x.  Every
 skipped base has a real cycle, so the first base without one, by size and
 then lex order, still meets the DFS.
+
+Triples need no DFS.  A cycle x1 y1 x2 y2 x3 y3 is a system of distinct
+representatives of p = N(x1) & N(x2), q = N(x2) & N(x3) and
+r = N(x3) & N(x1), so ``find_based_cycle`` picks the ys in two nested
+low-bit loops (``_triple_cycle``).  Lemma: a triple T carries a based cycle
+iff |N^(T)| >= 3 and H = G[T + N^(T)] is 2-connected.  Forward: the union
+p | q | r is N^(T), so it has at least three ys.  By the closed
+form of ``bigraph._triple_is_two_connected``, H is 2-connected iff t >= 2
+or t + k >= 3, where t ys see all of T and k pairs have a y of their own.
+Then each of p, q, r is non-empty (t >= 1, or else k = 3), and each union
+of two has two ys (t >= 2; or t = 1 and, with k >= 2, a private y of one of
+the two pairs; or t = 0 and two private ys).  That is Hall's condition, so
+distinct representatives exist.  Converse: the cycle is 2-connected, and
+every other y of N^(T) has two neighbors on it, so adding each such y adds
+an ear and keeps the graph 2-connected; the cycle's three ys make
+|N^(T)| >= 3.
 """
 
 from __future__ import annotations
@@ -114,12 +130,20 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
     clears its y from ``free``, the mask of unused ys, and a backtrack pops.
     Sets are walked low bit first with no generator, and each node's two
     prunes share one fold over the X-vertices left and the path's ends.
+
+    A triple needs no search: ``_triple_cycle`` tries its two cyclic orders
+    and the ys ascending within each, which is the DFS's own order, so it
+    returns the same cycle.
     """
     _require_x_subset(g, a)
     if len(a) < 3:
         raise InputError("based cycles are defined for |A| >= 3")
     x_adj = g.x_adj
     x1 = (a.mask & -a.mask).bit_length() - 1
+    if len(a) == 3:
+        rest = a.mask ^ 1 << x1
+        x2 = (rest & -rest).bit_length() - 1
+        return _triple_cycle(x_adj, x1, x2, (rest ^ 1 << x2).bit_length() - 1)
     xs, ys = [x1], []
 
     def dfs(last: int, rem: int, free: int) -> bool:
@@ -164,6 +188,30 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
     if not dfs(x1, a.mask ^ 1 << x1, -1):
         return None
     return BaseCycle(tuple(xs), tuple(ys))
+
+
+def _triple_cycle(x_adj: tuple[int, ...], x1: int, x2: int,
+                  x3: int) -> BaseCycle | None:
+    """The least-interleaved cycle based on {x1 < x2 < x3}, or None: the
+    least y1 of N(x1) & N(x2), then y2 of N(x2) & N(x3) - y1, that leaves
+    some y3 of N(x3) & N(x1) - {y1, y2}, taking that least y3; then the
+    same over (x1, x3, x2)."""
+    n1, n2, n3 = x_adj[x1], x_adj[x2], x_adj[x3]
+    for xs, p, q, r in (((x1, x2, x3), n1 & n2, n2 & n3, n3 & n1),
+                        ((x1, x3, x2), n1 & n3, n3 & n2, n2 & n1)):
+        while p:
+            y1 = p & -p
+            p ^= y1
+            m = q & ~y1
+            while m:
+                y2 = m & -m
+                m ^= y2
+                close = r & ~(y1 | y2)
+                if close:
+                    return BaseCycle(xs, (y1.bit_length() - 1,
+                                          y2.bit_length() - 1,
+                                          (close & -close).bit_length() - 1))
+    return None
 
 
 def is_k_cyclic(g: Bigraph, k: int) -> CheckReport:

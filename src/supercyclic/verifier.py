@@ -140,7 +140,8 @@ def verify_k_cyclic(nx: int, ny_max: int, k: int, *, jobs: int = 1,
     return _drive("verify-k-cyclic", params,
                   lambda: enumerate_bigraphs(nx, ny_max),
                   partial(_eval_k_cyclic, k),
-                  jobs=jobs, checkpoint=checkpoint, progress=progress)
+                  jobs=jobs, checkpoint=checkpoint, progress=progress,
+                  classes=expected_class_count(nx, ny_max))
 
 
 def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
@@ -159,7 +160,7 @@ def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
                   lambda: enumerate_bigraphs(nx, ny_max, nx),
                   _eval_degree,
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
-                  pruned_total=expected_class_count(nx, ny_max))
+                  classes=expected_class_count(nx, ny_max), pruned=True)
 
 
 def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
@@ -175,7 +176,8 @@ def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
         return _drive("hunt", config.parameters(),
                       lambda: enumerate_bigraphs(config.nx, config.ny_max),
                       _eval_hunt_graph,
-                      jobs=jobs, checkpoint=checkpoint, progress=progress)
+                      jobs=jobs, checkpoint=checkpoint, progress=progress,
+                      classes=expected_class_count(config.nx, config.ny_max))
     return _drive("hunt", config.parameters(),
                   lambda: iter(range(config.trials)),
                   partial(_hunt_trial, config),
@@ -185,21 +187,27 @@ def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
 def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
            items_factory: Callable[[], Iterator], evaluate,
            *, jobs: int, checkpoint: CheckpointConfig | None,
-           progress: Progress | None,
-           pruned_total: int | None = None) -> VerificationReport:
+           progress: Progress | None, classes: int | None = None,
+           pruned: bool = False) -> VerificationReport:
     """Evaluate the stream in order and count what it examined.
 
-    A cut stream passes ``pruned_total``, the number of classes it stands
-    for, which the report gives as examined.  Its checkpoints and progress
-    lines count the cut stream, and their key says so, so that neither kind
-    of checkpoint resumes the other kind of stream.
+    An enumerated stream passes ``classes``, the Burnside count of the
+    classes it stands for.  An uncut stream must yield exactly that many;
+    any other count is a fault of the walk and raises RuntimeError, which
+    the CLI reports as an internal error.  A cut stream (``pruned``) yields
+    fewer, and the report gives ``classes`` as examined.  Its checkpoints
+    and progress lines count the cut stream, and their key says so, so that
+    neither kind of checkpoint resumes the other kind of stream.
+
+    A checkpoint is written once before the first item, so that a path that
+    cannot be written fails the campaign before any work is done.
     """
     start = time.perf_counter()
     key = ";".join(f"{k}={v}" for k, v in parameters)
     unit = ""
-    if pruned_total is not None:
+    if pruned:
         key += ";stream=pruned"
-        unit = f" (positions in the cut stream; {pruned_total} classes in all)"
+        unit = f" (positions in the cut stream; {classes} classes in all)"
     examined = 0
     checked = 0
     violations: list[Violation] = []
@@ -207,7 +215,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     def assemble() -> VerificationReport:
         return VerificationReport(
             campaign=campaign, parameters=tuple(parameters),
-            graphs_examined=examined if pruned_total is None else pruned_total,
+            graphs_examined=classes if pruned else examined,
             graphs_checked=checked, violations=tuple(violations),
             deterministic=True, elapsed_seconds=time.perf_counter() - start)
 
@@ -220,13 +228,16 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
                 return assemble()
             if progress:
                 progress(f"resuming after {examined} graphs{unit}")
-    items = items_factory()
-    if examined:
-        items = islice(items, examined, None)
 
     def save(complete: bool) -> None:
         save_checkpoint(checkpoint.path, CheckpointState(
             campaign, key, examined, checked, complete, tuple(violations)))
+
+    if checkpoint is not None:
+        save(False)
+    items = items_factory()
+    if examined:
+        items = islice(items, examined, None)
 
     def consume(results: Iterable[tuple[bool, Violation | None]]) -> None:
         nonlocal examined, checked
@@ -248,6 +259,9 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
             consume(pool.imap(evaluate, items, chunksize=16))
     else:
         consume(map(evaluate, items))
+    if classes is not None and not pruned and examined != classes:
+        raise RuntimeError(f"the enumeration yielded {examined} graphs where "
+                           f"the Burnside count is {classes}")
     if checkpoint is not None:
         save(True)
     return assemble()

@@ -45,9 +45,14 @@ def save_checkpoint(path: str | os.PathLike, state: CheckpointState) -> None:
         pairs += [(f"violation.{i}.{name}", value) for name, value in
                   zip(("check", "graph", "witness", "extra"), violation)]
     tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(machine_lines(pairs))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(machine_lines(pairs))
+        os.replace(tmp, path)
+    except OSError as exc:
+        # name the path asked for, not the temporary file beside it
+        raise OSError(exc.errno, f"cannot write checkpoint: {exc.strerror}",
+                      str(path)) from exc
 
 
 def load_checkpoint(path: str | os.PathLike, campaign: str,

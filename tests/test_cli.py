@@ -17,7 +17,7 @@ from supercyclic import (
     iter_records,
     serialize,
 )
-from supercyclic import cli, formats
+from supercyclic import cli, formats, verifier
 from supercyclic.cli import main
 
 from strategies import base_cycles_with_graph, bigraphs, hypergraphs
@@ -344,6 +344,46 @@ def test_full_stream_degree_checkpoint_is_refused(monkeypatch, capsys,
                           "--checkpoint", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "refusing to resume" in err
+
+
+@pytest.mark.parametrize("campaign", [
+    ["verify", "kcyclic", "--nx", "4", "--ny-max", "6", "--k", "3"],
+    ["hunt", "--nx", "4", "--ny-max", "4", "--random", "--trials", "50"],
+])
+def test_unwritable_checkpoint_fails_before_any_item(monkeypatch, capsys,
+                                                     tmp_path, campaign):
+    evaluated = []
+    for name in ("_eval_k_cyclic", "_hunt_trial"):
+        monkeypatch.setattr(verifier, name,
+                            lambda *args: evaluated.append(args))
+    path = str(tmp_path / "none" / "k.ckpt")
+    code, out, err = run(monkeypatch, capsys, campaign + [
+        "--checkpoint", path, "--checkpoint-every", "100000", "--progress"])
+    assert code == 2 and out == "" and evaluated == []
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(path) in err and ".tmp" not in err
+
+
+@pytest.mark.parametrize("campaign", [
+    ["verify", "kcyclic", "--nx", "3", "--ny-max", "4", "--k", "3"],
+    ["hunt", "--nx", "3", "--ny-max", "4"],
+])
+def test_campaign_that_loses_a_class_is_an_internal_error(monkeypatch, capsys,
+                                                          campaign):
+    enumerate_all = verifier.enumerate_bigraphs
+
+    def drop_one(*args):
+        stream = enumerate_all(*args)
+        next(stream)
+        return stream
+
+    code, out, _ = run(monkeypatch, capsys, campaign + ["--format", "machine"])
+    assert code == 0 and "graphs_examined=141\n" in out
+    monkeypatch.setattr(verifier, "enumerate_bigraphs", drop_one)
+    code, out, err = run(monkeypatch, capsys, campaign)
+    assert code == 3 and out == ""
+    assert err == ("internal error: RuntimeError: the enumeration yielded "
+                   "140 graphs where the Burnside count is 141\n")
 
 
 @pytest.mark.parametrize("case", ["checkpoint-missing-dir",

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 import supercyclic.bigraph
+from supercyclic import condition
+from supercyclic.bigraph import _cover
+from supercyclic.bitset import mask_of
 
 from supercyclic import (
     Bigraph,
@@ -141,6 +144,34 @@ def test_witness_is_first_failure_at_larger_x():
         assert witness is not None and witness.members == a
         outcomes[clause] += 1
     assert outcomes["pass"] and outcomes["conn"] and outcomes["size"]
+
+
+def _subsets_by_combinations(g):
+    for size in range(3, g.x_count + 1):
+        for combo in combinations(g.x_indices(), size):
+            yield mask_of(combo), _cover(g.x_adj, combo)[1]
+
+
+@given(bigraphs(max_x=9, max_y=8))
+@settings(max_examples=150)
+def test_subset_walk_matches_combinations(g):
+    # prefix-built covers: the same (A, N^(A)) pairs in the same order
+    assert list(condition._subsets(g)) == list(_subsets_by_combinations(g))
+
+
+def test_subset_walk_matches_combinations_on_every_4_x_class(corpus_4_5):
+    for g in corpus_4_5:
+        assert list(condition._subsets(g)) == list(_subsets_by_combinations(g))
+
+
+def test_condition_at_large_x_builds_only_the_triple_order(monkeypatch):
+    # the first triple of a |X| = 40 graph fails: the walk must stop there,
+    # having built only the size-3 order and nothing of size 2^|X|
+    monkeypatch.setattr(condition, "_ORDERS", {})
+    g = Bigraph(40, HINGE.y_count, list(HINGE.edges()))
+    rep = check_condition(g, "kim")
+    assert str(rep.connectivity_witness) == "X{1,2,3}"
+    assert list(condition._ORDERS) == [(40, 3)]
 
 
 def test_condition_runs_no_block_search(monkeypatch, corpus_4_5):

@@ -24,8 +24,10 @@ from supercyclic import cycles
 from supercyclic.bigraph import SIDE_X
 from supercyclic.cycles import _insert
 
-from oracles import (cycle_survey, insertion_exists, least_based_cycle,
-                     longest_cycle_bruteforce, random_cycle_instance)
+from oracles import (cycle_survey, insertion_exists,
+                     is_two_connected_bruteforce, least_based_cycle,
+                     longest_cycle_bruteforce, random_cycle_instance,
+                     super_neighborhood_naive)
 from strategies import bigraphs
 
 C6 = Bigraph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
@@ -198,6 +200,51 @@ def test_found_cycle_is_least_interleaved_at_six_x():
                 assert got == least_based_cycle(g, combo)
                 long_found += size >= 5 and c is not None
     assert long_found > 0
+
+
+def _triple_results(g):
+    """find_based_cycle and the oracle on every triple of ``g``."""
+    for t in combinations(g.x_indices(), 3):
+        c = find_based_cycle(g, VertexSet.of(SIDE_X, t))
+        yield t, None if c is None else (c.xs, c.ys), least_based_cycle(g, t)
+
+
+def _check_triples(graphs):
+    found = missing = 0
+    for g in graphs:
+        for t, got, want in _triple_results(g):
+            assert got == want, (str(g), t)
+            found += got is not None
+            missing += got is None
+    assert found and missing
+
+
+def test_triple_cycles_match_oracle_on_every_4_x_class(corpus_4_5):
+    # triples take the closed-form path, not the DFS
+    _check_triples(corpus_4_5)
+
+
+def test_triple_cycles_match_oracle_on_seeded_graphs():
+    rng = random.Random(312)
+    graphs = []
+    for _ in range(24):
+        nx = rng.randint(6, 8)
+        graphs.append(random_bigraph(nx, rng.randint(3, 8), rng.randint(1, 3),
+                                     rng.randrange(1 << 30)))
+    _check_triples(graphs)
+
+
+@given(bigraphs(min_x=3, max_x=6, max_y=6))
+@settings(max_examples=200)
+def test_triple_lemma(g):
+    # T carries a based cycle iff |N^(T)| >= 3 and G[T + N^(T)] is
+    # 2-connected (proof in the cycles module docstring)
+    for t, got, want in _triple_results(g):
+        nh = super_neighborhood_naive(g, t)
+        sub = g.induced(sum(1 << x for x in t), sum(1 << y for y in nh)).graph
+        lemma = len(nh) >= 3 and is_two_connected_bruteforce(sub)
+        assert got == want
+        assert (got is not None) == lemma, t
 
 
 @given(bigraphs(min_x=3, max_x=5, max_y=5))

@@ -176,10 +176,8 @@ def test_stopped_campaign_resumes_byte_identical(monkeypatch, tmp_path,
         with pytest.raises(_Stop):
             run(cfg, stop)
         position = (stop - 1) // every * every
-        if position:
-            assert f"examined={position}\ncheck" in cfg.path.read_text()
-        else:
-            assert not cfg.path.exists()
+        # written once before the first item, so it exists at position 0
+        assert f"examined={position}\ncheck" in cfg.path.read_text()
         report, calls = run(cfg)
         assert report == want
         assert calls == stream_length - position
