@@ -311,9 +311,11 @@ def induced_with_superneighborhood(g: Bigraph, a: VertexSet) -> InducedSubgraph:
 def reduce_to_superneighborhood(g: Bigraph) -> InducedSubgraph:
     """Drop exactly the Y-vertices of degree <= 1 (keeps X plus N^(X)).
 
-    Cycle existence questions are unchanged by this reduction, but the
-    neighborhood condition is not: callers that care about the condition
-    must decide explicitly whether to test the host or the reduced graph.
+    Cycle existence questions are unchanged by this reduction, and so is
+    the neighborhood condition: every N^(A) lies among the Y-vertices of
+    degree >= 2, and each G[A + N^(A)] is untouched.  The degree hypothesis
+    can change, since |Y| and X-degrees may drop: callers that care about
+    it must decide explicitly whether to test the host or the reduced graph.
     """
     return induced_with_superneighborhood(g, g.x_full)
 

@@ -332,35 +332,31 @@ def longest_cycle_length(g: Bigraph) -> int:
         raise CapacityError(
             f"{eligible} cycle-eligible vertices exceed the cap of "
             f"{ELIGIBLE_CAP}; the exact search would not finish at desk scale")
+    # whole-graph masks, numbered as _local_adjacency numbers the vertices
+    nx = g.x_count
+    masks = [g.x_adj[x] >> 1 << nx for x in g.x_indices()] + \
+        [g.y_adj[y] >> 1 for y in g.y_indices()]
     best = 0
     for block in sorted(cyclic_blocks, key=len, reverse=True):
         if len(block) <= best:
             break
-        local = {v: i for i, v in enumerate(block)}
-        masks = [0] * len(block)
-        for v in block:
-            for w in adj[v]:
-                if w in local:
-                    masks[local[v]] |= 1 << local[w]
-        # _local_adjacency numbers the X-vertices first
-        x_side = sum(1 << i for i, v in enumerate(block) if v < g.x_count)
-        got = _longest_cycle_in_block(masks, x_side, best)
-        if got > best:
-            best = got
+        best = _longest_cycle_in_block(masks, sum(1 << v for v in block),
+                                       (1 << nx) - 1, best)
     return best
 
 
-def _longest_cycle_in_block(masks: list[int], x_side: int, floor: int) -> int:
-    """Longest cycle in one 2-connected block given 0-based adjacency masks.
+def _longest_cycle_in_block(masks: list[int], block: int, x_side: int,
+                            floor: int) -> int:
+    """Longest cycle in the 2-connected block with vertex mask ``block``,
+    given the whole graph's 0-based adjacency masks.
 
     Anchored DFS: for each anchor s ascending, search cycles whose least
-    vertex is s using only vertices >= s, pruning on the best length found
-    so far (seeded with ``floor`` from larger blocks already searched).
-    A cycle alternates sides, so within the allowed vertices it is at most
-    twice as long as the smaller side (``x_side`` masks the X-vertices);
-    an anchor's search stops once ``best`` reaches that bound.
+    vertex is s using only block vertices >= s, pruning on the best length
+    found so far (seeded with ``floor`` from larger blocks already
+    searched).  A cycle alternates sides, so within the allowed vertices it
+    is at most twice as long as the smaller side (``x_side`` masks the
+    X-vertices); an anchor's search stops once ``best`` reaches that bound.
     """
-    n = len(masks)
     best = floor
 
     def dfs(v: int, visited: int, length: int) -> None:
@@ -373,8 +369,8 @@ def _longest_cycle_in_block(masks: list[int], x_side: int, floor: int) -> int:
         for w in iter_bits(masks[v] & rest):
             dfs(w, visited | (1 << w), length + 1)
 
-    for anchor in range(n):
-        allowed = ((1 << n) - 1) & ~((1 << anchor) - 1)
+    for anchor in iter_bits(block):
+        allowed = block >> anchor << anchor
         xs = (allowed & x_side).bit_count()
         bound = 2 * min(xs, allowed.bit_count() - xs)
         if bound < 4 or bound <= best:

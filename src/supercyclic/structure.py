@@ -160,53 +160,36 @@ def max_fan(g: Bigraph, x: int, c: BaseCycle) -> Fan:
     on_cycle = {(SIDE_X, w) for w in c.xs} | {(SIDE_Y, w) for w in c.ys}
     root: Vertex = (SIDE_X, x)
 
-    # unit vertex capacities via node splitting; cycle vertices route only
-    # to the sink, so paths stop at their first cycle contact
+    # unit vertex capacities by node splitting: a vertex v is entered at v
+    # and left at ("out", v); cycle vertices lead only to the sink, so paths
+    # stop at their first cycle contact.  Each node's arcs keep the order in
+    # which they are added, which fixes the BFS and so the flow it finds.
     SRC, SINK = ("src", 0), ("sink", 0)
-    cap: dict[tuple, dict[tuple, int]] = {}
-
-    def add(a: tuple, b: tuple, c_: int) -> None:
-        cap.setdefault(a, {})[b] = cap.setdefault(a, {}).get(b, 0) + c_
-        cap.setdefault(b, {}).setdefault(a, 0)
-
-    def node_in(v: Vertex) -> tuple:
-        return ("in", v)
-
-    def node_out(v: Vertex) -> tuple:
-        return ("out", v)
-
-    for xi in g.x_indices():
-        v = (SIDE_X, xi)
-        if v != root and v not in on_cycle:
-            add(node_in(v), node_out(v), 1)
-    for yj in g.y_indices():
-        v = (SIDE_Y, yj)
-        if v not in on_cycle:
-            add(node_in(v), node_out(v), 1)
-    for w in on_cycle:
-        add(node_in(w), SINK, 1)
+    arcs = [(v, ("out", v)) for v in
+            [(SIDE_X, xi) for xi in g.x_indices()] +
+            [(SIDE_Y, yj) for yj in g.y_indices()]
+            if v != root and v not in on_cycle]
+    arcs += [(w, SINK) for w in on_cycle]
     for xi, yj in sorted(g.edges()):
         a: Vertex = (SIDE_X, xi)
         b: Vertex = (SIDE_Y, yj)
         if a == root:
-            add(SRC, node_in(b), 1)
-            continue
-        a_on = a in on_cycle
-        b_on = b in on_cycle
-        if a_on and b_on:
-            continue  # a fan path never runs between two cycle vertices
-        if not a_on:
-            add(node_out(a), node_in(b), 1)
-        if not b_on:
-            add(node_out(b), node_in(a), 1)
+            arcs.append((SRC, b))
+        else:  # a fan path never leaves a cycle vertex
+            arcs += [(("out", u), w) for u, w in ((a, b), (b, a))
+                     if u not in on_cycle]
+    cap: dict[tuple, dict[tuple, int]] = {SRC: {}}
+    for a, b in arcs:
+        cap.setdefault(a, {})[b] = 1
+        cap.setdefault(b, {})[a] = 0
+    unit = set(arcs)
 
-    flow: dict[tuple, dict[tuple, int]] = {}
-    while True:
+    while True:  # Edmonds-Karp: augment along shortest residual paths
         parent: dict[tuple, tuple] = {SRC: SRC}
         dq = deque([SRC])
         while dq and SINK not in parent:
             a = dq.popleft()
-            for b, c_ in cap.get(a, {}).items():
+            for b, c_ in cap[a].items():
                 if b not in parent and c_ > 0:
                     parent[b] = a
                     dq.append(b)
@@ -217,33 +200,19 @@ def max_fan(g: Bigraph, x: int, c: BaseCycle) -> Fan:
             prev = parent[node]
             cap[prev][node] -= 1
             cap[node][prev] += 1
-            flow.setdefault(prev, {})[node] = \
-                flow.setdefault(prev, {}).get(node, 0) + 1
-            if flow.setdefault(node, {}).get(prev, 0) > 0:
-                flow[node][prev] -= 1  # cancel opposite flow
-                flow[prev][node] -= 1
             node = prev
 
+    # the flow runs on the saturated unit arcs; every node but the source
+    # sends at most one unit, so each path has exactly one way on
     paths: list[list[Vertex]] = []
-    out_flow = dict(flow.get(SRC, {}))
-    for first in sorted(out_flow):
-        while out_flow[first] > 0:
-            out_flow[first] -= 1
-            trail = [root]
-            node = first
-            while node != SINK:
-                kind, payload = node
-                if kind == "in":
-                    trail.append(payload)
-                nxt = None
-                for b, f in flow.get(node, {}).items():
-                    if f > 0:
-                        nxt = b
-                        break
-                assert nxt is not None, "flow conservation broke"
-                flow[node][nxt] -= 1
-                node = nxt
-            paths.append(trail)
+    for node in sorted(b for b, c_ in cap[SRC].items() if not c_):
+        trail = [root]
+        while node != SINK:
+            if node[0] != "out":
+                trail.append(node)
+            node = next(b for b, c_ in cap[node].items()
+                        if not c_ and (node, b) in unit)
+        paths.append(trail)
 
     _shrink_paths(g, paths)
     paths.sort(key=lambda p: (len(p), p[-1]))
@@ -259,17 +228,13 @@ def _shrink_paths(g: Bigraph, paths: list[list[Vertex]]) -> None:
         yj = b[1] if a[0] == SIDE_X else a[1]
         return g.has_edge(xi, yj)
 
-    changed = True
-    while changed:
-        changed = False
-        for p in paths:
-            i = 0
-            while i < len(p) - 2:
-                j = len(p) - 1
-                while j > i + 1:
-                    if adjacent(p[i], p[j]):
-                        del p[i + 1:j]
-                        changed = True
-                        break
-                    j -= 1
-                i += 1
+    # one pass suffices: i jumps to its farthest neighbour on the path, and
+    # later deletions only remove vertices, so none past p[i + 1] appears
+    for p in paths:
+        i = 0
+        while i < len(p) - 2:
+            j = len(p) - 1
+            while j > i + 1 and not adjacent(p[i], p[j]):
+                j -= 1
+            del p[i + 1:j]
+            i += 1

@@ -141,7 +141,7 @@ def verify_k_cyclic(nx: int, ny_max: int, k: int, *, jobs: int = 1,
                   lambda: enumerate_bigraphs(nx, ny_max),
                   partial(_eval_k_cyclic, k),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
-                  classes=expected_class_count(nx, ny_max))
+                  length=expected_class_count(nx, ny_max))
 
 
 def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
@@ -160,7 +160,7 @@ def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
                   lambda: enumerate_bigraphs(nx, ny_max, nx),
                   _eval_degree,
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
-                  classes=expected_class_count(nx, ny_max), pruned=True)
+                  length=expected_class_count(nx, ny_max), pruned=True)
 
 
 def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
@@ -177,37 +177,42 @@ def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
                       lambda: enumerate_bigraphs(config.nx, config.ny_max),
                       _eval_hunt_graph,
                       jobs=jobs, checkpoint=checkpoint, progress=progress,
-                      classes=expected_class_count(config.nx, config.ny_max))
+                      length=expected_class_count(config.nx, config.ny_max))
     return _drive("hunt", config.parameters(),
                   lambda: iter(range(config.trials)),
                   partial(_hunt_trial, config),
-                  jobs=jobs, checkpoint=checkpoint, progress=progress)
+                  jobs=jobs, checkpoint=checkpoint, progress=progress,
+                  length=config.trials)
 
 
 def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
            items_factory: Callable[[], Iterator], evaluate,
            *, jobs: int, checkpoint: CheckpointConfig | None,
-           progress: Progress | None, classes: int | None = None,
+           progress: Progress | None, length: int,
            pruned: bool = False) -> VerificationReport:
     """Evaluate the stream in order and count what it examined.
 
-    An enumerated stream passes ``classes``, the Burnside count of the
-    classes it stands for.  An uncut stream must yield exactly that many;
-    any other count is a fault of the walk and raises RuntimeError, which
-    the CLI reports as an internal error.  A cut stream (``pruned``) yields
-    fewer, and the report gives ``classes`` as examined.  Its checkpoints
-    and progress lines count the cut stream, and their key says so, so that
-    neither kind of checkpoint resumes the other kind of stream.
+    ``length`` is what the stream stands for: the Burnside count of the
+    classes of an enumerated stream, or the trials of a random hunt.  An
+    uncut stream must yield exactly that many; any other count is a fault
+    of the walk and raises RuntimeError, which the CLI reports as an
+    internal error.  A cut stream (``pruned``) yields fewer, and the report
+    gives ``length`` as examined.  Its checkpoints and progress lines count
+    the cut stream, and their key says so, so that neither kind of
+    checkpoint resumes the other kind of stream.
 
     A checkpoint is written once before the first item, so that a path that
-    cannot be written fails the campaign before any work is done.
+    cannot be written fails the campaign before any work is done.  A
+    checkpoint whose counts the stream cannot hold is refused before then.
     """
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     key = ";".join(f"{k}={v}" for k, v in parameters)
     unit = ""
     if pruned:
         key += ";stream=pruned"
-        unit = f" (positions in the cut stream; {classes} classes in all)"
+        unit = f" (positions in the cut stream; {length} classes in all)"
     examined = 0
     checked = 0
     violations: list[Violation] = []
@@ -215,13 +220,14 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     def assemble() -> VerificationReport:
         return VerificationReport(
             campaign=campaign, parameters=tuple(parameters),
-            graphs_examined=classes if pruned else examined,
+            graphs_examined=length if pruned else examined,
             graphs_checked=checked, violations=tuple(violations),
             deterministic=True, elapsed_seconds=time.perf_counter() - start)
 
     if checkpoint is not None:
         state = load_checkpoint(checkpoint.path, campaign, key)
         if state is not None:
+            _refuse_impossible(checkpoint, state, length, pruned)
             examined, checked = state.examined, state.checked
             violations = [Violation(*v) for v in state.violations]
             if state.complete:
@@ -259,12 +265,34 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
             consume(pool.imap(evaluate, items, chunksize=16))
     else:
         consume(map(evaluate, items))
-    if classes is not None and not pruned and examined != classes:
+    if not pruned and examined != length:
         raise RuntimeError(f"the enumeration yielded {examined} graphs where "
-                           f"the Burnside count is {classes}")
+                           f"the Burnside count is {length}")
     if checkpoint is not None:
         save(True)
     return assemble()
+
+
+def _refuse_impossible(checkpoint: CheckpointConfig, state: CheckpointState,
+                       length: int, pruned: bool) -> None:
+    """Raise InputError when a checkpoint's counts cannot come from a run
+    of a stream that stands for ``length`` items; a cut stream yields at
+    most that many."""
+    examined, checked = state.examined, state.checked
+    if examined > length:
+        why = f"examined={examined} exceeds the {length} items of the stream"
+    elif state.complete and not pruned and examined != length:
+        why = (f"it is complete at examined={examined}, but the stream has "
+               f"{length} items")
+    elif checked > examined:
+        why = f"checked={checked} exceeds examined={examined}"
+    elif len(state.violations) > checked:
+        why = (f"its {len(state.violations)} violations exceed "
+               f"checked={checked}")
+    else:
+        return
+    raise InputError(f"checkpoint {checkpoint.path}: {why}; "
+                     f"refusing to resume")
 
 
 # -- per-graph evaluators (module level: workers must pickle them) ----------

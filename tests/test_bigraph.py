@@ -12,6 +12,7 @@ from supercyclic import (
     VertexSet,
     check_condition,
     complete_bipartite,
+    degree_hypothesis,
     hypergraph_of,
     incidence_graph,
     induced_with_superneighborhood,
@@ -270,6 +271,24 @@ def test_reduce_to_superneighborhood_drops_thin_ys():
     red = reduce_to_superneighborhood(g)
     assert red.y_map == (1, 3)  # y2 has a single neighbor
     assert red.graph == complete_bipartite(2, 2)
+
+
+@given(bigraphs(min_x=3, max_x=6, max_y=7))
+@settings(max_examples=200)
+def test_reduction_keeps_the_condition(g):
+    reduced = reduce_to_superneighborhood(g).graph
+    for mode in ("full", "kim"):
+        assert check_condition(reduced, mode) == check_condition(g, mode)
+
+
+def test_reduction_can_change_the_degree_hypothesis():
+    # K(3, 3) plus a pendant y on x2 and on x3: m drops from 5 to 3
+    g = Bigraph(3, 5, list(complete_bipartite(3, 3).edges()) +
+                [(2, 4), (3, 5)])
+    reduced = reduce_to_superneighborhood(g).graph
+    assert reduced == complete_bipartite(3, 3)
+    assert not degree_hypothesis(g).meets_half_bound
+    assert degree_hypothesis(reduced).meets_half_bound
 
 
 def test_incidence_graph_frozen():

@@ -10,15 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from supercyclic import (
     Bigraph,
+    CheckReport,
     check_condition,
     complete_bipartite,
     construct_g3,
     enumerate_bigraphs,
     iter_records,
+    parse_bigraph,
     serialize,
 )
-from supercyclic import cli, formats, verifier
+from supercyclic import classify, cli, formats, verifier
 from supercyclic.cli import main
+from supercyclic.reports import unescape_value
 
 from strategies import base_cycles_with_graph, bigraphs, hypergraphs
 
@@ -346,6 +349,66 @@ def test_full_stream_degree_checkpoint_is_refused(monkeypatch, capsys,
     assert err.startswith("error:") and "refusing to resume" in err
 
 
+KCYCLIC_333 = ["verify", "kcyclic", "--nx", "3", "--ny-max", "3", "--k", "3"]
+RANDOM_HUNT = ["hunt", "--nx", "4", "--ny-max", "4", "--random",
+               "--trials", "5"]
+
+
+@pytest.mark.parametrize("campaign, counts, why", [
+    # the (3, <=3) stream has 54 classes; the random hunt has 5 trials
+    (KCYCLIC_333, "examined=5\nchecked=0\ncomplete=1\nviolations=0",
+     "it is complete at examined=5, but the stream has 54 items"),
+    (KCYCLIC_333, "examined=999999\nchecked=0\ncomplete=0\nviolations=0",
+     "examined=999999 exceeds the 54 items of the stream"),
+    (RANDOM_HUNT, "examined=999\nchecked=5000\ncomplete=0\nviolations=0",
+     "examined=999 exceeds the 5 items of the stream"),
+    (RANDOM_HUNT, "examined=3\nchecked=3\ncomplete=1\nviolations=0",
+     "it is complete at examined=3, but the stream has 5 items"),
+    (KCYCLIC_333, "examined=10\nchecked=11\ncomplete=0\nviolations=0",
+     "checked=11 exceeds examined=10"),
+    (KCYCLIC_333, "examined=10\nchecked=0\ncomplete=0\nviolations=1\n"
+     "violation.0.check=c\nviolation.0.graph=g\nviolation.0.witness=w",
+     "its 1 violations exceed checked=0"),
+    # a cut stream may end early, but not after the classes it stands for
+    (["verify", "degree", "--nx", "4", "--ny-max", "5"],
+     "examined=2000\nchecked=0\ncomplete=1\nviolations=0",
+     "examined=2000 exceeds the 1485 items of the stream"),
+], ids=["complete-short", "past-the-classes", "past-the-trials",
+        "complete-short-of-the-trials", "checked-past-examined",
+        "violations-past-checked", "cut-stream-past-the-classes"])
+def test_checkpoint_counts_the_stream_cannot_hold_exit_2(
+        monkeypatch, capsys, tmp_path, campaign, counts, why):
+    evaluated = []
+    for name in ("_eval_k_cyclic", "_eval_degree", "_hunt_trial"):
+        monkeypatch.setattr(verifier, name,
+                            lambda *args: evaluated.append(args))
+    cli_name, key = {
+        "kcyclic": ("verify-k-cyclic", "nx=3;ny_max=3;k=3"),
+        "degree": ("verify-degree-theorem", "nx=4;ny_max=5;stream=pruned"),
+        "hunt": ("hunt", "mode=random;nx=4;ny_max=4;seed=0;trials=5;"
+                         "min_x_degree=2"),
+    }[campaign[1] if campaign[0] == "verify" else "hunt"]
+    path = tmp_path / "run.ckpt"
+    text = f"checkpoint=1\ncampaign={cli_name}\nkey={key}\n{counts}\n"
+    path.write_text(text)
+    code, out, err = run(monkeypatch, capsys,
+                         campaign + ["--checkpoint", str(path)])
+    assert (code, out, evaluated) == (2, "", [])
+    assert err == f"error: checkpoint {path}: {why}; refusing to resume\n"
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_jobs_below_one_exit_2(monkeypatch, capsys, jobs):
+    evaluated = []
+    monkeypatch.setattr(verifier, "_eval_k_cyclic",
+                        lambda *args: evaluated.append(args))
+    code, out, err = run(monkeypatch, capsys,
+                         KCYCLIC_333 + ["--jobs", str(jobs)])
+    assert (code, out, evaluated) == (2, "", [])
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 @pytest.mark.parametrize("campaign", [
     ["verify", "kcyclic", "--nx", "4", "--ny-max", "6", "--k", "3"],
     ["hunt", "--nx", "4", "--ny-max", "4", "--random", "--trials", "50"],
@@ -406,6 +469,45 @@ def test_unreadable_files_exit_2(monkeypatch, capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# class 381 of (4, <=4): it passes the condition, N^(X) = Y, and it has 11
+# edges, so the exhaustive Y-minimality scan walks 2^11 edge subsets
+HIT = parse_bigraph("p bigraph 4 4\ne 1 1\ne 1 2\ne 1 3\ne 1 4\ne 2 1\n"
+                    "e 2 2\ne 2 3\ne 3 2\ne 3 4\ne 4 3\ne 4 4\n")
+
+
+def test_forced_hunt_hit_is_dissected(monkeypatch, capsys):
+    # no hit is known, so declare HIT not super-cyclic, with the whole of X
+    # as its minimal witness, wherever the hunt and the classifier ask
+    real = verifier.is_super_cyclic
+
+    def forced(g):
+        if g == HIT:
+            return CheckReport("super_cyclic", False, witness=g.x_full)
+        return real(g)
+
+    monkeypatch.setattr(verifier, "is_super_cyclic", forced)
+    monkeypatch.setattr(classify, "is_super_cyclic", forced)
+    assert check_condition(HIT).passed
+    argv = ["hunt", "--nx", "4", "--ny-max", "4", "--format", "machine"]
+    code, out, err = run(monkeypatch, capsys, argv)
+    assert (code, err) == (1, "")
+    assert "violations=1\n" in out
+    assert "violation.0.witness=X{1,2,3,4}\n" in out
+    extra = unescape_value(out.split("violation.0.extra=")[1].split("\n")[0])
+    # N^(X) = Y, so the core is HIT itself and there is no reduced form
+    sections = extra.split("\naudit[")
+    assert sections[0] == "core graph:\n" + serialize(HIT)
+    assert [s.split("]")[0] for s in sections[1:]] == ["core", "hit graph"]
+    for audit in sections[1:]:  # not vacuous: every gated check ran
+        assert "\ngraphs_checked=1\n" in audit
+        assert "note.0=gate saturated: true\n" in audit
+        assert "note.1=gate y_minimal: true\n" in audit
+        assert "check=fan_contact_bound\n" in audit
+    # frozen before max_fan lost its flow ledger
+    assert sha256(out.encode()).hexdigest()[:16] == "4aa973d36d7377e7"
+    assert run(monkeypatch, capsys, argv) == (code, out, err)
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

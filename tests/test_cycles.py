@@ -1,4 +1,5 @@
 import random
+from hashlib import sha256
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from supercyclic import (
     VertexSet,
     complete_bipartite,
     construct_g3,
+    enumerate_bigraphs,
     find_based_cycle,
     is_k_cyclic,
     is_super_cyclic,
@@ -142,6 +144,17 @@ def test_longest_cycle_frozen():
     hinged = Bigraph(3, 4, [(1, 1), (2, 1), (1, 2), (2, 2),
                             (1, 3), (3, 3), (1, 4), (3, 4)])
     assert longest_cycle_length(hinged) == 4
+
+
+def test_longest_cycle_frozen_class_digest():
+    # the lengths over every class of (4, <=6) and (5, <=4), taken before
+    # the block search moved onto whole-graph masks
+    lengths = bytes(longest_cycle_length(g)
+                    for nx, ny_max in ((4, 6), (5, 4))
+                    for g in enumerate_bigraphs(nx, ny_max))
+    assert len(lengths) == 6019
+    assert sha256(lengths).hexdigest() == (
+        "a056cb06ec665435390a67c540104ca30805bd0bf1f86dbf14814dc8383054b9")
 
 
 def test_longest_cycle_capacity():

@@ -1,4 +1,6 @@
 import random
+from hashlib import sha256
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +9,18 @@ from supercyclic import (
     BaseCycle,
     Bigraph,
     InputError,
+    VertexSet,
     complete_bipartite,
     crossing_bound_holds,
     crossings,
+    enumerate_bigraphs,
+    find_based_cycle,
     max_fan,
+    random_bigraph,
     successor_maps,
 )
 from supercyclic.bigraph import SIDE_X, SIDE_Y
+from supercyclic.structure import _shrink_paths
 
 from oracles import min_vertex_cut_bruteforce, random_cycle_instance
 from strategies import base_cycles_with_graph
@@ -120,6 +127,55 @@ def test_max_fan_shrinks_detours():
     f = max_fan(g, 3, C4)
     assert f.paths == (((SIDE_X, 3), (SIDE_Y, 4), (SIDE_X, 1)),)
     assert f.vertex_count == 3
+
+
+def test_max_fan_frozen_corpus_digest():
+    # every fan of every class of (4, <=5) and (5, <=3) and of 300 seeded
+    # random graphs: up to five based cycles per base size, found in lex
+    # order, each with every off-cycle root; the digest was taken before
+    # max_fan lost its flow ledger, so it pins the augmenting order too
+    rng = random.Random(13)
+    graphs = [*enumerate_bigraphs(4, 5), *enumerate_bigraphs(5, 3),
+              *(random_bigraph(rng.randint(5, 7), rng.randint(3, 7),
+                               rng.randint(0, 3), i) for i in range(300))]
+    h = sha256()
+    count = 0
+    for g in graphs:
+        for size in range(3, g.x_count):
+            found = (find_based_cycle(g, VertexSet.of(SIDE_X, a))
+                     for a in combinations(g.x_indices(), size))
+            for c in [c for c in found if c][:5]:
+                for root in g.x_indices():
+                    if root not in c.xs:
+                        h.update(repr(max_fan(g, root, c)).encode())
+                        count += 1
+    assert count == 7758
+    assert h.hexdigest() == ("9f619c776ed789ddece4dbfc92ff6e7d"
+                             "6a367891cc881ec5c8c59fd0ef4cebdc")
+
+
+@given(st.integers(1, 10), st.sets(st.tuples(st.integers(1, 5),
+                                            st.integers(1, 5))))
+@settings(max_examples=200)
+def test_shrink_paths_one_pass_leaves_no_shortcut(n, chords):
+    # the path x1 y1 x2 y2 ... on its first n vertices, plus random chords
+    path = [((SIDE_X, SIDE_Y)[i % 2], i // 2 + 1) for i in range(n)]
+    edges = {(i // 2 + 1 + i % 2, i // 2 + 1) for i in range(n - 1)}
+    g = Bigraph(5, 5, sorted(edges | chords))
+
+    def adjacent(a, b):
+        return a[0] != b[0] and g.has_edge(*(a[1], b[1]) if a[0] == SIDE_X
+                                           else (b[1], a[1]))
+
+    paths = [list(path)]
+    _shrink_paths(g, paths)
+    p = paths[0]
+    assert p[0] == path[0] and p[-1] == path[-1]
+    rest = iter(path)
+    assert all(v in rest for v in p)  # a subsequence of the path
+    assert all(adjacent(a, b) for a, b in zip(p, p[1:]))
+    for i, v in enumerate(p):
+        assert not any(adjacent(v, w) for w in p[i + 2:])
 
 
 def test_max_fan_input_errors():

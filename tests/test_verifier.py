@@ -107,6 +107,15 @@ def test_campaigns_are_worker_count_independent():
     assert solo == duo
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_campaigns_refuse_jobs_below_one(jobs):
+    with pytest.raises(InputError, match="jobs must be at least 1"):
+        verify_k_cyclic(3, 3, 3, jobs=jobs)
+    with pytest.raises(InputError, match="jobs must be at least 1"):
+        hunt_counterexample(HuntConfig(4, 4, mode="random", trials=5),
+                            jobs=jobs)
+
+
 def test_checkpoint_resume_complete(tmp_path):
     path = tmp_path / "k33.ckpt"
     cfg = CheckpointConfig(str(path), every=25)
