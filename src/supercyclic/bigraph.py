@@ -23,9 +23,9 @@ Conventions:
 
 ``_blocks`` is the one block (biconnected component) routine.  It serves
 only ``is_two_connected`` and the longest-cycle search in ``cycles``, both on
-the whole graph.  The neighborhood condition asks 2-connectivity only of
-graphs induced on three X-vertices, which ``_triple_is_two_connected``
-decides in closed form, with no block search.
+the whole graph's ``_adjacency_masks``.  The condition asks 2-connectivity
+only of graphs induced on three X-vertices, which
+``_triple_is_two_connected`` decides in closed form, with no block search.
 
 ``_cover`` is the one computation of the super-neighborhood N^(A), the
 Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
@@ -326,7 +326,7 @@ def is_two_connected(g: Bigraph) -> bool:
     n = g.x_count + g.y_count
     if n < 3:
         return False
-    blocks = _blocks(_local_adjacency(g))
+    blocks = _blocks(_adjacency_masks(g))
     return len(blocks) == 1 and len(blocks[0]) == n
 
 
@@ -355,21 +355,15 @@ def _triple_is_two_connected(x_adj: tuple[int, ...], x_mask: int,
     return t >= 2 or t + k >= 3
 
 
-def _local_adjacency(g: Bigraph) -> list[list[int]]:
-    """0-based adjacency lists of the whole graph: x_i is i - 1 and y_j is
-    x_count + j - 1, so the X-vertices come first."""
+def _adjacency_masks(g: Bigraph) -> list[int]:
+    """0-based adjacency masks of the whole graph, X-vertices first."""
     nx = g.x_count
-    adj: list[list[int]] = [[] for _ in range(nx + g.y_count)]
-    for x in g.x_indices():
-        for y in iter_bits(g.x_adj[x]):
-            j = nx + y - 1
-            adj[x - 1].append(j)
-            adj[j].append(x - 1)
-    return adj
+    return [g.x_adj[x] >> 1 << nx for x in g.x_indices()] + \
+        [g.y_adj[y] >> 1 for y in g.y_indices()]
 
 
-def _blocks(adj: list[list[int]]) -> list[list[int]]:
-    """Vertex lists of the blocks of a simple graph on 0-based adjacency lists.
+def _blocks(masks: list[int]) -> list[list[int]]:
+    """Vertex lists of the blocks of a simple graph on 0-based adjacency masks.
 
     Hopcroft-Tarjan lowpoint DFS, iterative, with a stack of vertices not yet
     assigned to a block.  When a child v finishes with low[v] >= disc[parent],
@@ -378,7 +372,7 @@ def _blocks(adj: list[list[int]]) -> list[list[int]]:
     disc[parent], which leaves that test unchanged.  A bridge is a block of
     two; an isolated vertex lies in no block.
     """
-    n = len(adj)
+    n = len(masks)
     disc = [0] * n
     low = [0] * n
     timer = 1
@@ -389,17 +383,20 @@ def _blocks(adj: list[list[int]]) -> list[list[int]]:
         disc[root] = low[root] = timer
         timer += 1
         # (vertex, parent, height of verts when it was discovered, edges left)
-        stack = [(root, -1, 0, iter(adj[root]))]
+        stack = [(root, -1, 0, masks[root])]
         while stack:
-            v, parent, height, it = stack[-1]
-            for w in it:
+            v, parent, height, m = stack[-1]
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
                 if disc[w]:
                     if disc[w] < low[v]:
                         low[v] = disc[w]
                 else:
+                    stack[-1] = v, parent, height, m
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, len(verts), iter(adj[w])))
+                    stack.append((w, v, len(verts), masks[w]))
                     verts.append(w)
                     break
             else:

@@ -26,14 +26,15 @@ stops at the first failing A, so its witness is minimal in that order, and
 constant amount of work per subset: a triple's N^ comes from its three
 neighborhoods, and a larger A's from the cover of its lex prefix
 A - max(A), one size down, folded with one more neighborhood the way
-``bigraph._cover`` folds.  The order of each size is built once per |X|,
-when a walk first reaches that size.
+``bigraph._cover`` folds.  ``cycles._check_bases`` walks the same rows,
+``_order``, whose cache holds a bounded number of them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from math import comb
+from typing import Iterable, Iterator, NamedTuple
 
 from .bigraph import (Bigraph, VertexSet, SIDE_X, _Record,
                       _triple_is_two_connected)
@@ -118,21 +119,32 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
     return deficiency(best), VertexSet(SIDE_X, best[0])
 
 
-#: the walk order of each (|X|, size), built when a walk first reaches that
-#: size: (A, x1, x2, x3) for triples, (A, A - max(A), max(A)) above them
+#: the walk orders held, by (|X|, size): (A, x1, x2, x3) for triples,
+#: (A, A - max(A), max(A)) above them.  An order longer than _ORDER_ROWS is
+#: generated afresh by each walk, so an early stop builds none of it; a
+#: shorter one is held, and the cache is emptied first if it would not fit.
 _ORDERS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+_ORDER_ROWS = 1 << 16
 
 
-def _order(nx: int, size: int) -> tuple[tuple[int, ...], ...]:
+def _order(nx: int, size: int) -> Iterable[tuple[int, ...]]:
     order = _ORDERS.get((nx, size))
-    if order is None:
-        rows = []
-        for combo in combinations(range(1, nx + 1), size):
-            amask = sum(1 << i for i in combo)
-            rows.append((amask, *combo) if size == 3
-                        else (amask, amask ^ 1 << combo[-1], combo[-1]))
-        order = _ORDERS[nx, size] = tuple(rows)
-    return order
+    if order is None and comb(nx, size) <= _ORDER_ROWS:
+        if comb(nx, size) + sum(map(len, _ORDERS.values())) > _ORDER_ROWS:
+            _ORDERS.clear()
+        order = _ORDERS[nx, size] = tuple(_rows(nx, size))
+    return _rows(nx, size) if order is None else order
+
+
+def _rows(nx: int, size: int) -> Iterator[tuple[int, ...]]:
+    if size == 3:
+        for i, j, k in combinations(range(1, nx + 1), 3):
+            yield 1 << i | 1 << j | 1 << k, i, j, k
+        return
+    for amask in map(sum, combinations([1 << i for i in range(1, nx + 1)],
+                                       size)):
+        x = amask.bit_length() - 1
+        yield amask, amask ^ 1 << x, x
 
 
 def _subsets(g: Bigraph) -> Iterator[tuple[int, int]]:
@@ -150,9 +162,7 @@ def _subsets(g: Bigraph) -> Iterator[tuple[int, int]]:
     nx = g.x_count
     covers: dict[int, tuple[int, int]] = {}
     for amask, i, j, k in _order(nx, 3):
-        a = x_adj[i]
-        b = x_adj[j]
-        c = x_adj[k]
+        a, b, c = x_adj[i], x_adj[j], x_adj[k]
         ab = a | b
         twice = a & b | ab & c
         covers[amask] = ab | c, twice

@@ -14,15 +14,15 @@ path: each X-vertex left needs two unused Y-neighbors, and the unused
 Y-vertices with two neighbors in the fold must outnumber the X-vertices
 left.  At the root the ends coincide and that test is |N^(A)| >= |A|, so
 there is no separate pre-check.  ``is_k_cyclic`` and ``is_super_cyclic``
-share one subset loop, which walks subset masks and hands each to
-``find_based_cycle`` as a ``VertexSet``.
+share one subset loop over the condition's walk, ``condition._order``,
+which lists each base above a triple with its lex prefix A - max(A).
 
-Over several sizes, each cycle found certifies bases one size up: if it
-runs x_i y_i x_{i+1} on A and an X-vertex x off it has distinct neighbors
-y' of x_i and y'' of x_{i+1}, each unused or y_i, then y' x y'' in place of
-y_i is a cycle based on A + x (``_insert``), and the DFS skips A + x.  Every
-skipped base has a real cycle, so the first base without one, by size and
-then lex order, still meets the DFS.
+Over several sizes, each base is first offered its lex prefix's cycle: if
+that cycle runs x_i y_i x_{i+1} on A - max(A) and x = max(A) has distinct
+neighbors y' of x_i and y'' of x_{i+1}, each unused or y_i, then y' x y''
+in place of y_i is a cycle based on A (``_insert``), and the DFS skips A.
+Every skipped base has a real cycle, so the first base without one, by
+size and then lex order, still meets the DFS.
 
 Triples need no DFS.  A cycle x1 y1 x2 y2 x3 y3 is a system of distinct
 representatives of p = N(x1) & N(x2), q = N(x2) & N(x3) and
@@ -43,13 +43,13 @@ an ear and keeps the graph 2-connected; the cycle's three ys make
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
-                      incidence_graph, _Record, _blocks, _local_adjacency,
+                      incidence_graph, _Record, _adjacency_masks, _blocks,
                       _require_x_subset)
 from .bitset import iter_bits
+from .condition import _order
 from .errors import CapacityError, InputError
 from .reports import CheckReport
 
@@ -230,11 +230,11 @@ def is_super_cyclic(g: Bigraph) -> CheckReport:
 
     Vacuously true when |X| <= 2.  On failure the witness is minimal:
     smallest size first, lexicographically first within that size.  A base
-    A + x is taken without search when x fits into a cycle found on A
-    between consecutive x_i, x_{i+1}, through two distinct common neighbors
-    that are off that cycle or equal to y_i.  That cycle is real, so only
-    bases that carry a cycle are skipped, and the witness is the one a
-    search of every base would give.
+    A of size >= 4 is taken without search when x = max(A) fits into the
+    cycle held for A - max(A) between consecutive x_i, x_{i+1}, through two
+    distinct common neighbors that are off that cycle or equal to y_i.
+    That cycle is real, so only bases that carry a cycle are skipped, and
+    the witness is the one a search of every base would give.
     """
     return _check_bases(g, "super_cyclic", range(3, g.x_count + 1),
                         "trivial: |X| <= 2" if g.x_count <= 2 else "")
@@ -245,33 +245,27 @@ def _check_bases(g: Bigraph, check: str, sizes: Sequence[int],
     """Pass iff every X-subset whose size is in ``sizes`` carries a based
     cycle; the witness is the first one without, by size then lex order.
 
-    ``certified`` maps each base of the current size that some smaller
-    cycle extends to (by ``_insert``) to that cycle; only the other bases
-    reach the DFS.  When size + 1 is in ``sizes`` too, every base's cycle is
-    offered each X-vertex outside it to certify bases one size up.
+    The bases come in ``condition._order``.  Above the first size, a base A
+    is certified by one ``_insert`` of max(A) into the cycle kept for its
+    lex prefix A - max(A); only the bases it fails, and those of the first
+    size, reach the DFS.  The last size's cycles are not kept.
     """
     x_adj = g.x_adj
-    bits = [1 << x for x in g.x_indices()]
-    certified: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    below: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None = None
     for size in sizes:
-        grow = size + 1 in sizes
-        above: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for amask in map(sum, combinations(bits, size)):
-            cycle = certified.get(amask)
-            if cycle is None:
-                a = VertexSet(SIDE_X, amask)
+        level = {} if size != sizes[-1] else None
+        for row in _order(g.x_count, size):
+            cycle = below and _insert(x_adj, *below[row[1]], row[2])
+            if not cycle:
+                a = VertexSet(SIDE_X, row[0])
                 found = find_based_cycle(g, a)
                 if found is None:
                     return CheckReport(check, False, witness=a,
                                        detail=f"no cycle based on {a}")
                 cycle = found.xs, found.ys
-            if grow:
-                for b in bits:
-                    if not b & amask and amask | b not in above:
-                        got = _insert(x_adj, *cycle, b.bit_length() - 1)
-                        if got is not None:
-                            above[amask | b] = got
-        certified = above
+            if level is not None:
+                level[row[0]] = cycle
+        below = level
     return CheckReport(check, True, detail=detail)
 
 
@@ -325,23 +319,19 @@ def longest_cycle_length(g: Bigraph) -> int:
     that bound.  Graphs whose cyclic blocks hold more than ELIGIBLE_CAP
     vertices in total are refused.
     """
-    adj = _local_adjacency(g)
-    cyclic_blocks = [b for b in _blocks(adj) if len(b) >= 3]
+    masks = _adjacency_masks(g)
+    cyclic_blocks = [b for b in _blocks(masks) if len(b) >= 3]
     eligible = sum(len(b) for b in cyclic_blocks)
     if eligible > ELIGIBLE_CAP:
         raise CapacityError(
             f"{eligible} cycle-eligible vertices exceed the cap of "
             f"{ELIGIBLE_CAP}; the exact search would not finish at desk scale")
-    # whole-graph masks, numbered as _local_adjacency numbers the vertices
-    nx = g.x_count
-    masks = [g.x_adj[x] >> 1 << nx for x in g.x_indices()] + \
-        [g.y_adj[y] >> 1 for y in g.y_indices()]
     best = 0
     for block in sorted(cyclic_blocks, key=len, reverse=True):
         if len(block) <= best:
             break
         best = _longest_cycle_in_block(masks, sum(1 << v for v in block),
-                                       (1 << nx) - 1, best)
+                                       (1 << g.x_count) - 1, best)
     return best
 
 

@@ -88,7 +88,7 @@ def write_stream(graphs: Iterable[Graph]) -> str:
 
 
 def _parse_record(lines: list[str]) -> Graph:
-    body = [ln for ln in lines if not ln.startswith("c")]
+    body = [ln for ln in lines if ln.split(maxsplit=1)[0] != "c"]
     if not body:
         raise FormatError("record has no p line")
     head = body[0].split()

@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
                       reduce_to_superneighborhood, super_neighborhood, _cover)
 from .bitset import full_mask, indices_of, iter_bits, mask_of
-from .classify import find_critical_core, is_critical, is_saturated, is_y_minimal
+from .classify import (YMIN_EDGE_CAP, find_critical_core, is_critical,
+                       is_saturated, is_y_minimal)
 from .condition import check_condition, degree_hypothesis, min_deficiency
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
 from .errors import InputError, SupercyclicError
@@ -443,7 +444,7 @@ def audit_critical_properties(g: Bigraph) -> VerificationReport:
         violations.append(Violation(check, gtxt, witness))
 
     sat = is_saturated(g)
-    ym = is_y_minimal(g, "exhaustive" if g.edge_count <= 20
+    ym = is_y_minimal(g, "exhaustive" if g.edge_count <= YMIN_EDGE_CAP
                       else "one_deletion")
     notes = [f"gate saturated: {str(sat.passed).lower()}",
              f"gate y_minimal: {str(ym.passed).lower()}"

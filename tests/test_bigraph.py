@@ -20,8 +20,8 @@ from supercyclic import (
     reduce_to_superneighborhood,
     super_neighborhood,
 )
-from supercyclic.bigraph import (SIDE_X, SIDE_Y, _blocks,
-                                 _local_adjacency, _triple_is_two_connected)
+from supercyclic.bigraph import (SIDE_X, SIDE_Y, _adjacency_masks, _blocks,
+                                 _triple_is_two_connected)
 from supercyclic.bitset import full_mask
 
 from oracles import (
@@ -203,7 +203,7 @@ def test_two_connected_matches_bruteforce(g):
 @given(bigraphs(max_x=5, max_y=5))
 def test_blocks_partition_edges_into_two_connected_pieces(g):
     n, adj = flat_adjacency(g)
-    blocks = _blocks([sorted(a) for a in adj])
+    blocks = _blocks([sum(1 << w for w in a) for a in adj])
     # every edge lies inside exactly one block
     for x, y in g.edges():
         u, v = x - 1, g.x_count + y - 1
@@ -232,7 +232,7 @@ def test_triple_rule_matches_blocks_on_all_81_count_vectors():
         x_mask = full_mask(3)
         y_mask = super_neighborhood(g, g.x_full).mask
         assert y_mask == full_mask(g.y_count)
-        blocks = _blocks(_local_adjacency(g))
+        blocks = _blocks(_adjacency_masks(g))
         by_dfs = len(blocks) == 1 and len(blocks[0]) == 3 + g.y_count
         assert _triple_is_two_connected(g.x_adj, x_mask, y_mask) == by_dfs, \
             counts

@@ -82,6 +82,12 @@ def test_check_rejects_malformed_input(monkeypatch, capsys):
     assert code == 2 and "duplicate edge" in err
 
 
+def test_check_rejects_unknown_tag(monkeypatch, capsys):
+    code, out, err = run(monkeypatch, capsys, ["check"],
+                         "p bigraph 3 3\ne 1 1\ncat 2 2\ne 3 3\n")
+    assert code == 2 and out == "" and "cat 2 2" in err
+
+
 def test_cycle_found_and_absent(monkeypatch, capsys):
     code, out, _ = run(monkeypatch, capsys, ["cycle", "--base", "1,2,3"],
                        serialize(C6))

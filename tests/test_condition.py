@@ -20,6 +20,7 @@ from supercyclic import (
     degree_hypothesis,
     is_super_cyclic,
     min_deficiency,
+    random_bigraph,
 )
 
 from oracles import (condition_bruteforce, first_condition_failure,
@@ -172,6 +173,40 @@ def test_condition_at_large_x_builds_only_the_triple_order(monkeypatch):
     rep = check_condition(g, "kim")
     assert str(rep.connectivity_witness) == "X{1,2,3}"
     assert list(condition._ORDERS) == [(40, 3)]
+
+
+def test_order_cache_stays_under_its_row_bound(monkeypatch):
+    monkeypatch.setattr(condition, "_ORDERS", {})
+    monkeypatch.setattr(condition, "_ORDER_ROWS", 60)
+    assert check_condition(complete_bipartite(8, 8)).passed
+    # (8, 3) has 56 rows and is held; (8, 4) has 70, more than the bound, so
+    # it is generated and never held; (8, 5) and (8, 6) would each pass the
+    # bound, so each empties the cache before it is held
+    assert sorted(condition._ORDERS) == [(8, 6), (8, 7), (8, 8)]
+    assert sum(map(len, condition._ORDERS.values())) <= 60
+
+
+def test_order_cache_keeps_small_orders_across_x_sizes(monkeypatch):
+    # a Y-minimality scan walks induced subgraphs whose |X| changes from
+    # one subset to the next; their orders stay held, not rebuilt per switch
+    monkeypatch.setattr(condition, "_ORDERS", {})
+    for n in (6, 4, 5, 6):
+        assert check_condition(complete_bipartite(n, n)).passed
+    assert sorted(condition._ORDERS) == \
+        [(n, size) for n in (4, 5, 6) for size in range(3, n + 1)]
+
+
+def test_walk_is_the_same_whether_orders_are_held_or_generated(monkeypatch):
+    rng = random.Random(1414)
+    graphs = [random_bigraph(nx, rng.randint(nx - 1, nx + 2), 2,
+                             rng.randrange(1 << 30))
+              for nx in (6, 7, 8) for _ in range(10)]
+    held = [(list(condition._subsets(g)), is_super_cyclic(g)) for g in graphs]
+    monkeypatch.setattr(condition, "_ORDERS", {})
+    monkeypatch.setattr(condition, "_ORDER_ROWS", 0)
+    assert [(list(condition._subsets(g)), is_super_cyclic(g))
+            for g in graphs] == held
+    assert condition._ORDERS == {}
 
 
 def test_condition_runs_no_block_search(monkeypatch, corpus_4_5):

@@ -22,9 +22,10 @@ from supercyclic import (
     longest_cycle_length,
     random_bigraph,
 )
-from supercyclic import cycles
+from supercyclic import condition, cycles
 from supercyclic.bigraph import SIDE_X
 from supercyclic.cycles import _insert
+from supercyclic.verifier import _repair_to_boundary
 
 from oracles import (cycle_survey, insertion_exists,
                      is_two_connected_bruteforce, least_based_cycle,
@@ -398,3 +399,110 @@ def test_super_cyclic_runs_the_dfs_on_triples_of_complete_graphs(monkeypatch):
     calls.clear()
     assert is_k_cyclic(complete_bipartite(6, 8), 4).passed
     assert len(calls) == 15
+
+
+def test_k_cyclic_at_large_x_stops_at_its_first_base(monkeypatch):
+    # x4..x40 are isolated, so the first 10-base has no cycle: the walk must
+    # answer there, making one row of the C(40, 10) ~ 8.5e8 of that size
+    made = []
+    rows = condition._rows
+
+    def counted(nx, size):
+        for row in rows(nx, size):
+            made.append(row[0])
+            assert len(made) < 100, "the walk built rows past its first base"
+            yield row
+
+    monkeypatch.setattr(condition, "_rows", counted)
+    monkeypatch.setattr(condition, "_ORDERS", {})
+    g = Bigraph(40, 3, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
+    rep = is_k_cyclic(g, 10)
+    assert not rep.passed and rep.witness.mask == (1 << 11) - 2
+    assert made == [(1 << 11) - 2] and condition._ORDERS == {}
+
+
+class _PrefixReferee:
+    """``is_super_cyclic`` with its prefix certificates refereed.
+
+    Each base A of size >= 4 that the walk reaches makes exactly one
+    ``_insert``, of max(A) into a real cycle on A - max(A), and every cycle
+    that call returns is a real cycle based on exactly A.
+    """
+
+    def __init__(self, monkeypatch):
+        self.g = None
+        self.row = 0
+        self.walked = []    # the bases of size >= 4 the walk reached
+        self.inserted = []  # the base each _insert call certifies
+        self.refused = 0
+        order, insert = cycles._order, cycles._insert
+
+        def walk(nx, size):
+            for row in order(nx, size):
+                self.row = row[0]
+                if size >= 4:
+                    self.walked.append(row[0])
+                yield row
+
+        def refereed(x_adj, xs, ys, x):
+            amask = self.row
+            assert x == amask.bit_length() - 1
+            BaseCycle(xs, ys).validate_in(self.g)
+            assert sum(1 << v for v in xs) == amask ^ 1 << x
+            self.inserted.append(amask)
+            got = insert(x_adj, xs, ys, x)
+            if got is None:
+                self.refused += 1
+            else:
+                grown = BaseCycle(*got)
+                grown.validate_in(self.g)
+                assert grown.base.mask == amask
+            return got
+
+        monkeypatch.setattr(cycles, "_order", walk)
+        monkeypatch.setattr(cycles, "_insert", refereed)
+
+    def report(self, g):
+        self.g = g
+        self.walked.clear()
+        self.inserted.clear()
+        rep = is_super_cyclic(g)
+        assert self.inserted == self.walked, str(g)
+        return rep
+
+
+def test_prefix_certificates_on_every_4_x_class(monkeypatch, corpus_4_5):
+    referee = _PrefixReferee(monkeypatch)
+    for g in corpus_4_5:
+        referee.report(g)
+    assert referee.refused
+
+
+def test_prefix_certificates_on_seeded_graphs(monkeypatch):
+    referee = _PrefixReferee(monkeypatch)
+    rng = random.Random(4068)
+    for _ in range(40):
+        nx = rng.randint(6, 8)
+        g = random_bigraph(nx, rng.randint(nx - 1, nx + 2), rng.randint(2, 4),
+                           rng.randrange(1 << 30))
+        referee.report(g)
+    assert referee.refused
+
+
+def test_prefix_certificates_on_hunt_boundary_graphs(monkeypatch):
+    # the hunt's repair leaves graphs of deficiency 0, on which inserting
+    # max(A) into the prefix's cycle fails most often
+    referee = _PrefixReferee(monkeypatch)
+    boundary = 0
+    for seed in range(1, 200):
+        rng = random.Random(seed)
+        ny = rng.randint(3, 8)
+        g = _repair_to_boundary(random_bigraph(6, ny, min(2, ny),
+                                               rng.randrange(1 << 30)), rng)
+        if g is None:
+            continue
+        referee.report(g)
+        boundary += 1
+        if boundary == 30:
+            break
+    assert boundary == 30 and referee.refused

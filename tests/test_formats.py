@@ -64,6 +64,14 @@ def test_parse_rejects(bad):
         parse_graph(bad)
 
 
+def test_comment_is_the_c_token_alone():
+    # a line whose first token merely starts with c is an unknown tag
+    with pytest.raises(FormatError, match="cat 2 2"):
+        parse_graph("p bigraph 3 3\ne 1 1\ncat 2 2\ne 3 3\n")
+    g = parse_bigraph("c\np bigraph 3 3\ne 1 1\nc text\nc\te 2 2\ne 3 3\n")
+    assert g == Bigraph(3, 3, [(1, 1), (3, 3)])
+
+
 def test_kind_mismatch():
     with pytest.raises(FormatError):
         parse_bigraph("p hgraph 2 0\n")
