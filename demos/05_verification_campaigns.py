@@ -1,7 +1,8 @@
 """Desk-scale verification campaigns and the counterexample hunt.
 
 Every campaign walks the canonical enumeration (or seeded random trials),
-so its machine report is byte-identical across reruns and worker counts.
+cut where the campaign's hypothesis fails for every class below, so its
+machine report is byte-identical across reruns and worker counts.
 Checkpoints make long runs resumable; this demo uses a throwaway file.
 """
 

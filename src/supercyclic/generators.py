@@ -17,20 +17,42 @@ stay below the guard, so fields never borrow; a field loses its guard bit
 iff sigma beats cols.  A child adds one precomputed int and is canonical iff
 every guard bit survives, exactly as sorting decides: the stream is unchanged.
 
-With a minimum X-degree d, each x also gets a field above the sigma fields
-holding ``guard + ny_max - d - (columns so far that miss x)``: its degree
-plus the columns still to come, less d.  A column that misses x subtracts
-one from that field inside the same precomputed int, so a child whose x can
-no longer reach degree d loses that guard bit and is cut by the same mask.
-Every prefix of a node in the cut walk is in it too, so it emits exactly the
-nodes of the full walk at which no x is short yet, in the same order.
+Cuts go in a second, small int, the slack pack, tested before the
+canonicity add so that a child it rejects never touches the large pack.
+Each field is ``digit + 1`` bits wide with a guard bit on top, where
+``digit = ny_max.bit_length()``, and holds ``guard + ny_max - threshold -
+(columns so far that do not serve it)``: how many columns serve it, plus
+the columns still to come, less its threshold.  A column that does not
+serve a field subtracts one from it inside the same precomputed int, and a
+child is cut when any guard bit is lost.  There are three kinds of field:
+
+- with a minimum X-degree d, one per x, threshold d, served by the columns
+  that contain x;
+- with ``condition``, one per A in X with |A| >= 3, threshold |A|, served by
+  the columns c with |c & A| >= 2: their count is |N^(A)|;
+- with ``condition``, one per triple T and x in T, threshold 2, served by
+  the columns that contain x and at least two vertices of T: their count
+  is the degree of x in H_T = G[T union N^(T)].
+
+Why the cut is sound: a column either serves a field, adding one to its
+count and using up one column to come, or does not and only uses one up,
+so no field's slack ever grows down the tree.  At and below a node where a
+field's slack is negative, every class has count < threshold, as no
+columns to come are left there.  A degree field then leaves an x of
+degree below d.  A size field gives |N^(A)| < |A|.  A triple field leaves
+x with at most one neighbor in H_T, which has at least the three vertices
+of T, so x is isolated or hangs on a cut vertex, H_T is not 2-connected,
+and the neighborhood condition fails too.  Since slack never grows, every
+ancestor of a node whose fields are all non-negative is walked, so the cut
+walk emits exactly the nodes of the full walk at which every field is
+still non-negative, in the same order.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, prod
 from typing import Iterator
 
@@ -81,42 +103,40 @@ def complete_bipartite(nx: int, ny: int) -> Bigraph:
                             for y in range(1, ny + 1)))
 
 
-def enumerate_bigraphs(nx: int, ny_max: int,
-                       min_x_degree: int = 0) -> Iterator[Bigraph]:
+def enumerate_bigraphs(nx: int, ny_max: int, min_x_degree: int = 0,
+                       condition: bool = False) -> Iterator[Bigraph]:
     """All bigraphs with |X| = nx and |Y| <= ny_max, one per isomorphism
     class (isomorphism respects the bipartition and may permute both sides).
 
     Deterministic order: depth-first by appending Y-columns in nondecreasing
     bitmask order, emitting a graph at every canonical node, smallest |Y|
     first along each branch.  With ``min_x_degree`` d > 0 the walk cuts
-    every node where some x has degree plus columns left below d, so it
-    skips only classes with an X-degree below d; the graphs it emits keep
-    the full stream's order, and callers still filter them as they need.
+    every node where some x has degree plus columns left below d; with
+    ``condition`` it also cuts every node below which every class fails the
+    neighborhood condition (module docstring).  It skips only such classes,
+    the graphs it emits keep the full stream's order, and callers still
+    filter them as they need.
     """
     _check_sizes(nx, ny_max)
-    if nx and ny_max < min_x_degree:
-        return
+    fields = _slack_fields(nx, min_x_degree, condition)
+    if any(threshold > ny_max for threshold, _ in fields):
+        return  # the empty graph is cut, and with it the whole tree
     guard, steps = _canonicity_steps(nx, ny_max)
-    pack = guard
-    if min_x_degree > 0:
-        # one slack field per x above the sigma fields (module docstring)
-        digit = ny_max.bit_length()  # 1 << digit exceeds every slack value
-        unit = [1 << (guard.bit_length() + (digit + 1) * x) for x in range(nx)]
-        steps = [s - sum(u for x, u in enumerate(unit) if not c >> x & 1)
-                 for c, s in enumerate(steps)]
-        guard += sum(unit) << digit
-        pack = guard + (ny_max - min_x_degree) * sum(unit)
+    slack_guard, root, spends = _slack_pack(nx, ny_max, fields)
 
-    def walk(cols: tuple[int, ...], last: int, pack: int) -> Iterator[Bigraph]:
+    def walk(cols: tuple[int, ...], last: int, pack: int,
+             slack: int) -> Iterator[Bigraph]:
         yield _bigraph_from_columns(nx, cols)
         if len(cols) == ny_max:
             return
         for c in range(last, len(steps)):
-            child = pack + steps[c]
-            if child & guard == guard:
-                yield from walk(cols + (c,), c, child)
+            left = slack + spends[c]
+            if left & slack_guard == slack_guard:
+                child = pack + steps[c]
+                if child & guard == guard:
+                    yield from walk(cols + (c,), c, child, left)
 
-    yield from walk((), 0, pack)
+    yield from walk((), 0, guard, root)
 
 
 def expected_class_count(nx: int, ny_max: int) -> int:
@@ -193,6 +213,39 @@ def _canonicity_steps(nx: int, ny_max: int) -> tuple[int, list[int]]:
                  b"".join(map(block.__getitem__, column)), "little")
              for c, column in enumerate(zip(*images))]
     return rep << digit * ncols, steps
+
+
+def _slack_fields(nx: int, min_x_degree: int,
+                  condition: bool) -> list[tuple[int, set[int]]]:
+    """The threshold of each slack field and the columns that serve it."""
+    cols = range(1 << nx)
+    bits = [1 << x for x in range(nx)]
+    fields = []
+    if min_x_degree > 0:
+        fields += [(min_x_degree, {c for c in cols if c & x}) for x in bits]
+    if condition:
+        for size in range(3, nx + 1):
+            for a in map(sum, combinations(bits, size)):
+                pairs = {c for c in cols if (c & a).bit_count() >= 2}
+                fields.append((size, pairs))
+                if size == 3:
+                    fields += [(2, {c for c in pairs if c & x})
+                               for x in bits if a & x]
+    return fields
+
+
+def _slack_pack(nx: int, ny_max: int, fields: list[tuple[int, set[int]]]
+                ) -> tuple[int, int, list[int]]:
+    """The guard bits, the root's pack, and per column c what appending c
+    adds to the pack: minus one in each field that c does not serve."""
+    width = ny_max.bit_length() + 1
+    units = [1 << width * i for i in range(len(fields))]
+    guard = sum(units) << width - 1
+    pack = guard + sum((ny_max - threshold) * unit
+                       for (threshold, _), unit in zip(fields, units))
+    spends = [-sum(unit for (_, serves), unit in zip(fields, units)
+                   if c not in serves) for c in range(1 << nx)]
+    return guard, pack, spends
 
 
 def _bigraph_from_columns(nx: int, cols: tuple[int, ...]) -> Bigraph:

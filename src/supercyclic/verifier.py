@@ -101,7 +101,9 @@ class VerificationReport(NamedTuple):
 class HuntConfig:
     """Parameters of a counterexample hunt.
 
-    Exhaustive mode walks the canonical enumeration (generator caps apply).
+    Exhaustive mode walks the canonical enumeration (generator caps apply),
+    cut at every node below which every class fails the neighborhood
+    condition.
     Random mode runs ``trials`` independent seeded attempts: a random graph
     with the requested minimum X-degree is pushed toward the boundary of
     the neighborhood condition (deficiency 0) by local edge repairs, then
@@ -134,15 +136,22 @@ class HuntConfig:
 def verify_k_cyclic(nx: int, ny_max: int, k: int, *, jobs: int = 1,
                     checkpoint: CheckpointConfig | None = None,
                     progress: Progress | None = None) -> VerificationReport:
-    """Every enumerated condition-satisfying graph must be k-cyclic."""
+    """Every enumerated condition-satisfying graph must be k-cyclic.
+
+    The walk cuts every subtree whose classes all fail the condition, and
+    evaluates only the rest.  The report still counts all
+    ``expected_class_count(nx, ny_max)`` classes: those cut fail the
+    hypothesis by proof.  A checkpoint holds the position in the cut
+    stream.
+    """
     if not 3 <= k <= nx:
         raise InputError(f"need 3 <= k <= nx, got k={k}, nx={nx}")
     params = (("nx", str(nx)), ("ny_max", str(ny_max)), ("k", str(k)))
     return _drive("verify-k-cyclic", params,
-                  lambda: enumerate_bigraphs(nx, ny_max),
+                  lambda: enumerate_bigraphs(nx, ny_max, condition=True),
                   partial(_eval_k_cyclic, k),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
-                  length=expected_class_count(nx, ny_max))
+                  length=expected_class_count(nx, ny_max), stream="condition")
 
 
 def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
@@ -161,7 +170,7 @@ def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
                   lambda: enumerate_bigraphs(nx, ny_max, nx),
                   _eval_degree,
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
-                  length=expected_class_count(nx, ny_max), pruned=True)
+                  length=expected_class_count(nx, ny_max), stream="pruned")
 
 
 def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
@@ -171,14 +180,17 @@ def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
 
     A hit is a finding, not an error: the report carries the graph, the
     failing base, the extracted critical core, and labeled audits of the
-    hit graph, its degree-reduced form, and the core.
+    hit graph, its degree-reduced form, and the core.  The exhaustive
+    mode walks the cut stream of ``verify_k_cyclic``.
     """
     if config.mode == "exhaustive":
         return _drive("hunt", config.parameters(),
-                      lambda: enumerate_bigraphs(config.nx, config.ny_max),
+                      lambda: enumerate_bigraphs(config.nx, config.ny_max,
+                                                 condition=True),
                       _eval_hunt_graph,
                       jobs=jobs, checkpoint=checkpoint, progress=progress,
-                      length=expected_class_count(config.nx, config.ny_max))
+                      length=expected_class_count(config.nx, config.ny_max),
+                      stream="condition")
     return _drive("hunt", config.parameters(),
                   lambda: iter(range(config.trials)),
                   partial(_hunt_trial, config),
@@ -190,29 +202,32 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
            items_factory: Callable[[], Iterator], evaluate,
            *, jobs: int, checkpoint: CheckpointConfig | None,
            progress: Progress | None, length: int,
-           pruned: bool = False) -> VerificationReport:
+           stream: str = "") -> VerificationReport:
     """Evaluate the stream in order and count what it examined.
 
     ``length`` is what the stream stands for: the Burnside count of the
     classes of an enumerated stream, or the trials of a random hunt.  An
-    uncut stream must yield exactly that many; any other count is a fault
-    of the walk and raises RuntimeError, which the CLI reports as an
-    internal error.  A cut stream (``pruned``) yields fewer, and the report
-    gives ``length`` as examined.  Its checkpoints and progress lines count
-    the cut stream, and their key says so, so that neither kind of
-    checkpoint resumes the other kind of stream.
+    uncut stream must yield exactly that many.  A cut stream, named by its
+    ``stream`` tag, yields at most that many, and the report gives
+    ``length`` as examined.  Any other count is a fault of the walk and
+    raises RuntimeError, which the CLI reports as an internal error.  The
+    checkpoints and progress lines of a cut stream count its positions,
+    and the tag ends the checkpoint key, so that no checkpoint resumes a
+    stream other than the one that wrote it.
 
     A checkpoint is written once before the first item, so that a path that
     cannot be written fails the campaign before any work is done.  A
-    checkpoint whose counts the stream cannot hold is refused before then.
+    checkpoint whose counts the stream cannot hold is refused before then:
+    resuming walks the stream up to the checkpoint's position, evaluating
+    nothing, and a complete checkpoint walks it to the end.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     key = ";".join(f"{k}={v}" for k, v in parameters)
     unit = ""
-    if pruned:
-        key += ";stream=pruned"
+    if stream:
+        key += f";stream={stream}"
         unit = f" (positions in the cut stream; {length} classes in all)"
     examined = 0
     checked = 0
@@ -221,14 +236,15 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     def assemble() -> VerificationReport:
         return VerificationReport(
             campaign=campaign, parameters=tuple(parameters),
-            graphs_examined=length if pruned else examined,
+            graphs_examined=length if stream else examined,
             graphs_checked=checked, violations=tuple(violations),
             deterministic=True, elapsed_seconds=time.perf_counter() - start)
 
+    items = items_factory()
     if checkpoint is not None:
         state = load_checkpoint(checkpoint.path, campaign, key)
         if state is not None:
-            _refuse_impossible(checkpoint, state, length, pruned)
+            _refuse_impossible(checkpoint, state, length, stream, items)
             examined, checked = state.examined, state.checked
             violations = [Violation(*v) for v in state.violations]
             if state.complete:
@@ -242,9 +258,6 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
 
     if checkpoint is not None:
         save(False)
-    items = items_factory()
-    if examined:
-        items = islice(items, examined, None)
 
     def consume(results: Iterable[tuple[bool, Violation | None]]) -> None:
         nonlocal examined, checked
@@ -266,23 +279,24 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
             consume(pool.imap(evaluate, items, chunksize=16))
     else:
         consume(map(evaluate, items))
-    if not pruned and examined != length:
-        raise RuntimeError(f"the enumeration yielded {examined} graphs where "
-                           f"the Burnside count is {length}")
+    if examined > length or not stream and examined != length:
+        raise RuntimeError(f"the stream yielded {examined} items, but it "
+                           f"stands for {length}")
     if checkpoint is not None:
         save(True)
     return assemble()
 
 
 def _refuse_impossible(checkpoint: CheckpointConfig, state: CheckpointState,
-                       length: int, pruned: bool) -> None:
+                       length: int, stream: str, items: Iterator) -> None:
     """Raise InputError when a checkpoint's counts cannot come from a run
     of a stream that stands for ``length`` items; a cut stream yields at
-    most that many."""
+    most that many, and only ``items`` tells how many.  Once the counts are
+    plausible, skip the ``examined`` items the checkpoint has done."""
     examined, checked = state.examined, state.checked
     if examined > length:
         why = f"examined={examined} exceeds the {length} items of the stream"
-    elif state.complete and not pruned and examined != length:
+    elif state.complete and not stream and examined != length:
         why = (f"it is complete at examined={examined}, but the stream has "
                f"{length} items")
     elif checked > examined:
@@ -290,6 +304,11 @@ def _refuse_impossible(checkpoint: CheckpointConfig, state: CheckpointState,
     elif len(state.violations) > checked:
         why = (f"its {len(state.violations)} violations exceed "
                f"checked={checked}")
+    elif (skipped := sum(1 for _ in islice(items, examined))) < examined:
+        why = f"examined={examined} is past the {skipped} items of the stream"
+    elif state.complete and next(items, None) is not None:
+        why = (f"it is complete at examined={examined}, but the stream goes "
+               f"on")
     else:
         return
     raise InputError(f"checkpoint {checkpoint.path}: {why}; "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import factorial
+from typing import Iterator
 
 from supercyclic import Bigraph, Hypergraph
 
@@ -147,6 +148,24 @@ def min_deficiency_bruteforce(g: Bigraph) -> tuple[int, tuple[int, ...]]:
 def condition_bruteforce(g: Bigraph) -> bool:
     """The neighborhood condition evaluated straight from its statement."""
     return first_condition_failure(g, "full") is None
+
+
+def condition_slacks(nx: int, ny_max: int,
+                     cols: tuple[int, ...]) -> Iterator[int]:
+    """The condition cut's slack fields at the graph with Y-columns
+    ``cols`` (bit i is x_{i+1}), straight from their formulas, with
+    ``ny_max - |Y|`` columns still to come: |N^(A)| + left - |A| for each A
+    in X with |A| >= 3, and for each triple T and x in T, the neighbors of
+    x in N^(T), plus left, less 2."""
+    left = ny_max - len(cols)
+    for size in range(3, nx + 1):
+        for a in combinations([1 << x for x in range(nx)], size):
+            amask = sum(a)
+            nh = [c for c in cols if (c & amask).bit_count() >= 2]
+            yield len(nh) + left - size
+            if size == 3:
+                for x in a:
+                    yield sum(1 for c in nh if c & x) + left - 2
 
 
 def least_based_cycle(g: Bigraph, base: tuple[int, ...]

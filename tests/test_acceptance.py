@@ -225,3 +225,18 @@ def test_criterion_12_degree_theorem_at_the_cap():
                    f"(Burnside count {want}), {rep.graphs_checked} met both "
                    f"hypotheses, {len(rep.violations)} violations "
                    f"in {dt:.1f}s")
+
+
+def test_criterion_13_k_cyclic_at_the_cap():
+    # the walk cuts every subtree whose classes all fail the condition;
+    # the report still counts every class, and checks the same 7,460
+    t0 = time.perf_counter()
+    rep = verify_k_cyclic(6, 6, 3)
+    dt = time.perf_counter() - t0
+    want = expected_class_count(6, 6)
+    ok = (rep.confirmed and rep.graphs_examined == want == 283_880
+          and rep.graphs_checked == 7_460 and dt < 10.0)
+    record(13, ok, f"(6, <=6), k=3: {rep.graphs_examined} classes covered "
+                   f"(Burnside count {want}), {rep.graphs_checked} met the "
+                   f"condition, {len(rep.violations)} violations "
+                   f"in {dt:.1f}s")

@@ -312,7 +312,8 @@ def test_checkpoint_every_zero_is_an_input_error(monkeypatch, capsys,
 
 
 GOOD_CHECKPOINT = ("checkpoint=1\ncampaign=verify-k-cyclic\n"
-                   "key=nx=3;ny_max=3;k=3\nexamined=5\nchecked=2\n"
+                   "key=nx=3;ny_max=3;k=3;stream=condition\n"
+                   "examined=5\nchecked=2\n"
                    "complete=0\nviolations=1\nviolation.0.check=c\n"
                    "violation.0.graph=g\nviolation.0.witness=w\n"
                    "violation.0.extra=\n")
@@ -355,15 +356,43 @@ def test_full_stream_degree_checkpoint_is_refused(monkeypatch, capsys,
     assert err.startswith("error:") and "refusing to resume" in err
 
 
+@pytest.mark.parametrize("campaign, complete", [
+    (["verify", "kcyclic", "--nx", "3", "--ny-max", "4", "--k", "3"], "0"),
+    (["verify", "kcyclic", "--nx", "3", "--ny-max", "4", "--k", "3"], "1"),
+    (["hunt", "--nx", "3", "--ny-max", "4"], "0"),
+])
+def test_full_stream_condition_checkpoint_is_refused(monkeypatch, capsys,
+                                                     tmp_path, campaign,
+                                                     complete):
+    # written before these campaigns cut their stream: its position counts
+    # every class, so resuming from it would skip the wrong prefix
+    name, key = {"verify": ("verify-k-cyclic", "nx=3;ny_max=4;k=3"),
+                 "hunt": ("hunt", "mode=exhaustive;nx=3;ny_max=4")}[campaign[0]]
+    path = tmp_path / "old.ckpt"
+    path.write_text(f"checkpoint=1\ncampaign={name}\nkey={key}\n"
+                    f"examined=40\nchecked=0\ncomplete={complete}\n"
+                    f"violations=0\n")
+    code, out, err = run(monkeypatch, capsys,
+                         campaign + ["--checkpoint", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "refusing to resume" in err
+
+
 KCYCLIC_333 = ["verify", "kcyclic", "--nx", "3", "--ny-max", "3", "--k", "3"]
 RANDOM_HUNT = ["hunt", "--nx", "4", "--ny-max", "4", "--random",
                "--trials", "5"]
 
 
+DEGREE_45 = ["verify", "degree", "--nx", "4", "--ny-max", "5"]
+
+
 @pytest.mark.parametrize("campaign, counts, why", [
-    # the (3, <=3) stream has 54 classes; the random hunt has 5 trials
+    # the (3, <=3) stream stands for 54 classes in 10 cut positions; the
+    # (4, <=5) degree stream for 1485 in 50; the random hunt has 5 trials
     (KCYCLIC_333, "examined=5\nchecked=0\ncomplete=1\nviolations=0",
-     "it is complete at examined=5, but the stream has 54 items"),
+     "it is complete at examined=5, but the stream goes on"),
+    (KCYCLIC_333, "examined=20\nchecked=0\ncomplete=0\nviolations=0",
+     "examined=20 is past the 10 items of the stream"),
     (KCYCLIC_333, "examined=999999\nchecked=0\ncomplete=0\nviolations=0",
      "examined=999999 exceeds the 54 items of the stream"),
     (RANDOM_HUNT, "examined=999\nchecked=5000\ncomplete=0\nviolations=0",
@@ -376,12 +405,17 @@ RANDOM_HUNT = ["hunt", "--nx", "4", "--ny-max", "4", "--random",
      "violation.0.check=c\nviolation.0.graph=g\nviolation.0.witness=w",
      "its 1 violations exceed checked=0"),
     # a cut stream may end early, but not after the classes it stands for
-    (["verify", "degree", "--nx", "4", "--ny-max", "5"],
-     "examined=2000\nchecked=0\ncomplete=1\nviolations=0",
+    (DEGREE_45, "examined=2000\nchecked=0\ncomplete=1\nviolations=0",
      "examined=2000 exceeds the 1485 items of the stream"),
-], ids=["complete-short", "past-the-classes", "past-the-trials",
-        "complete-short-of-the-trials", "checked-past-examined",
-        "violations-past-checked", "cut-stream-past-the-classes"])
+    (DEGREE_45, "examined=5\nchecked=0\ncomplete=1\nviolations=0",
+     "it is complete at examined=5, but the stream goes on"),
+    (DEGREE_45, "examined=51\nchecked=0\ncomplete=1\nviolations=0",
+     "examined=51 is past the 50 items of the stream"),
+], ids=["complete-short", "past-the-cut-stream", "past-the-classes",
+        "past-the-trials", "complete-short-of-the-trials",
+        "checked-past-examined", "violations-past-checked",
+        "cut-stream-past-the-classes", "cut-stream-complete-short",
+        "complete-past-the-cut-stream"])
 def test_checkpoint_counts_the_stream_cannot_hold_exit_2(
         monkeypatch, capsys, tmp_path, campaign, counts, why):
     evaluated = []
@@ -389,7 +423,7 @@ def test_checkpoint_counts_the_stream_cannot_hold_exit_2(
         monkeypatch.setattr(verifier, name,
                             lambda *args: evaluated.append(args))
     cli_name, key = {
-        "kcyclic": ("verify-k-cyclic", "nx=3;ny_max=3;k=3"),
+        "kcyclic": ("verify-k-cyclic", "nx=3;ny_max=3;k=3;stream=condition"),
         "degree": ("verify-degree-theorem", "nx=4;ny_max=5;stream=pruned"),
         "hunt": ("hunt", "mode=random;nx=4;ny_max=4;seed=0;trials=5;"
                          "min_x_degree=2"),
@@ -433,26 +467,49 @@ def test_unwritable_checkpoint_fails_before_any_item(monkeypatch, capsys,
     assert repr(path) in err and ".tmp" not in err
 
 
+@pytest.mark.parametrize("campaign", [RANDOM_HUNT,
+                                      RANDOM_HUNT + ["--jobs", "2"]])
+def test_campaign_that_loses_a_class_is_an_internal_error(monkeypatch, capsys,
+                                                          campaign):
+    # only the random hunt's stream still has a known length: its trials
+    drive = verifier._drive
+
+    def drop_one(name, parameters, items_factory, *args, **kwargs):
+        def items():
+            stream = items_factory()
+            next(stream)
+            return stream
+        return drive(name, parameters, items, *args, **kwargs)
+
+    code, out, _ = run(monkeypatch, capsys, campaign + ["--format", "machine"])
+    assert code == 0 and "graphs_examined=5\n" in out
+    monkeypatch.setattr(verifier, "_drive", drop_one)
+    code, out, err = run(monkeypatch, capsys, campaign)
+    assert code == 3 and out == ""
+    assert err == ("internal error: RuntimeError: the stream yielded 4 "
+                   "items, but it stands for 5\n")
+
+
 @pytest.mark.parametrize("campaign", [
     ["verify", "kcyclic", "--nx", "3", "--ny-max", "4", "--k", "3"],
     ["hunt", "--nx", "3", "--ny-max", "4"],
 ])
-def test_campaign_that_loses_a_class_is_an_internal_error(monkeypatch, capsys,
-                                                          campaign):
+def test_cut_stream_with_an_extra_class_is_an_internal_error(monkeypatch,
+                                                             capsys, campaign):
+    # a cut stream may end early, but never after the classes it stands for
     enumerate_all = verifier.enumerate_bigraphs
 
-    def drop_one(*args):
-        stream = enumerate_all(*args)
-        next(stream)
-        return stream
+    def one_extra(nx, ny_max, *cuts, **named_cuts):
+        yield from enumerate_all(nx, ny_max)  # every class, none cut
+        yield next(enumerate_all(nx, ny_max))
 
     code, out, _ = run(monkeypatch, capsys, campaign + ["--format", "machine"])
     assert code == 0 and "graphs_examined=141\n" in out
-    monkeypatch.setattr(verifier, "enumerate_bigraphs", drop_one)
+    monkeypatch.setattr(verifier, "enumerate_bigraphs", one_extra)
     code, out, err = run(monkeypatch, capsys, campaign)
     assert code == 3 and out == ""
-    assert err == ("internal error: RuntimeError: the enumeration yielded "
-                   "140 graphs where the Burnside count is 141\n")
+    assert err == ("internal error: RuntimeError: the stream yielded 142 "
+                   "items, but it stands for 141\n")
 
 
 @pytest.mark.parametrize("case", ["checkpoint-missing-dir",

@@ -25,9 +25,12 @@ from oracles import (
     bigraph_to_columns,
     burnside_class_count,
     canonicity_steps_bytewise,
+    condition_bruteforce,
+    condition_slacks,
     orbit_canonical,
     orbit_representatives,
     orderly_columns,
+    super_neighborhood_naive,
 )
 
 
@@ -128,6 +131,46 @@ def test_degree_cut_stream_is_the_full_stream_filtered(nx, top):
                 for x in range(nx))]
             got = [_columns(g) for g in enumerate_bigraphs(nx, ny_max, d)]
             assert got == want, (ny_max, d)
+
+
+@pytest.mark.parametrize("nx, top", [(0, 6), (1, 6), (2, 6), (3, 6),
+                                     (4, 6), (5, 6), (6, 5)])
+def test_condition_cut_stream_is_the_full_stream_filtered(nx, top):
+    # a node survives iff every slack field, computed from its columns by
+    # the oracle's formulas, is still non-negative; every class the cut
+    # drops fails the condition; at (6, <=5) the cut walks nothing
+    dropped = set()
+    for ny_max in range(top + 1):
+        full = list(enumerate_bigraphs(nx, ny_max))
+        keep = [all(s >= 0 for s in condition_slacks(nx, ny_max, _columns(g)))
+                for g in full]
+        dropped.update(g for g, kept in zip(full, keep) if not kept)
+        want = [_columns(g) for g, kept in zip(full, keep) if kept]
+        got = [_columns(g)
+               for g in enumerate_bigraphs(nx, ny_max, condition=True)]
+        assert got == want, ny_max
+    if nx < 6:
+        assert not any(map(condition_bruteforce, dropped))
+    else:
+        # the cut drops every class, as |Y| <= 5 < |X|, so each one fails
+        # the size clause at A = X; that is checked by brute force, where
+        # condition_bruteforce would first test every triple of all 32,270
+        # classes for 2-connectivity by vertex deletion
+        assert not want and len(dropped) == expected_class_count(6, 5)
+        assert all(len(super_neighborhood_naive(g, tuple(range(1, 7)))) < 6
+                   for g in dropped)
+
+
+def test_condition_cut_with_a_degree_cut_keeps_both_fields(nx=4, ny_max=5):
+    full = list(enumerate_bigraphs(nx, ny_max))
+    for d in range(ny_max + 2):
+        want = [_columns(g) for g in full
+                if all(s >= 0 for s in condition_slacks(nx, ny_max,
+                                                        _columns(g)))
+                and min(m.bit_count() for m in g.x_adj[1:]) + ny_max
+                - g.y_count >= d]
+        got = [_columns(g) for g in enumerate_bigraphs(nx, ny_max, d, True)]
+        assert got == want, d
 
 
 def test_degree_cut_returns_before_building_the_table(monkeypatch):

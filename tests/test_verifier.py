@@ -81,13 +81,13 @@ def test_degree_campaign_counts():
     assert rep.graphs_checked == 1
 
 
-def _full_stream_degree_report(nx, ny_max):
-    """The degree campaign's report as the full stream, cut nowhere, gives
-    it through the same per-graph evaluator."""
-    results = list(map(verifier._eval_degree, enumerate_bigraphs(nx, ny_max)))
+def _full_stream_report(campaign, parameters, evaluate, nx, ny_max):
+    """A campaign's report as the full stream, cut nowhere, gives it through
+    the same per-graph evaluator."""
+    results = list(map(evaluate, enumerate_bigraphs(nx, ny_max)))
     return VerificationReport(
-        "verify-degree-theorem", (("nx", str(nx)), ("ny_max", str(ny_max))),
-        len(results), sum(checked for checked, _ in results),
+        campaign, parameters, len(results),
+        sum(checked for checked, _ in results),
         tuple(v for _, v in results if v is not None), True, 0.0).to_machine()
 
 
@@ -95,10 +95,31 @@ def _full_stream_degree_report(nx, ny_max):
                                      (4, 6), (5, 6), (6, 5)])
 def test_degree_campaign_report_equals_full_stream_report(nx, top):
     for ny_max in range(top + 1):
-        want = _full_stream_degree_report(nx, ny_max)
+        want = _full_stream_report(
+            "verify-degree-theorem",
+            (("nx", str(nx)), ("ny_max", str(ny_max))),
+            verifier._eval_degree, nx, ny_max)
         for jobs in (1, 2):
             got = verify_degree_theorem(nx, ny_max, jobs=jobs).to_machine()
             assert got == want, (ny_max, jobs)
+
+
+@pytest.mark.parametrize("nx, ny_max", [(3, 3), (3, 4), (3, 5), (4, 5),
+                                        (4, 6)])
+def test_condition_cut_campaign_reports_equal_full_stream_reports(nx, ny_max):
+    sizes = (("nx", str(nx)), ("ny_max", str(ny_max)))
+    for k in range(3, nx + 1):
+        want = _full_stream_report(
+            "verify-k-cyclic", sizes + (("k", str(k)),),
+            partial(verifier._eval_k_cyclic, k), nx, ny_max)
+        for jobs in (1, 2):
+            got = verify_k_cyclic(nx, ny_max, k, jobs=jobs).to_machine()
+            assert got == want, (k, jobs)
+    config = HuntConfig(nx, ny_max)
+    want = _full_stream_report("hunt", config.parameters(),
+                               verifier._eval_hunt_graph, nx, ny_max)
+    for jobs in (1, 2):
+        assert hunt_counterexample(config, jobs=jobs).to_machine() == want
 
 
 def test_campaigns_are_worker_count_independent():
@@ -128,22 +149,19 @@ def test_checkpoint_resume_complete(tmp_path):
 
 def test_checkpoint_resume_partial(tmp_path):
     path = tmp_path / "partial.ckpt"
-    # fabricate the state a run would have after 60 graphs
-    prefix_checked = 0
-    for i, g in enumerate(enumerate_bigraphs(3, 4)):
-        if i == 60:
-            break
-        if check_condition(g, "kim").passed:
-            prefix_checked += 1
+    key = "nx=3;ny_max=4;k=3;stream=condition"
+    # fabricate the state a run would have after 30 graphs of the cut stream
+    stream = list(enumerate_bigraphs(3, 4, condition=True))
+    prefix_checked = sum(check_condition(g, "kim").passed
+                         for g in stream[:30])
     save_checkpoint(str(path), CheckpointState(
-        "verify-k-cyclic", "nx=3;ny_max=4;k=3", 60, prefix_checked,
-        False, ()))
+        "verify-k-cyclic", key, 30, prefix_checked, False, ()))
     resumed = verify_k_cyclic(3, 4, 3,
                               checkpoint=CheckpointConfig(str(path)))
     assert resumed.to_machine() == verify_k_cyclic(3, 4, 3).to_machine()
-    # and the file now records completion
-    state = load_checkpoint(str(path), "verify-k-cyclic", "nx=3;ny_max=4;k=3")
-    assert state.complete and state.examined == 141
+    # and the file now records completion, at the cut stream's end
+    state = load_checkpoint(str(path), "verify-k-cyclic", key)
+    assert state.complete and state.examined == len(stream) == 46
 
 
 class _Stop(Exception):
@@ -154,12 +172,13 @@ class _Stop(Exception):
 @pytest.mark.parametrize("claim", ["degree", "kcyclic"])
 def test_stopped_campaign_resumes_byte_identical(monkeypatch, tmp_path,
                                                  claim, every):
-    # the degree campaign walks the cut stream: 2,169 of 14,078 classes
+    # both walk a cut stream: 2,169 of 14,078 classes for the degree
+    # campaign, 1,444 of 4,735 for the k-cyclic one
     name, campaign, stream_length = {
         "degree": ("_eval_degree", lambda cfg: verify_degree_theorem(
             4, 7, checkpoint=cfg), 2169),
         "kcyclic": ("_eval_k_cyclic", lambda cfg: verify_k_cyclic(
-            4, 5, 3, checkpoint=cfg), 1485),
+            4, 6, 3, checkpoint=cfg), 1444),
     }[claim]
     want = campaign(None).to_machine()
     evaluate = getattr(verifier, name)
@@ -194,11 +213,13 @@ def test_stopped_campaign_resumes_byte_identical(monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("claim", ["degree", "kcyclic"])
 def test_progress_lines_say_what_they_count(tmp_path, claim):
-    campaign, unit, checked = {
-        "degree": (partial(verify_degree_theorem, 4, 7),
-                   " (positions in the cut stream; 14078 classes in all)", 164),
-        "kcyclic": (partial(verify_k_cyclic, 3, 8, 3), "", 683),
+    # both cut streams of (4, <=7) stand for 14,078 classes; the k-cyclic
+    # one has 5,686 positions, so it prints a line at 4000 as well
+    campaign, checked = {
+        "degree": (partial(verify_degree_theorem, 4, 7), [164]),
+        "kcyclic": (partial(verify_k_cyclic, 4, 7, 3), [1021, 2136]),
     }[claim]
+    unit = " (positions in the cut stream; 14078 classes in all)"
 
     def stop(msg):
         raise _Stop
@@ -208,8 +229,9 @@ def test_progress_lines_say_what_they_count(tmp_path, claim):
         campaign(checkpoint=cfg, progress=stop)
     lines = []
     campaign(checkpoint=cfg, progress=lines.append)
-    assert lines == [f"resuming after 1500 graphs{unit}",
-                     f"2000 examined{unit}, {checked} checked, 0 violations"]
+    assert lines == [f"resuming after 1500 graphs{unit}"] + [
+        f"{2000 * i} examined{unit}, {n} checked, 0 violations"
+        for i, n in enumerate(checked, 1)]
 
 
 def test_complete_cut_checkpoint_reports_every_class(monkeypatch, tmp_path):
@@ -220,11 +242,17 @@ def test_complete_cut_checkpoint_reports_every_class(monkeypatch, tmp_path):
     assert state.complete
     assert state.examined == len(list(enumerate_bigraphs(4, 7, 4))) == 2169
 
-    def no_walk(*args):
-        raise AssertionError("a complete checkpoint walked the stream")
+    def no_evaluation(*args):
+        raise AssertionError("a complete checkpoint evaluated a class")
 
-    monkeypatch.setattr(verifier, "enumerate_bigraphs", no_walk)
+    # it walks the cut stream to its end, to know the count is the stream's
+    walked = []
+    enumerate_all = verifier.enumerate_bigraphs
+    monkeypatch.setattr(verifier, "_eval_degree", no_evaluation)
+    monkeypatch.setattr(verifier, "enumerate_bigraphs", lambda *args: (
+        walked.append(g) or g for g in enumerate_all(*args)))
     again = verify_degree_theorem(4, 7, checkpoint=cfg)
+    assert len(walked) == 2169
     assert again.graphs_examined == expected_class_count(4, 7) == 14078
     assert again.to_machine() == first.to_machine()
 
