@@ -235,7 +235,8 @@ def _cmd_gen(args) -> int:
                   for i in range(args.count)]
     else:  # enum
         graphs = (g for g in enumerate_bigraphs(args.nx, args.ny_max,
-                                                args.min_x_degree)
+                                                args.min_x_degree,
+                                                args.filter is not None)
                   if g.min_x_degree >= args.min_x_degree
                   and (not g.y_count or g.min_y_degree >= args.min_y_degree)
                   and (not args.filter or check_condition(g, "kim").passed))

@@ -83,7 +83,6 @@ def crossings(g: Bigraph, c: BaseCycle, u: int, v: int) -> CrossingReport:
         raise InputError("both pair vertices must be X-vertices of the cycle")
     if u == v:
         raise InputError("crossing pairs must be distinct")
-    maps = successor_maps(c)
     l = c.half_length
     pu, pv = pos[u], pos[v]
     dv = (pv - pu) % l
@@ -92,8 +91,7 @@ def crossings(g: Bigraph, c: BaseCycle, u: int, v: int) -> CrossingReport:
         if w == u or w == v:
             continue
         dw = (pos[w] - pu) % l
-        yp = maps.y_plus[(SIDE_X, w)]
-        ym = maps.y_minus[(SIDE_X, w)]
+        yp, ym = c.ys[pos[w]], c.ys[pos[w] - 1]
         if dw < dv:  # cyclic order u, w, v
             crossed = g.has_edge(u, yp) and g.has_edge(v, ym)
         else:  # cyclic order u, v, w

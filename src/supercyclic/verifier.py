@@ -148,7 +148,7 @@ def verify_k_cyclic(nx: int, ny_max: int, k: int, *, jobs: int = 1,
         raise InputError(f"need 3 <= k <= nx, got k={k}, nx={nx}")
     params = (("nx", str(nx)), ("ny_max", str(ny_max)), ("k", str(k)))
     return _drive("verify-k-cyclic", params,
-                  lambda: enumerate_bigraphs(nx, ny_max, condition=True),
+                  enumerate_bigraphs(nx, ny_max, condition=True),
                   partial(_eval_k_cyclic, k),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
                   length=expected_class_count(nx, ny_max), stream="condition")
@@ -167,7 +167,7 @@ def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
     """
     params = (("nx", str(nx)), ("ny_max", str(ny_max)))
     return _drive("verify-degree-theorem", params,
-                  lambda: enumerate_bigraphs(nx, ny_max, nx),
+                  enumerate_bigraphs(nx, ny_max, nx),
                   _eval_degree,
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
                   length=expected_class_count(nx, ny_max), stream="pruned")
@@ -185,21 +185,21 @@ def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
     """
     if config.mode == "exhaustive":
         return _drive("hunt", config.parameters(),
-                      lambda: enumerate_bigraphs(config.nx, config.ny_max,
-                                                 condition=True),
+                      enumerate_bigraphs(config.nx, config.ny_max,
+                                         condition=True),
                       _eval_hunt_graph,
                       jobs=jobs, checkpoint=checkpoint, progress=progress,
                       length=expected_class_count(config.nx, config.ny_max),
                       stream="condition")
     return _drive("hunt", config.parameters(),
-                  lambda: iter(range(config.trials)),
+                  iter(range(config.trials)),
                   partial(_hunt_trial, config),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
                   length=config.trials)
 
 
 def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
-           items_factory: Callable[[], Iterator], evaluate,
+           items: Iterator, evaluate,
            *, jobs: int, checkpoint: CheckpointConfig | None,
            progress: Progress | None, length: int,
            stream: str = "") -> VerificationReport:
@@ -240,7 +240,6 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
             graphs_checked=checked, violations=tuple(violations),
             deterministic=True, elapsed_seconds=time.perf_counter() - start)
 
-    items = items_factory()
     if checkpoint is not None:
         state = load_checkpoint(checkpoint.path, campaign, key)
         if state is not None:

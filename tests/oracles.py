@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from supercyclic import Bigraph, Hypergraph
 
@@ -68,51 +68,52 @@ def super_neighborhood_naive(g: Bigraph, subset: tuple[int, ...]) -> list[int]:
     return out
 
 
-def is_two_connected_bruteforce(g: Bigraph) -> bool:
-    n, adj = flat_adjacency(g)
-    if n < 3:
-        return False
+def _reach(adj, start: int, blocked: set[int]) -> set[int]:
+    """Flat vertices reachable from ``start`` without entering ``blocked``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
-    def connected(avoid: int | None) -> bool:
-        verts = [v for v in range(n) if v != avoid]
-        if not verts:
-            return True
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w != avoid and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
 
-    return connected(None) and all(connected(v) for v in range(n))
+def is_two_connected_bruteforce(g: Bigraph, xs: Iterable[int] | None = None,
+                                ys: Iterable[int] | None = None) -> bool:
+    """2-connectivity of G[xs + ys] (the whole graph by default): at least
+    three vertices, and deleting any one leaves the rest connected.  With
+    three or more vertices that also makes G[xs + ys] itself connected."""
+    xs = g.x_indices() if xs is None else xs
+    ys = g.y_indices() if ys is None else ys
+    adj = {v: set() for v in [x - 1 for x in xs] +
+           [g.x_count + y - 1 for y in ys]}
+    for x, y in g.edges():
+        u, v = x - 1, g.x_count + y - 1
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    return len(adj) >= 3 and all(
+        len(_reach(adj, min(adj.keys() - {v}), {v})) == len(adj) - 1
+        for v in adj)
 
 
 def cut_vertices_bruteforce(g: Bigraph) -> set[int]:
     """Flat vertices whose removal leaves more components than before."""
     n, adj = flat_adjacency(g)
 
-    def components(avoid: int | None) -> int:
-        seen: set[int] = set()
+    def components(blocked: set[int]) -> int:
+        seen = set(blocked)
         count = 0
         for s in range(n):
-            if s == avoid or s in seen:
-                continue
-            count += 1
-            seen.add(s)
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w != avoid and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+            if s not in seen:
+                count += 1
+                seen |= _reach(adj, s, blocked)
         return count
 
-    whole = components(None)
-    return {v for v in range(n) if components(v) > whole}
+    whole = components(set())
+    return {v for v in range(n) if components({v}) > whole}
 
 
 def first_condition_failure(g: Bigraph,
@@ -128,9 +129,7 @@ def first_condition_failure(g: Bigraph,
                 return "size", a
             if mode == "kim" and size > 3:
                 continue
-            xm = sum(1 << x for x in a)
-            ym = sum(1 << y for y in nh)
-            if not is_two_connected_bruteforce(g.induced(xm, ym).graph):
+            if not is_two_connected_bruteforce(g, a, nh):
                 return "conn", a
     return None
 
@@ -253,15 +252,7 @@ def min_vertex_cut_bruteforce(g: Bigraph, x: int,
     for size in range(len(others) + 1):
         for removal in combinations(others, size):
             removed = set(removal)
-            seen = {root}
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in removed and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if not seen & (targets - removed):
+            if not _reach(adj, root, removed) & (targets - removed):
                 return size
     return len(others)
 
@@ -343,20 +334,6 @@ def bigraph_to_columns(g: Bigraph) -> tuple[int, ...]:
                  for y in range(1, g.y_count + 1))
 
 
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        count += 1
-        v = s
-        while not seen[v]:
-            seen[v] = True
-            v = perm[v]
-    return count
-
-
 def _perm_power(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
     out = list(range(len(perm)))
     for _ in range(k):
@@ -411,7 +388,7 @@ def burnside_class_count(nx: int, k: int) -> int:
     prod over column-cycles c of 2^(cycles of sigma^len(c)) matrices."""
     total = 0
     for sigma in permutations(range(nx)):
-        fixed_cols = {c: 2 ** _cycle_count(_perm_power(sigma, c))
+        fixed_cols = {c: 2 ** len(_cycle_lengths(_perm_power(sigma, c)))
                       for c in range(1, k + 1)}
         for tau in permutations(range(k)):
             prod = 1

@@ -211,9 +211,9 @@ def test_blocks_partition_edges_into_two_connected_pieces(g):
     for b in blocks:
         assert len(set(b)) == len(b) >= 2
         if len(b) >= 3:
-            xm = sum(1 << (v + 1) for v in b if v < g.x_count)
-            ym = sum(1 << (v - g.x_count + 1) for v in b if v >= g.x_count)
-            assert is_two_connected_bruteforce(g.induced(xm, ym).graph)
+            xs = [v + 1 for v in b if v < g.x_count]
+            ys = [v - g.x_count + 1 for v in b if v >= g.x_count]
+            assert is_two_connected_bruteforce(g, xs, ys)
     # the cut vertices are exactly the vertices shared by two blocks
     shared = {v for v in range(n) if sum(v in b for b in blocks) >= 2}
     assert shared == cut_vertices_bruteforce(g)
@@ -247,7 +247,8 @@ def test_triple_rule_matches_bruteforce_on_every_y_mask(g):
         xm = sum(1 << x for x in xs)
         for ym in range(0, full_mask(g.y_count) + 1, 2):
             assert _triple_is_two_connected(g.x_adj, xm, ym) == \
-                is_two_connected_bruteforce(g.induced(xm, ym).graph)
+                is_two_connected_bruteforce(
+                    g, xs, [y for y in g.y_indices() if ym >> y & 1])
 
 
 def test_induced_remaps_indices():

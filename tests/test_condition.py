@@ -102,25 +102,18 @@ def test_condition_witness_is_first_failure_in_walk_order(g):
         assert witness is not None and witness.members == a
 
 
-def _mask(indices):
-    return sum(1 << i for i in indices)
-
-
-def _two_connected_with_superneighborhood(g, a):
-    nh = super_neighborhood_naive(g, a)
-    return is_two_connected_bruteforce(g.induced(_mask(a), _mask(nh)).graph)
-
-
 @given(bigraphs(min_x=4, max_x=7, max_y=7))
 @settings(max_examples=300)
 def test_triples_passing_make_every_larger_subset_two_connected(g):
     # the lemma that lets check_condition test 2-connectivity on triples only
     good = {t for t in combinations(g.x_indices(), 3)
-            if _two_connected_with_superneighborhood(g, t)}
+            if is_two_connected_bruteforce(g, t,
+                                           super_neighborhood_naive(g, t))}
     for size in range(4, g.x_count + 1):
         for a in combinations(g.x_indices(), size):
             if all(t in good for t in combinations(a, 3)):
-                assert _two_connected_with_superneighborhood(g, a), a
+                nh = super_neighborhood_naive(g, a)
+                assert is_two_connected_bruteforce(g, a, nh), a
 
 
 def test_witness_is_first_failure_at_larger_x():
