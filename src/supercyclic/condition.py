@@ -26,8 +26,9 @@ stops at the first failing A, so its witness is minimal in that order, and
 constant amount of work per subset: a triple's N^ comes from its three
 neighborhoods, and a larger A's from the cover of its lex prefix
 A - max(A), one size down, folded with one more neighborhood the way
-``bigraph._cover`` folds.  ``cycles._check_bases`` walks the same rows,
-``_order``, whose cache holds a bounded number of them.
+``bigraph._cover`` folds.  ``cycles`` walks the same rows, ``_order``, for
+its triples and for the single size of ``is_k_cyclic``; the cache holds a
+bounded number of them.
 """
 
 from __future__ import annotations

@@ -13,25 +13,33 @@ each node in one fold over the X-vertices left and the two ends of the
 path: each X-vertex left needs two unused Y-neighbors, and the unused
 Y-vertices with two neighbors in the fold must outnumber the X-vertices
 left.  At the root the ends coincide and that test is |N^(A)| >= |A|, so
-there is no separate pre-check.  ``is_k_cyclic`` and ``is_super_cyclic``
-share one subset loop over the condition's walk, ``condition._order``,
-which lists each base above a triple with its lex prefix A - max(A).
+there is no separate pre-check.
 
-Over several sizes, each base is first offered its lex prefix's cycle: if
-that cycle runs x_i y_i x_{i+1} on A - max(A) and x = max(A) has distinct
-neighbors y' of x_i and y'' of x_{i+1}, each unused or y_i, then y' x y''
-in place of y_i is a cycle based on A (``_insert``), and the DFS skips A.
-Every skipped base has a real cycle, so the first base without one, by
-size and then lex order, still meets the DFS.
+``is_super_cyclic`` certifies its bases on masks, prefix by prefix, and
+builds no ``VertexSet`` or ``BaseCycle`` for a base that has a cycle.  A
+certificate is plain data, (A, xs, ys, used) with ``used`` the mask of the
+ys.  The triples come in the condition's walk, ``condition._order``, and
+are decided in closed form.  Each larger base A = P + x is reached from the
+certificate of its lex prefix P = A - max(A), with x from max(P) + 1 to
+|X|, which is the lex order of its size.  If P's cycle runs x_i y_i x_{i+1}
+and x has distinct neighbors y' of x_i and y'' of x_{i+1}, each unused or
+y_i, then y' x y'' in place of y_i is a cycle based on A; only the bases
+this insertion refuses reach the DFS.  Every skipped base has a real cycle,
+so the first base without one, by size and then lex order, still meets the
+DFS.  A certificate is built only for a base that a larger base extends,
+one below the last size with max(A) < |X|; every other base is only tested.
+``is_k_cyclic`` decides k = 3 by the same triple loop and runs the DFS on
+each base for k >= 4.
 
 Triples need no DFS.  A cycle x1 y1 x2 y2 x3 y3 is a system of distinct
 representatives of p = N(x1) & N(x2), q = N(x2) & N(x3) and
-r = N(x3) & N(x1), so ``find_based_cycle`` picks the ys in two nested
-low-bit loops (``_triple_cycle``).  Lemma: a triple T carries a based cycle
-iff |N^(T)| >= 3 and H = G[T + N^(T)] is 2-connected.  Forward: the union
-p | q | r is N^(T), so it has at least three ys.  By the closed
-form of ``bigraph._triple_is_two_connected``, H is 2-connected iff t >= 2
-or t + k >= 3, where t ys see all of T and k pairs have a y of their own.
+r = N(x3) & N(x1), so ``_triple_cycle`` picks the ys in two nested low-bit
+loops, for ``find_based_cycle`` and the walk alike.  Lemma: a triple T
+carries a based cycle iff |N^(T)| >= 3 and H = G[T + N^(T)] is
+2-connected.  Forward: the union p | q | r is N^(T), so it has at least
+three ys.  By the closed form of ``bigraph._triple_is_two_connected``, H is
+2-connected iff t >= 2 or t + k >= 3, where t ys see all of T and k pairs
+have a y of their own.
 Then each of p, q, r is non-empty (t >= 1, or else k = 3), and each union
 of two has two ys (t >= 2; or t = 1 and, with k >= 2, a private y of one of
 the two pairs; or t = 0 and two private ys).  That is Hall's condition, so
@@ -42,8 +50,6 @@ an ear and keeps the graph 2-connected; the cycle's three ys make
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
                       incidence_graph, _Record, _adjacency_masks, _blocks,
@@ -143,7 +149,8 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
     if len(a) == 3:
         rest = a.mask ^ 1 << x1
         x2 = (rest & -rest).bit_length() - 1
-        return _triple_cycle(x_adj, x1, x2, (rest ^ 1 << x2).bit_length() - 1)
+        cert = _triple_cycle(x_adj, x1, x2, (rest ^ 1 << x2).bit_length() - 1)
+        return None if cert is None else BaseCycle(*cert[:2])
     xs, ys = [x1], []
 
     def dfs(last: int, rem: int, free: int) -> bool:
@@ -190,12 +197,12 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
     return BaseCycle(tuple(xs), tuple(ys))
 
 
-def _triple_cycle(x_adj: tuple[int, ...], x1: int, x2: int,
-                  x3: int) -> BaseCycle | None:
-    """The least-interleaved cycle based on {x1 < x2 < x3}, or None: the
-    least y1 of N(x1) & N(x2), then y2 of N(x2) & N(x3) - y1, that leaves
-    some y3 of N(x3) & N(x1) - {y1, y2}, taking that least y3; then the
-    same over (x1, x3, x2)."""
+def _triple_cycle(x_adj: tuple[int, ...], x1: int, x2: int, x3: int
+                  ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """The least-interleaved cycle based on {x1 < x2 < x3} as (xs, ys,
+    mask of ys), or None: the least y1 of N(x1) & N(x2), then y2 of
+    N(x2) & N(x3) - y1, that leaves some y3 of N(x3) & N(x1) - {y1, y2},
+    taking that least y3; then the same over (x1, x3, x2)."""
     n1, n2, n3 = x_adj[x1], x_adj[x2], x_adj[x3]
     for xs, p, q, r in (((x1, x2, x3), n1 & n2, n2 & n3, n3 & n1),
                         ((x1, x3, x2), n1 & n3, n3 & n2, n2 & n1)):
@@ -208,9 +215,9 @@ def _triple_cycle(x_adj: tuple[int, ...], x1: int, x2: int,
                 m ^= y2
                 close = r & ~(y1 | y2)
                 if close:
-                    return BaseCycle(xs, (y1.bit_length() - 1,
-                                          y2.bit_length() - 1,
-                                          (close & -close).bit_length() - 1))
+                    y3 = close & -close
+                    return xs, (y1.bit_length() - 1, y2.bit_length() - 1,
+                                y3.bit_length() - 1), y1 | y2 | y3
     return None
 
 
@@ -218,87 +225,129 @@ def is_k_cyclic(g: Bigraph, k: int) -> CheckReport:
     """Does every k-subset of X carry a based cycle?
 
     Subsets are scanned in lexicographic order, so a failure witness is the
-    lexicographically first k-subset without a based cycle.
+    lexicographically first k-subset without a based cycle.  Triples are
+    decided in closed form; every larger base is one ``find_based_cycle``.
     """
     if not 3 <= k <= g.x_count:
         raise InputError(f"k must be in 3..|X|, got k={k} with |X|={g.x_count}")
-    return _check_bases(g, "k_cyclic", (k,), f"k={k}")
+    if k == 3:
+        return _check_bases(g, "k_cyclic", 3, "k=3")
+    for row in _order(g.x_count, k):
+        if find_based_cycle(g, VertexSet(SIDE_X, row[0])) is None:
+            return _no_cycle("k_cyclic", row[0])
+    return CheckReport("k_cyclic", True, detail=f"k={k}")
 
 
 def is_super_cyclic(g: Bigraph) -> CheckReport:
     """Does every X-subset of size >= 3 carry a based cycle?
 
     Vacuously true when |X| <= 2.  On failure the witness is minimal:
-    smallest size first, lexicographically first within that size.  A base
-    A of size >= 4 is taken without search when x = max(A) fits into the
-    cycle held for A - max(A) between consecutive x_i, x_{i+1}, through two
-    distinct common neighbors that are off that cycle or equal to y_i.
-    That cycle is real, so only bases that carry a cycle are skipped, and
-    the witness is the one a search of every base would give.
+    smallest size first, lexicographically first within that size.  The
+    triples are decided in closed form; a base A of size >= 4 is taken
+    without search when x = max(A) fits into the cycle held for A - max(A)
+    between consecutive x_i, x_{i+1}, through two distinct common neighbors
+    that are off that cycle or equal to y_i.  That cycle is real, so only
+    bases that carry a cycle are skipped, and the witness is the one a
+    search of every base would give.
     """
-    return _check_bases(g, "super_cyclic", range(3, g.x_count + 1),
-                        "trivial: |X| <= 2" if g.x_count <= 2 else "")
+    nx = g.x_count
+    return _check_bases(g, "super_cyclic", nx,
+                        "trivial: |X| <= 2" if nx <= 2 else "")
 
 
-def _check_bases(g: Bigraph, check: str, sizes: Sequence[int],
+#: a held certificate: (A, xs, ys, used) for a cycle x_1 y_1 ... x_l y_l
+#: based on exactly A, with ``used`` the mask of its ys
+_Cert = tuple[int, tuple[int, ...], tuple[int, ...], int]
+
+
+def _check_bases(g: Bigraph, check: str, last: int,
                  detail: str) -> CheckReport:
-    """Pass iff every X-subset whose size is in ``sizes`` carries a based
-    cycle; the witness is the first one without, by size then lex order.
+    """Pass iff every X-subset of size 3..``last`` carries a based cycle;
+    the witness is the first one without, by size then lex order.
 
-    The bases come in ``condition._order``.  Above the first size, a base A
-    is certified by one ``_insert`` of max(A) into the cycle kept for its
-    lex prefix A - max(A); only the bases it fails, and those of the first
-    size, reach the DFS.  The last size's cycles are not kept.
+    The triples come in ``condition._order`` and are decided by
+    ``_triple_cycle``.  Each larger size is one ``_grow`` over the
+    certificates held for the size below, which lists its bases in the
+    same order.  A size holds only the bases that some larger base extends:
+    those below the last size with max(A) < |X|.
     """
+    nx = g.x_count
     x_adj = g.x_adj
-    below: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None = None
-    for size in sizes:
-        level = {} if size != sizes[-1] else None
-        for row in _order(g.x_count, size):
-            cycle = below and _insert(x_adj, *below[row[1]], row[2])
-            if not cycle:
-                a = VertexSet(SIDE_X, row[0])
-                found = find_based_cycle(g, a)
-                if found is None:
-                    return CheckReport(check, False, witness=a,
-                                       detail=f"no cycle based on {a}")
-                cycle = found.xs, found.ys
-            if level is not None:
-                level[row[0]] = cycle
-        below = level
+    held: list[_Cert] | None = [] if last > 3 else None
+    for amask, i, j, k in _order(nx, 3):
+        cert = _triple_cycle(x_adj, i, j, k)
+        if cert is None:
+            return _no_cycle(check, amask)
+        if held is not None and k < nx:
+            held.append((amask, *cert))
+    for size in range(4, last + 1):
+        grown: list[_Cert] | None = [] if size < last else None
+        missing = _grow(g, held, grown)
+        if missing:
+            return _no_cycle(check, missing)
+        held = grown
     return CheckReport(check, True, detail=detail)
 
 
-def _insert(x_adj: tuple[int, ...], xs: tuple[int, ...], ys: tuple[int, ...],
-            x: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Extend the cycle (``xs``, ``ys``) through the X-vertex ``x`` not on
-    it, or None.
+def _grow(g: Bigraph, held: list[_Cert], grown: list[_Cert] | None) -> int:
+    """Certify every base one size above the certificates ``held``, which
+    list each base P with max(P) < |X| in lex order; return the mask of the
+    first base without a based cycle, or 0.
 
-    At the first position i where it works, y_i is replaced by y' x y'' with
-    y' in N(x_i) and y'' in N(x_{i+1}), both in N(x), distinct, and each
-    either off the cycle or y_i itself: both candidate sets are non-empty
-    and their union has at least two bits.
+    The bases P + x, for each P in turn and x from max(P) + 1 to |X|, come
+    in lex order.  Each is first offered an insertion: at the first
+    position i where it works, y_i is replaced by y' x y'' with y' in
+    N(x_i) and y'' in N(x_{i+1}), both in N(x), distinct, and each either
+    off the cycle or y_i itself, which holds iff both candidate sets are
+    non-empty and their union has at least two bits.  A base no insertion
+    takes goes to ``find_based_cycle``.  Unless ``grown`` is None, the
+    certificate of each base with x < |X| is appended to it; no other
+    cycle is built.
     """
-    nbr = x_adj[x]
-    used = 0
-    for y in ys:
-        used |= 1 << y
-    free = nbr & ~used
-    l = len(xs)
-    for i in range(l):
-        here = free | nbr & 1 << ys[i]
-        p = x_adj[xs[i]] & here
-        q = x_adj[xs[(i + 1) % l]] & here
-        if not p or not q or (p | q).bit_count() < 2:
-            continue
-        y2 = q & -q
-        y1 = p & ~y2
-        if not y1:
-            y1, y2 = y2, q ^ y2
-        return (xs[:i + 1] + (x,) + xs[i + 1:],
-                ys[:i] + ((y1 & -y1).bit_length() - 1,
-                          (y2 & -y2).bit_length() - 1) + ys[i + 1:])
-    return None
+    x_adj = g.x_adj
+    nx = g.x_count
+    for pmask, xs, ys, used in held:
+        ends = xs[1:] + xs[:1]
+        for x in range(pmask.bit_length(), nx + 1):
+            nbr = x_adj[x]
+            free = nbr & ~used
+            # free is cleared when no position takes x; after a break, i, y,
+            # p and q describe the position that does
+            if free:
+                for i, y in enumerate(ys):
+                    here = free | nbr & 1 << y
+                    p = x_adj[xs[i]] & here
+                    q = x_adj[ends[i]] & here
+                    if p and q and (p | q).bit_count() > 1:
+                        break
+                else:
+                    free = 0
+            if not free:
+                amask = pmask | 1 << x
+                found = find_based_cycle(g, VertexSet(SIDE_X, amask))
+                if found is None:
+                    return amask
+                if grown is not None and x < nx:
+                    grown.append((amask, found.xs, found.ys,
+                                  sum(1 << y for y in found.ys)))
+            elif grown is not None and x < nx:
+                y2 = q & -q
+                y1 = p & ~y2
+                if not y1:
+                    y1, y2 = y2, q ^ y2
+                y1 &= -y1
+                y2 &= -y2
+                grown.append((pmask | 1 << x, xs[:i + 1] + (x,) + xs[i + 1:],
+                              ys[:i] + (y1.bit_length() - 1,
+                                        y2.bit_length() - 1) + ys[i + 1:],
+                              used ^ 1 << y | y1 | y2))
+    return 0
+
+
+def _no_cycle(check: str, amask: int) -> CheckReport:
+    a = VertexSet(SIDE_X, amask)
+    return CheckReport(check, False, witness=a,
+                       detail=f"no cycle based on {a}")
 
 
 def is_super_pancyclic(h: Hypergraph) -> CheckReport:

@@ -57,7 +57,11 @@ def save_checkpoint(path: str | os.PathLike, state: CheckpointState) -> None:
 
 def load_checkpoint(path: str | os.PathLike, campaign: str,
                     key: str) -> CheckpointState | None:
-    """Read a checkpoint; None when the file does not exist yet."""
+    """Read a checkpoint; None when the file does not exist yet.
+
+    A file with a repeated field, or a ``complete=`` other than 0 or 1, is
+    refused: no writer makes one, so it cannot say where a run stopped.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -70,6 +74,8 @@ def load_checkpoint(path: str | os.PathLike, campaign: str,
         k, sep, v = ln.partition("=")
         if not sep:
             raise InputError(f"malformed checkpoint line {ln!r} in {path}")
+        if k in fields:
+            raise InputError(f"checkpoint {path} repeats its {k}= line")
         fields[k] = v
     if fields.get("checkpoint") != "1":
         raise InputError(f"{path} is not a checkpoint file")
@@ -93,6 +99,10 @@ def load_checkpoint(path: str | os.PathLike, campaign: str,
                              f"a nonnegative integer")
         return int(value)
 
+    complete = text("complete")
+    if complete not in ("0", "1"):
+        raise InputError(f"checkpoint {path}: complete={complete!r} is not "
+                         f"0 or 1")
     violations = tuple(
         (text(f"violation.{i}.check"), text(f"violation.{i}.graph"),
          text(f"violation.{i}.witness"),
@@ -101,5 +111,5 @@ def load_checkpoint(path: str | os.PathLike, campaign: str,
     return CheckpointState(
         campaign=campaign, key=key,
         examined=count("examined"), checked=count("checked"),
-        complete=fields.get("complete") == "1",
+        complete=complete == "1",
         violations=violations)

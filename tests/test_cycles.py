@@ -24,7 +24,6 @@ from supercyclic import (
 )
 from supercyclic import condition, cycles
 from supercyclic.bigraph import SIDE_X
-from supercyclic.cycles import _insert
 from supercyclic.verifier import _repair_to_boundary
 
 from oracles import (cycle_survey, insertion_exists,
@@ -296,14 +295,55 @@ def test_seeded_sweep_against_oracle():
                 assert is_k_cyclic(g, k).passed
 
 
+def _mask(vs):
+    return sum(1 << v for v in vs)
+
+
+def _check_cert(g, cert):
+    """A held certificate is a real cycle based on exactly its base, with
+    ``used`` the mask of its ys."""
+    amask, xs, ys, used = cert
+    BaseCycle(xs, ys).validate_in(g)
+    assert _mask(xs) == amask and _mask(ys) == used
+
+
 def _check_insert(g, xs, ys, x):
-    got = _insert(g.x_adj, xs, ys, x)
-    assert (got is not None) == insertion_exists(g, xs, ys, x)
-    if got is not None:
-        grown = BaseCycle(*got)
-        grown.validate_in(g)
-        assert grown.base == VertexSet.of(SIDE_X, xs + (x,))
-    return got is not None
+    """Offer ``x`` to the cycle (xs, ys) of ``g`` through ``cycles._grow``.
+
+    The walk runs on a copy of ``g`` relabelled so that the cycle's xs come
+    first, then x, then one isolated X-vertex: x is then the one extension
+    whose certificate the walk builds, and the isolated vertex, which no
+    cycle takes, ends the walk.  The insertion was refused iff the walk sent
+    the base with x to the DFS.
+    """
+    l = len(xs)
+    label = {v: i for i, v in enumerate(sorted(xs), 1)}
+    label[x] = l + 1
+    h = Bigraph(l + 2, g.y_count,
+                [(label[v], y) for v, y in g.edges() if v in label])
+    back = {i: v for v, i in label.items()}
+    base, top = (1 << l + 1) - 2, 1 << l + 1
+    held = [(base, tuple(label[v] for v in xs), ys, _mask(ys))]
+    _check_cert(h, held[0])
+    searched, grown = [], []
+    dfs = cycles.find_based_cycle
+
+    def counted(g, a):
+        searched.append(a.mask)
+        return dfs(g, a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "find_based_cycle", counted)
+        missing = cycles._grow(h, held, grown)
+    inserted = base | top not in searched
+    assert inserted == insertion_exists(g, xs, ys, x)
+    assert missing == base | (top << 1 if grown else top)
+    if grown:
+        (cert,) = grown
+        assert cert[0] == base | top
+        _check_cert(h, cert)
+        BaseCycle(tuple(back[v] for v in cert[1]), cert[2]).validate_in(g)
+    return inserted
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((0.15, 0.35, 0.6)))
@@ -380,24 +420,108 @@ def test_super_cyclic_matches_survey_on_seeded_graphs():
     assert None in sizes and 3 in sizes and max(s or 0 for s in sizes) >= 6
 
 
-def test_super_cyclic_runs_the_dfs_on_triples_of_complete_graphs(monkeypatch):
+def _count_dfs(monkeypatch):
+    """Count the calls made through the module-global name
+    ``cycles.find_based_cycle``, which the benchmark's tracer wraps."""
     calls = []
     dfs = cycles.find_based_cycle
 
     def counted(g, a):
-        calls.append(a)
+        calls.append(a.mask)
         return dfs(g, a)
 
     monkeypatch.setattr(cycles, "find_based_cycle", counted)
-    for nx, ny, triples in ((6, 8, 20), (8, 12, 56)):
-        calls.clear()
+    return calls
+
+
+def test_super_cyclic_runs_no_dfs_on_complete_graphs(monkeypatch):
+    # triples are closed-form and every larger base takes an insertion
+    calls = _count_dfs(monkeypatch)
+    for nx, ny in ((6, 8), (8, 12)):
         assert is_super_cyclic(complete_bipartite(nx, ny)).passed
-        assert len(calls) == triples
-        assert all(len(a) == 3 for a in calls)
-    # one size only: is_k_cyclic still runs the DFS once per base
-    calls.clear()
+        assert calls == []
+    # one size above triples: is_k_cyclic runs the DFS once per base
     assert is_k_cyclic(complete_bipartite(6, 8), 4).passed
+    assert calls == list(map(_mask, combinations(range(1, 7), 4)))
     assert len(calls) == 15
+
+
+#: x4 goes into no gap of x1 y1 x2 y4 x3 y3, the cycle held for X{1,2,3};
+#: the DFS finds x1 y2 x2 y4 x3 y3 x4 y1 for X{1,2,3,4}, and x5 goes into
+#: that cycle
+REFUSED = Bigraph(5, 5, [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
+                         (2, 4), (3, 3), (3, 4), (3, 5), (4, 1), (4, 3),
+                         (5, 1), (5, 3), (5, 4), (5, 5)])
+
+
+def test_tracer_reaches_find_based_cycle_by_its_module_name(monkeypatch):
+    # the benchmark traces find_based_cycle by this name (README, Tests):
+    # it must see the DFS of a refused insertion and of every k-base, k >= 4
+    calls = _count_dfs(monkeypatch)
+    assert is_super_cyclic(REFUSED).passed
+    assert calls == [0b11110]
+    calls.clear()
+    g = complete_bipartite(5, 5).without_edge(1, 1)
+    assert is_k_cyclic(g, 4).passed
+    assert calls == list(map(_mask, combinations(range(1, 6), 4)))
+    calls.clear()
+    assert is_k_cyclic(g, 3).passed and calls == []
+
+
+def test_dfs_cycle_of_a_refused_base_certifies_its_extension(monkeypatch):
+    held = []
+    grow = cycles._grow
+
+    def kept(g, certs, grown):
+        held.append(list(certs))
+        return grow(g, certs, grown)
+
+    monkeypatch.setattr(cycles, "_grow", kept)
+    calls = _count_dfs(monkeypatch)
+    g = REFUSED
+    assert is_super_cyclic(g).passed and calls == [0b11110]
+    triple = find_based_cycle(g, xset(1, 2, 3))
+    assert held[0][0] == (0b1110, triple.xs, triple.ys, _mask(triple.ys))
+    assert not insertion_exists(g, triple.xs, triple.ys, 4)
+    found = find_based_cycle(g, xset(1, 2, 3, 4))
+    assert (found.xs, found.ys) == ((1, 2, 3, 4), (2, 4, 3, 1))
+    # the size-5 walk is offered the DFS cycle, and takes x5 into it
+    assert held[1] == [(0b11110, found.xs, found.ys, _mask(found.ys))]
+    assert insertion_exists(g, found.xs, found.ys, 5)
+
+
+def test_first_failing_base_at_the_last_x_is_tested_not_built(monkeypatch):
+    # the witness X{1,3,4,5} has max(A) = |X| below the last size; its walk
+    # builds a certificate for X{1,2,3,4} only: X{1,2,3,5} and X{1,2,4,5}
+    # are inserted and tested, and no larger base extends them
+    g = Bigraph(5, 5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3),
+                       (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (4, 5),
+                       (5, 4), (5, 5)])
+    grown_lists = []
+    grow = cycles._grow
+
+    def kept(g, held, grown):
+        missing = grow(g, held, grown)
+        grown_lists.append(grown)
+        return missing
+
+    monkeypatch.setattr(cycles, "_grow", kept)
+    calls = _count_dfs(monkeypatch)
+    rep = is_super_cyclic(g)
+    assert calls == [0b111010]
+    ((cert,),) = grown_lists
+    assert cert[0] == 0b11110
+    _check_cert(g, cert)
+    assert (rep.passed, str(rep.witness)) == (False, "X{1,3,4,5}")
+    assert _report(g) == _survey_report(g)
+
+
+@pytest.mark.parametrize("nx", [0, 1, 2])
+def test_super_cyclic_is_trivial_below_three_x(nx):
+    for g in (Bigraph(nx, 0), complete_bipartite(nx, 3)):
+        rep = is_super_cyclic(g)
+        assert (rep.passed, rep.witness, rep.detail) == (
+            True, None, "trivial: |X| <= 2")
 
 
 def test_k_cyclic_at_large_x_stops_at_its_first_base(monkeypatch):
@@ -421,53 +545,65 @@ def test_k_cyclic_at_large_x_stops_at_its_first_base(monkeypatch):
 
 
 class _PrefixReferee:
-    """``is_super_cyclic`` with its prefix certificates refereed.
+    """``is_super_cyclic`` with its certificates refereed.
 
-    Each base A of size >= 4 that the walk reaches makes exactly one
-    ``_insert``, of max(A) into a real cycle on A - max(A), and every cycle
-    that call returns is a real cycle based on exactly A.
+    Each size's certificates, from the triples' closed form, an insertion
+    or the DFS, are real cycles based on exactly their bases, each with the
+    mask of its ys, and they list the bases A with max(A) < |X| in lex
+    order.  The walk one size up reaches its bases in lex order, up to the
+    first without a cycle, and sends to the DFS exactly those whose max(A)
+    no insertion into the certificate of A - max(A) takes.
     """
 
     def __init__(self, monkeypatch):
         self.g = None
-        self.row = 0
-        self.walked = []    # the bases of size >= 4 the walk reached
-        self.inserted = []  # the base each _insert call certifies
-        self.refused = 0
-        order, insert = cycles._order, cycles._insert
+        self.size = 3
+        self.refused = 0   # bases above the triples the DFS had to decide
+        grow = cycles._grow
+        searched = _count_dfs(monkeypatch)
 
-        def walk(nx, size):
-            for row in order(nx, size):
-                self.row = row[0]
-                if size >= 4:
-                    self.walked.append(row[0])
-                yield row
+        def refereed(g, held, grown):
+            assert g is self.g
+            nx = g.x_count
+            self._check_held(held, self.size)
+            certs = {cert[0]: cert for cert in held}
+            searched.clear()
+            missing = grow(g, held, grown)
+            self.size += 1
+            reached = list(map(_mask, combinations(range(1, nx + 1),
+                                                   self.size)))
+            if missing:
+                # the DFS, refereed in the tests above, found no cycle
+                reached = reached[:reached.index(missing) + 1]
+                assert searched[-1] == missing
+            refused = []
+            for amask in reached:
+                x = amask.bit_length() - 1
+                _, xs, ys, _ = certs[amask ^ 1 << x]
+                if not insertion_exists(g, xs, ys, x):
+                    refused.append(amask)
+            assert searched == refused, str(g)
+            self.refused += len(refused)
+            if grown is not None:
+                assert [c[0] for c in grown] == [
+                    m for m in reached if m != missing and m.bit_length() <= nx]
+                for cert in grown:
+                    _check_cert(g, cert)
+            return missing
 
-        def refereed(x_adj, xs, ys, x):
-            amask = self.row
-            assert x == amask.bit_length() - 1
-            BaseCycle(xs, ys).validate_in(self.g)
-            assert sum(1 << v for v in xs) == amask ^ 1 << x
-            self.inserted.append(amask)
-            got = insert(x_adj, xs, ys, x)
-            if got is None:
-                self.refused += 1
-            else:
-                grown = BaseCycle(*got)
-                grown.validate_in(self.g)
-                assert grown.base.mask == amask
-            return got
+        monkeypatch.setattr(cycles, "_grow", refereed)
 
-        monkeypatch.setattr(cycles, "_order", walk)
-        monkeypatch.setattr(cycles, "_insert", refereed)
+    def _check_held(self, held, size):
+        nx = self.g.x_count
+        assert [c[0] for c in held] == list(map(
+            _mask, combinations(range(1, nx), size)))
+        for cert in held:
+            _check_cert(self.g, cert)
 
     def report(self, g):
         self.g = g
-        self.walked.clear()
-        self.inserted.clear()
-        rep = is_super_cyclic(g)
-        assert self.inserted == self.walked, str(g)
-        return rep
+        self.size = 3
+        return is_super_cyclic(g)
 
 
 def test_prefix_certificates_on_every_4_x_class(monkeypatch, corpus_4_5):

@@ -21,7 +21,7 @@ from supercyclic import (
     verify_degree_theorem,
     verify_k_cyclic,
 )
-from supercyclic import verifier
+from supercyclic import cli, verifier
 from supercyclic.bigraph import _cover, super_neighborhood
 from supercyclic.bitset import full_mask, indices_of
 from supercyclic.formats import serialize_bigraph
@@ -298,6 +298,52 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text("not a checkpoint\n")
     with pytest.raises(InputError):
         load_checkpoint(str(path), "hunt", "k")
+
+
+KCYCLIC_333_CHECKPOINT = ("checkpoint=1\ncampaign=verify-k-cyclic\n"
+                          "key=nx=3;ny_max=3;k=3;stream=condition\n"
+                          "examined=2\nchecked=0\ncomplete=0\n"
+                          "violations=0\n")
+
+
+@pytest.mark.parametrize("extra, why", [
+    ("examined=0", "repeats its examined= line"),
+    ("complete=0", "repeats its complete= line"),
+    ("key=nx=3;ny_max=3;k=3;stream=condition", "repeats its key= line"),
+], ids=["examined", "complete", "key"])
+def test_checkpoint_refuses_a_repeated_field(tmp_path, extra, why):
+    path = tmp_path / "twice.ckpt"
+    path.write_text(KCYCLIC_333_CHECKPOINT + extra + "\n")
+    with pytest.raises(InputError, match=why):
+        load_checkpoint(path, "verify-k-cyclic",
+                        "nx=3;ny_max=3;k=3;stream=condition")
+
+
+@pytest.mark.parametrize("complete", ["yes", "2", "", None],
+                         ids=["yes", "2", "empty", "missing"])
+def test_checkpoint_refuses_complete_other_than_0_or_1(tmp_path, complete):
+    lines = KCYCLIC_333_CHECKPOINT.replace("complete=0\n", "")
+    if complete is not None:
+        lines += f"complete={complete}\n"
+    path = tmp_path / "bad.ckpt"
+    path.write_text(lines)
+    with pytest.raises(InputError, match="complete"):
+        load_checkpoint(path, "verify-k-cyclic",
+                        "nx=3;ny_max=3;k=3;stream=condition")
+
+
+def test_malformed_checkpoint_exits_2_and_is_left_alone(tmp_path, capsys):
+    # the file once resumed and exited 0: the last examined= and a
+    # complete=yes read as incomplete were taken as it stood
+    path = tmp_path / "run.ckpt"
+    text = (KCYCLIC_333_CHECKPOINT.replace("complete=0\n", "")
+            + "examined=0\ncomplete=yes\n")
+    path.write_text(text)
+    code = cli.main(["verify", "kcyclic", "--nx", "3", "--ny-max", "3",
+                     "--k", "3", "--checkpoint", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert path.read_text() == text
 
 
 def test_hunt_exhaustive_confirms_at_desk_scale():
