@@ -16,7 +16,8 @@ Conventions:
 * The edge-list constructor is the one public, validating build.  The
   trusted mask-level ``Bigraph._of_masks`` has two callers: ``with_edge`` /
   ``without_edge``, flipping one bit per side after ``has_edge`` checks the
-  range, and the enumerator's ``generators._bigraph_from_columns``.
+  range, and the enumerator's ``generators._graph``, from the columns and
+  the ``x_adj`` that its walk carries.
 * A record is a ``typing.NamedTuple`` when it is plain data, and a
   ``__slots__`` class that checks its input in ``__init__`` when it
   validates; those compared by value subclass ``_Record``.

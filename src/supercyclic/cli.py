@@ -25,8 +25,8 @@ from .condition import check_condition, degree_hypothesis
 from .cycles import BaseCycle, find_based_cycle
 from .errors import FormatError, InputError, SupercyclicError
 from .formats import iter_records, serialize
-from .generators import (complete_bipartite, construct_g3, enumerate_bigraphs,
-                         random_bigraph)
+from .generators import (_condition_classes, complete_bipartite, construct_g3,
+                         enumerate_bigraphs, random_bigraph)
 from .reports import machine_lines
 from .structure import crossing_bound_holds, crossings, max_fan, successor_maps
 from .verifier import (HuntConfig, hunt_counterexample, verify_degree_theorem,
@@ -233,13 +233,11 @@ def _cmd_gen(args) -> int:
         graphs = [random_bigraph(args.nx, args.ny, args.min_x_degree,
                                  args.seed + i)
                   for i in range(args.count)]
-    else:  # enum
-        graphs = (g for g in enumerate_bigraphs(args.nx, args.ny_max,
-                                                args.min_x_degree,
-                                                args.filter is not None)
+    else:  # enum; cond1 decides the condition at each node of its walk
+        walk = _condition_classes if args.filter else enumerate_bigraphs
+        graphs = (g for g in walk(args.nx, args.ny_max, args.min_x_degree)
                   if g.min_x_degree >= args.min_x_degree
-                  and (not g.y_count or g.min_y_degree >= args.min_y_degree)
-                  and (not args.filter or check_condition(g, "kim").passed))
+                  and (not g.y_count or g.min_y_degree >= args.min_y_degree))
     first = True
     for g in graphs:
         if not first:

@@ -90,15 +90,26 @@ def check_condition(g: Bigraph, mode: str = "full") -> ConditionReport:
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    for amask, twice in _subsets(g):
+    failure = _first_failure(g.x_adj)
+    if failure is None:
+        return ConditionReport(True, mode)
+    amask, size_fails = failure
+    a = VertexSet(SIDE_X, amask)
+    if size_fails:
+        return ConditionReport(False, mode, size_witness=a)
+    return ConditionReport(False, mode, connectivity_witness=a)
+
+
+def _first_failure(x_adj: tuple[int, ...]) -> tuple[int, bool] | None:
+    """The first A of the walk that fails the condition, as a mask, and
+    whether it fails the size clause; None when every A passes."""
+    for amask, twice in _subsets(x_adj):
         size = amask.bit_count()
         if twice.bit_count() < size:
-            return ConditionReport(False, mode,
-                                   size_witness=VertexSet(SIDE_X, amask))
-        if size == 3 and not _triple_is_two_connected(g.x_adj, amask, twice):
-            return ConditionReport(False, mode,
-                                   connectivity_witness=VertexSet(SIDE_X, amask))
-    return ConditionReport(True, mode)
+            return amask, True
+        if size == 3 and not _triple_is_two_connected(x_adj, amask, twice):
+            return amask, False
+    return None
 
 
 def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
@@ -116,7 +127,7 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
         return twice.bit_count() - amask.bit_count()
 
     # min keeps the first of equal keys, which is the earliest in walk order
-    best = min(_subsets(g), key=deficiency)
+    best = min(_subsets(g.x_adj), key=deficiency)
     return deficiency(best), VertexSet(SIDE_X, best[0])
 
 
@@ -148,7 +159,7 @@ def _rows(nx: int, size: int) -> Iterator[tuple[int, ...]]:
         yield amask, amask ^ 1 << x, x
 
 
-def _subsets(g: Bigraph) -> Iterator[tuple[int, int]]:
+def _subsets(x_adj: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """Yield (A, N^(A)) as bitmasks for every A subset of X with |A| >= 3,
     by ascending size, then lexicographically within a size.
 
@@ -159,8 +170,7 @@ def _subsets(g: Bigraph) -> Iterator[tuple[int, int]]:
     Only the covers of the previous size are kept, in a dict, so nothing
     of size 2^|X| is built ahead of the walk.
     """
-    x_adj = g.x_adj
-    nx = g.x_count
+    nx = len(x_adj) - 1
     covers: dict[int, tuple[int, int]] = {}
     for amask, i, j, k in _order(nx, 3):
         a, b, c = x_adj[i], x_adj[j], x_adj[k]
@@ -205,9 +215,11 @@ class DegreeThresholds(NamedTuple):
 
 
 def degree_hypothesis(g: Bigraph) -> DegreeThresholds:
-    n = g.x_count
-    m = g.y_count
-    d = g.min_x_degree
+    return _thresholds(g.x_count, g.y_count, g.min_x_degree)
+
+
+def _thresholds(n: int, m: int, d: int) -> DegreeThresholds:
+    """The three bounds for |X| = n, |Y| = m and minimum X-degree d."""
     return DegreeThresholds(
         x_count=n,
         y_count=m,

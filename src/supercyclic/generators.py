@@ -46,17 +46,52 @@ and the neighborhood condition fails too.  Since slack never grows, every
 ancestor of a node whose fields are all non-negative is walked, so the cut
 walk emits exactly the nodes of the full walk at which every field is
 still non-negative, in the same order.
+
+One walk, ``_walk``, serves every caller.  At each canonical node it calls
+a visitor with the node's columns, its ``x_adj`` (the parent's with one bit
+set per X-vertex of the new column), its slack pack and the state the
+visitor returned at the parent; the visitor returns the node's state and
+what the walk yields there.  ``enumerate_bigraphs`` is the visitor that
+builds each graph; the campaigns in ``verifier`` evaluate each node without
+building it unless a search needs it.  Two lemmas make that cheap.
+
+The size clause, read from the pack (``_passes_condition``).  At a node
+with |Y| = m, the size field of A holds ``guard + ny_max - |A| - (m -
+|N^(A)|)``: each of the m columns so far either serves it, and is counted
+in N^(A), or took one off.  So the field less guard, less ``ny_max - m``,
+is |N^(A)| - |A|, and every A meets |N^(A)| >= |A| iff every size field is
+at least ``guard + ny_max - m``.  Every field of a walked node holds at
+least guard, so subtracting ``ny_max - m < guard`` from every size field
+at once borrows from no neighbour, and it clears a field's guard bit
+exactly when that field falls short; so the clause is one subtraction and
+one mask.  The 2-connectivity clause is then decided on
+the triples alone (``condition`` docstring), in closed form.
+
+Inheritance.  A child adds one Y-vertex y to its parent and keeps X.  For
+each A, N^(A) gains y when y has two neighbours in A and is unchanged
+otherwise, so no size drops.  For a triple T, H_T = G[T union N^(T)]
+either stays as it was or gains y with two neighbours in it; a 2-connected
+graph stays 2-connected when a vertex with two neighbours in it is added
+(delete y and H_T is left; delete any other v and H_T - v is connected,
+with y still joined to it).  So a child of a node that passes the
+condition passes it too.  The parent is a subgraph of the child on the
+same X, so each cycle based on A in the parent is one in the child, and a
+k-cyclic or super-cyclic parent has a k-cyclic or super-cyclic child.  A
+child of a node that passed and was certified therefore gets the same
+verdict with no work, at every depth below it.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial, prod
-from typing import Iterator
+from operator import or_
+from typing import Any, Callable, Iterator
 
-from .bigraph import Bigraph
+from .bigraph import Bigraph, _triple_is_two_connected
 from .errors import CapacityError, InputError
 
 #: enumeration caps: isomorphism classes explode combinatorially past these
@@ -118,25 +153,143 @@ def enumerate_bigraphs(nx: int, ny_max: int, min_x_degree: int = 0,
     filter them as they need.
     """
     _check_sizes(nx, ny_max)
-    fields = _slack_fields(nx, min_x_degree, condition)
-    if any(threshold > ny_max for threshold, _ in fields):
-        return  # the empty graph is cut, and with it the whole tree
-    guard, steps = _canonicity_steps(nx, ny_max)
-    slack_guard, root, spends = _slack_pack(nx, ny_max, fields)
+    tree = _tree(nx, ny_max, min_x_degree, condition)
+    if tree is not None:
+        yield from _walk(tree, _graph_at)
 
-    def walk(cols: tuple[int, ...], last: int, pack: int,
-             slack: int) -> Iterator[Bigraph]:
-        yield _bigraph_from_columns(nx, cols)
-        if len(cols) == ny_max:
+
+def _graph_at(cols: tuple[int, ...], x_adj: tuple[int, ...], slack: int,
+              state: None) -> tuple[None, Bigraph]:
+    return None, _graph(cols, x_adj)
+
+
+def _condition_classes(nx: int, ny_max: int,
+                       min_x_degree: int = 0) -> Iterator[Bigraph]:
+    """The classes of ``enumerate_bigraphs(nx, ny_max, min_x_degree, True)``
+    that pass the neighborhood condition, each decided at its node."""
+    _check_sizes(nx, ny_max)
+    tree = _tree(nx, ny_max, min_x_degree, True)
+    if tree is None:
+        return
+
+    def visit(cols, x_adj, slack, state):
+        if _passes_condition(tree, len(cols), x_adj, slack):
+            return None, _graph(cols, x_adj)
+        return None, None
+
+    yield from (g for g in _walk(tree, visit) if g is not None)
+
+
+class _Tree:
+    """The tables of one walk: the canonicity pack's guard and per-column
+    steps, the slack pack's guard, root and per-column spends, per depth m
+    and column c what c adds to ``x_adj`` as y_{m+1}, and for the size
+    clause one unit in each size field and the triples (A, x1, x2, x3)."""
+
+    __slots__ = ("nx", "ny_max", "guard", "steps", "slack_guard", "root",
+                 "spends", "bits", "sizes", "triples")
+
+    def __init__(self, nx: int, ny_max: int,
+                 fields: list[tuple[int, set[int], bool]]) -> None:
+        self.nx, self.ny_max = nx, ny_max
+        self.guard, self.steps = _canonicity_steps(nx, ny_max)
+        # each field: digit + 1 bits, guard bit on top (module docstring)
+        width = ny_max.bit_length() + 1
+        units = [1 << width * i for i in range(len(fields))]
+        self.slack_guard = sum(units) << width - 1
+        self.root = self.slack_guard + sum(
+            (ny_max - threshold) * unit
+            for (threshold, _, _), unit in zip(fields, units))
+        self.spends = [-sum(unit for (_, serves, _), unit in zip(fields, units)
+                            if c not in serves) for c in range(1 << nx)]
+        self.bits = [[tuple((c << 1 >> x & 1) << m + 1 for x in range(nx + 1))
+                      for c in range(1 << nx)] for m in range(ny_max)]
+        self.sizes = sum(unit for (_, _, size), unit in zip(fields, units)
+                         if size)
+        self.triples = [(1 << i | 1 << j | 1 << k, i, j, k)
+                        for i, j, k in combinations(range(1, nx + 1), 3)
+                        ] if self.sizes else []
+
+
+class _Subtree(tuple):
+    """A node handed on unvisited: (cols, pack, slack, x_adj, the state its
+    parent's visit returned); ``_walk`` walks the subtree below it."""
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=2)
+def _tree(nx: int, ny_max: int, min_x_degree: int = 0,
+          condition: bool = False) -> _Tree | None:
+    """The walk's tables, or None when the cuts cut the empty graph, and
+    with it the whole tree, before any table is built.  Cached, so that a
+    worker builds them once for all its shards."""
+    fields = _slack_fields(nx, min_x_degree, condition)
+    if any(threshold > ny_max for threshold, _, _ in fields):
+        return None
+    return _Tree(nx, ny_max, fields)
+
+
+def _walk(tree: _Tree,
+          visit: Callable[[tuple[int, ...], tuple[int, ...], int, Any],
+                          tuple[Any, Any]],
+          node: _Subtree | None = None, split: int = 0) -> Iterator:
+    """At each canonical node of the subtree at ``node`` (the whole tree by
+    default), in preorder: call ``visit(cols, x_adj, slack, state)`` with
+    the state its visit returned at the parent (None at the root), and
+    yield the second item of the (state, item) that it returns.
+
+    With ``split`` > 0 each node at that depth is yielded as a ``_Subtree``
+    in its place, neither visited nor walked below.
+    """
+    ny_max, steps, guard = tree.ny_max, tree.steps, tree.guard
+    spends, slack_guard, bits = tree.spends, tree.slack_guard, tree.bits
+    ncols = len(steps)
+
+    def walk(cols, pack, slack, x_adj, state):
+        state, result = visit(cols, x_adj, slack, state)
+        yield result
+        m = len(cols)
+        if m == ny_max:
             return
-        for c in range(last, len(steps)):
+        row, hand_on = bits[m], m + 1 == split
+        for c in range(cols[-1] if cols else 0, ncols):
             left = slack + spends[c]
             if left & slack_guard == slack_guard:
                 child = pack + steps[c]
                 if child & guard == guard:
-                    yield from walk(cols + (c,), c, child, left)
+                    adj = tuple(map(or_, x_adj, row[c]))
+                    if hand_on:
+                        yield _Subtree((cols + (c,), child, left, adj, state))
+                    else:
+                        yield from walk(cols + (c,), child, left, adj, state)
 
-    yield from walk((), 0, guard, root)
+    if node is None:
+        node = _Subtree(((), guard, tree.root, (0,) * (tree.nx + 1), None))
+    return walk(*node)
+
+
+def _passes_condition(tree: _Tree, m: int, x_adj: tuple[int, ...],
+                      slack: int) -> bool:
+    """The neighborhood condition at a node with |Y| = m of a walk with
+    ``condition``: the size clause from the slack pack, then the triples
+    (module docstring)."""
+    sizes = tree.sizes
+    floor = sizes * (tree.ny_max - m)
+    size_guard = sizes << tree.ny_max.bit_length()
+    if slack - floor & size_guard != size_guard:
+        return False
+    for amask, i, j, k in tree.triples:
+        a, b, c = x_adj[i], x_adj[j], x_adj[k]
+        if not _triple_is_two_connected(x_adj, amask, a & b | (a | b) & c):
+            return False
+    return True
+
+
+def _graph(cols: tuple[int, ...], x_adj: tuple[int, ...]) -> Bigraph:
+    """The graph whose y_j has X-neighbors ``cols[j - 1]`` (bit i is
+    x_{i+1}), with ``x_adj`` its transpose as the walk carries it."""
+    return Bigraph._of_masks(x_adj, (0,) + tuple(c << 1 for c in cols))
 
 
 def expected_class_count(nx: int, ny_max: int) -> int:
@@ -215,49 +368,25 @@ def _canonicity_steps(nx: int, ny_max: int) -> tuple[int, list[int]]:
     return rep << digit * ncols, steps
 
 
-def _slack_fields(nx: int, min_x_degree: int,
-                  condition: bool) -> list[tuple[int, set[int]]]:
-    """The threshold of each slack field and the columns that serve it."""
+def _slack_fields(nx: int, min_x_degree: int, condition: bool
+                  ) -> list[tuple[int, set[int], bool]]:
+    """The threshold of each slack field, the columns that serve it, and
+    whether it is a size field."""
     cols = range(1 << nx)
     bits = [1 << x for x in range(nx)]
     fields = []
     if min_x_degree > 0:
-        fields += [(min_x_degree, {c for c in cols if c & x}) for x in bits]
+        fields += [(min_x_degree, {c for c in cols if c & x}, False)
+                   for x in bits]
     if condition:
         for size in range(3, nx + 1):
             for a in map(sum, combinations(bits, size)):
                 pairs = {c for c in cols if (c & a).bit_count() >= 2}
-                fields.append((size, pairs))
+                fields.append((size, pairs, True))
                 if size == 3:
-                    fields += [(2, {c for c in pairs if c & x})
+                    fields += [(2, {c for c in pairs if c & x}, False)
                                for x in bits if a & x]
     return fields
-
-
-def _slack_pack(nx: int, ny_max: int, fields: list[tuple[int, set[int]]]
-                ) -> tuple[int, int, list[int]]:
-    """The guard bits, the root's pack, and per column c what appending c
-    adds to the pack: minus one in each field that c does not serve."""
-    width = ny_max.bit_length() + 1
-    units = [1 << width * i for i in range(len(fields))]
-    guard = sum(units) << width - 1
-    pack = guard + sum((ny_max - threshold) * unit
-                       for (threshold, _), unit in zip(fields, units))
-    spends = [-sum(unit for (_, serves), unit in zip(fields, units)
-                   if c not in serves) for c in range(1 << nx)]
-    return guard, pack, spends
-
-
-def _bigraph_from_columns(nx: int, cols: tuple[int, ...]) -> Bigraph:
-    """The graph whose y_j has X-neighbors ``cols[j - 1]`` (bit i is x_{i+1}):
-    ``y_adj`` is the columns shifted up one bit, ``x_adj`` their transpose."""
-    x_adj = [0] * (nx + 1)
-    for j, code in enumerate(cols, 1):
-        while code:
-            low = code & -code
-            code ^= low
-            x_adj[low.bit_length()] |= 1 << j
-    return Bigraph._of_masks(tuple(x_adj), (0,) + tuple(c << 1 for c in cols))
 
 
 def random_bigraph(nx: int, ny: int, min_x_degree: int = 0,

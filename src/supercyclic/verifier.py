@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
@@ -21,12 +21,13 @@ from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
 from .bitset import full_mask, indices_of, iter_bits, mask_of
 from .classify import (YMIN_EDGE_CAP, find_critical_core, is_critical,
                        is_saturated, is_y_minimal)
-from .condition import check_condition, degree_hypothesis, min_deficiency
+from .condition import (_first_failure, _thresholds, check_condition,
+                        min_deficiency)
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
 from .errors import InputError, SupercyclicError
 from .formats import serialize_bigraph
-from .generators import (enumerate_bigraphs, expected_class_count,
-                         random_bigraph)
+from .generators import (_Subtree, _Tree, _graph, _passes_condition, _tree,
+                         _walk, expected_class_count, random_bigraph)
 from .reports import machine_lines
 from .structure import max_fan
 from .verifier_checkpoint import (CheckpointConfig, CheckpointState,
@@ -148,8 +149,9 @@ def verify_k_cyclic(nx: int, ny_max: int, k: int, *, jobs: int = 1,
         raise InputError(f"need 3 <= k <= nx, got k={k}, nx={nx}")
     params = (("nx", str(nx)), ("ny_max", str(ny_max)), ("k", str(k)))
     return _drive("verify-k-cyclic", params,
-                  enumerate_bigraphs(nx, ny_max, condition=True),
-                  partial(_eval_k_cyclic, k),
+                  partial(_node_results, (nx, ny_max, 0, True),
+                          partial(_condition_visitor,
+                                  partial(_k_cyclic_verdict, k))),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
                   length=expected_class_count(nx, ny_max), stream="condition")
 
@@ -167,8 +169,8 @@ def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
     """
     params = (("nx", str(nx)), ("ny_max", str(ny_max)))
     return _drive("verify-degree-theorem", params,
-                  enumerate_bigraphs(nx, ny_max, nx),
-                  _eval_degree,
+                  partial(_node_results, (nx, ny_max, nx, False),
+                          _degree_visitor),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
                   length=expected_class_count(nx, ny_max), stream="pruned")
 
@@ -185,28 +187,30 @@ def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
     """
     if config.mode == "exhaustive":
         return _drive("hunt", config.parameters(),
-                      enumerate_bigraphs(config.nx, config.ny_max,
-                                         condition=True),
-                      _eval_hunt_graph,
+                      partial(_node_results,
+                              (config.nx, config.ny_max, 0, True),
+                              partial(_condition_visitor, _hunt_verdict)),
                       jobs=jobs, checkpoint=checkpoint, progress=progress,
                       length=expected_class_count(config.nx, config.ny_max),
                       stream="condition")
-    return _drive("hunt", config.parameters(),
-                  iter(range(config.trials)),
-                  partial(_hunt_trial, config),
+    return _drive("hunt", config.parameters(), partial(_trial_results, config),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
                   length=config.trials)
 
 
 def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
-           items: Iterator, evaluate,
+           results: Callable[[int, int], Iterator[tuple[bool,
+                                                        Violation | None]]],
            *, jobs: int, checkpoint: CheckpointConfig | None,
            progress: Progress | None, length: int,
            stream: str = "") -> VerificationReport:
     """Evaluate the stream in order and count what it examined.
 
-    ``length`` is what the stream stands for: the Burnside count of the
-    classes of an enumerated stream, or the trials of a random hunt.  An
+    ``results(skip, jobs)`` gives the stream, one (checked, violation) per
+    position; it walks its first ``skip`` positions without evaluating
+    them and reads them as unchecked.  ``length`` is what the stream stands
+    for: the Burnside count of the classes of an enumerated stream, or the
+    trials of a random hunt.  An
     uncut stream must yield exactly that many.  A cut stream, named by its
     ``stream`` tag, yields at most that many, and the report gives
     ``length`` as examined.  Any other count is a fault of the walk and
@@ -240,9 +244,12 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
             graphs_checked=checked, violations=tuple(violations),
             deterministic=True, elapsed_seconds=time.perf_counter() - start)
 
+    items = None
     if checkpoint is not None:
         state = load_checkpoint(checkpoint.path, campaign, key)
         if state is not None:
+            # a complete one probes one position past its own, unevaluated
+            items = results(state.examined + state.complete, jobs)
             _refuse_impossible(checkpoint, state, length, stream, items)
             examined, checked = state.examined, state.checked
             violations = [Violation(*v) for v in state.violations]
@@ -272,12 +279,12 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
             if checkpoint is not None and examined % checkpoint.every == 0:
                 save(False)
 
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            consume(pool.imap(evaluate, items, chunksize=16))
-    else:
-        consume(map(evaluate, items))
+    if items is None:
+        items = results(0, jobs)
+    try:
+        consume(items)
+    finally:
+        items.close()  # stops the workers of an unfinished stream
     if examined > length or not stream and examined != length:
         raise RuntimeError(f"the stream yielded {examined} items, but it "
                            f"stands for {length}")
@@ -314,34 +321,142 @@ def _refuse_impossible(checkpoint: CheckpointConfig, state: CheckpointState,
                      f"refusing to resume")
 
 
-# -- per-graph evaluators (module level: workers must pickle them) ----------
+# -- the streams: trials, and node visitors over the orderly walk -----------
 
-def _eval_k_cyclic(k: int, g: Bigraph) -> tuple[bool, Violation | None]:
-    if not check_condition(g, "kim").passed:
-        return False, None
+#: the result of a position that holds no violation
+_CHECKED = (True, None)
+_UNCHECKED = (False, None)
+
+
+def _trial_results(config: HuntConfig, skip: int, jobs: int
+                   ) -> Iterator[tuple[bool, Violation | None]]:
+    """The random hunt's stream: one seeded trial per position."""
+    skip = min(skip, config.trials)
+    yield from repeat(_UNCHECKED, skip)
+    trial = partial(_hunt_trial, config)
+    todo = range(skip, config.trials)
+    if jobs > 1 and todo:
+        with _pool(jobs) as pool:
+            yield from pool.imap(trial, todo, chunksize=16)
+    else:
+        yield from map(trial, todo)
+
+
+def _pool(jobs: int):
+    """Worker processes started afresh, not forked: a forked child copies
+    whatever threads and locks the caller holds.  Imported here, so that
+    ``--jobs 1`` never loads multiprocessing."""
+    import multiprocessing
+    return multiprocessing.get_context("spawn").Pool(jobs)
+
+
+def _node_results(spec: tuple[int, int, int, bool],
+                  make_visitor: Callable[[_Tree], Callable], skip: int,
+                  jobs: int) -> Iterator[tuple[bool, Violation | None]]:
+    """An enumerated campaign's stream: the walk ``generators._tree(*spec)``
+    with the visitor ``make_visitor(tree)`` at each node, in preorder.
+
+    The first ``skip`` nodes are walked but not visited; each gets the state
+    None, so that nothing is inherited from a node that was not evaluated.
+    With ``jobs`` > 1, once those are behind, this process visits the nodes
+    above depth 2 and hands each subtree at depth 2, with its parent's
+    state, to a worker as one shard, as geng splits its tree (McKay and
+    Piperno, J. Symbolic Comput. 60, 2014); the shards come back in order,
+    so the stream is the same.  A subtree that the skipped nodes reach into
+    is walked here.
+    """
+    tree = _tree(*spec)
+    if tree is None:
+        return
+    visit = make_visitor(tree)
+    todo = skip
+
+    def counted(cols, x_adj, slack, state):
+        nonlocal todo
+        if todo:
+            todo -= 1
+            return None, _UNCHECKED
+        return visit(cols, x_adj, slack, state)
+
+    if jobs == 1:
+        yield from _walk(tree, counted if skip else visit)
+        return
+    top = _walk(tree, counted, split=2)
+    for item in top:
+        if type(item) is not _Subtree:
+            yield item
+        elif todo:
+            yield from _walk(tree, counted, item)
+        else:
+            break
+    else:
+        return
+    rest = [item, *top]
+    with _pool(jobs) as pool:
+        shards = pool.imap(partial(_shard, spec, make_visitor),
+                           [s for s in rest if type(s) is _Subtree])
+        for item in rest:
+            if type(item) is _Subtree:
+                yield from next(shards)
+            else:
+                yield item
+
+
+def _shard(spec: tuple[int, int, int, bool],
+           make_visitor: Callable[[_Tree], Callable],
+           subtree: _Subtree) -> list[tuple[bool, Violation | None]]:
+    tree = _tree(*spec)
+    return list(_walk(tree, make_visitor(tree), subtree))
+
+
+# Each visitor's state is whether its node passed the condition and was
+# certified (generators docstring: a child of such a node is too).  The
+# searches are called by their module names here, so a tracer sees them.
+# The factories are module level, so that a shard names them to a worker.
+
+def _condition_visitor(verdict: Callable[[Bigraph], tuple[bool,
+                                                          Violation | None]],
+                       tree: _Tree) -> Callable:
+    """A visitor for a campaign whose hypothesis is the condition:
+    ``verdict`` decides each node that passes it and inherits no pass."""
+    def visit(cols, x_adj, slack, certified):
+        if certified:
+            return True, _CHECKED
+        if not _passes_condition(tree, len(cols), x_adj, slack):
+            return False, _UNCHECKED
+        result = verdict(_graph(cols, x_adj))
+        return result[1] is None, result
+    return visit
+
+
+def _degree_visitor(tree: _Tree) -> Callable:
+    """The quarter bound is not inherited (|Y| grows), so it is tested at
+    every node; the state is the condition and super-cyclicity alone."""
+    nx = tree.nx
+
+    def visit(cols, x_adj, slack, certified):
+        degree = min(map(int.bit_count, x_adj[1:]), default=0)
+        if not _thresholds(nx, len(cols), degree).meets_quarter_bound:
+            return certified, _UNCHECKED
+        if certified:
+            return True, _CHECKED
+        if _first_failure(x_adj) is not None:
+            return False, _UNCHECKED
+        g = _graph(cols, x_adj)
+        rep = is_super_cyclic(g)
+        if rep.passed:
+            return True, _CHECKED
+        return False, (True, Violation("degree_theorem", serialize_bigraph(g),
+                                       str(rep.witness)))
+    return visit
+
+
+def _k_cyclic_verdict(k: int, g: Bigraph) -> tuple[bool, Violation | None]:
+    """Verdict on a graph known to satisfy the condition."""
     rep = is_k_cyclic(g, k)
     if rep.passed:
         return True, None
-    return True, Violation("k_cyclic", serialize_bigraph(g),
-                           str(rep.witness))
-
-
-def _eval_degree(g: Bigraph) -> tuple[bool, Violation | None]:
-    if not degree_hypothesis(g).meets_quarter_bound:
-        return False, None
-    if not check_condition(g, "kim").passed:
-        return False, None
-    rep = is_super_cyclic(g)
-    if rep.passed:
-        return True, None
-    return True, Violation("degree_theorem", serialize_bigraph(g),
-                           str(rep.witness))
-
-
-def _eval_hunt_graph(g: Bigraph) -> tuple[bool, Violation | None]:
-    if not check_condition(g, "kim").passed:
-        return False, None
-    return _hunt_verdict(g)
+    return True, Violation("k_cyclic", serialize_bigraph(g), str(rep.witness))
 
 
 def _hunt_verdict(g: Bigraph) -> tuple[bool, Violation | None]:

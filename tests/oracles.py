@@ -11,7 +11,10 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterable, Iterator
 
-from supercyclic import Bigraph, Hypergraph
+from supercyclic import (Bigraph, Hypergraph, Violation, check_condition,
+                         degree_hypothesis, is_k_cyclic, is_super_cyclic)
+from supercyclic.formats import serialize_bigraph
+from supercyclic.verifier import _hunt_verdict
 
 
 def flat_adjacency(g: Bigraph) -> tuple[int, list[set[int]]]:
@@ -396,3 +399,36 @@ def burnside_class_count(nx: int, k: int) -> int:
                 prod *= fixed_cols[ln]
             total += prod
     return total // (factorial(nx) * factorial(k))
+
+
+# -- the campaigns' per-graph referees ---------------------------------------
+# Each decides one graph from scratch, with the library's public checks, as
+# the campaigns did before they evaluated nodes of the walk; the node
+# visitors must give the same (checked, violation) at every node.
+
+def eval_k_cyclic(k: int, g: Bigraph) -> tuple[bool, Violation | None]:
+    if not check_condition(g, "kim").passed:
+        return False, None
+    rep = is_k_cyclic(g, k)
+    if rep.passed:
+        return True, None
+    return True, Violation("k_cyclic", serialize_bigraph(g),
+                           str(rep.witness))
+
+
+def eval_degree(g: Bigraph) -> tuple[bool, Violation | None]:
+    if not degree_hypothesis(g).meets_quarter_bound:
+        return False, None
+    if not check_condition(g, "kim").passed:
+        return False, None
+    rep = is_super_cyclic(g)
+    if rep.passed:
+        return True, None
+    return True, Violation("degree_theorem", serialize_bigraph(g),
+                           str(rep.witness))
+
+
+def eval_hunt_graph(g: Bigraph) -> tuple[bool, Violation | None]:
+    if not check_condition(g, "kim").passed:
+        return False, None
+    return _hunt_verdict(g)

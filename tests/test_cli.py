@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 from hashlib import sha256
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from supercyclic import (
     parse_bigraph,
     serialize,
 )
-from supercyclic import classify, cli, formats, verifier
+from supercyclic import classify, cli, formats, generators, verifier
 from supercyclic.cli import main
 from supercyclic.reports import unescape_value
 
@@ -391,6 +392,21 @@ RANDOM_HUNT = ["hunt", "--nx", "4", "--ny-max", "4", "--random",
 DEGREE_45 = ["verify", "degree", "--nx", "4", "--ny-max", "5"]
 
 
+def _record_evaluations(monkeypatch):
+    """Make every campaign record, and not evaluate, each node it visits
+    and each random trial; return the record."""
+    evaluated = []
+
+    def visitor(*args):
+        return lambda *node: evaluated.append(node) or (None, (False, None))
+
+    for name in ("_condition_visitor", "_degree_visitor"):
+        monkeypatch.setattr(verifier, name, visitor)
+    monkeypatch.setattr(verifier, "_hunt_trial",
+                        lambda *args: evaluated.append(args) or (False, None))
+    return evaluated
+
+
 @pytest.mark.parametrize("campaign, counts, why", [
     # the (3, <=3) stream stands for 54 classes in 10 cut positions; the
     # (4, <=5) degree stream for 1485 in 50; the random hunt has 5 trials
@@ -423,10 +439,7 @@ DEGREE_45 = ["verify", "degree", "--nx", "4", "--ny-max", "5"]
         "complete-past-the-cut-stream"])
 def test_checkpoint_counts_the_stream_cannot_hold_exit_2(
         monkeypatch, capsys, tmp_path, campaign, counts, why):
-    evaluated = []
-    for name in ("_eval_k_cyclic", "_eval_degree", "_hunt_trial"):
-        monkeypatch.setattr(verifier, name,
-                            lambda *args: evaluated.append(args))
+    evaluated = _record_evaluations(monkeypatch)
     cli_name, key = {
         "kcyclic": ("verify-k-cyclic", "nx=3;ny_max=3;k=3;stream=condition"),
         "degree": ("verify-degree-theorem", "nx=4;ny_max=5;stream=pruned"),
@@ -445,9 +458,7 @@ def test_checkpoint_counts_the_stream_cannot_hold_exit_2(
 
 @pytest.mark.parametrize("jobs", [0, -5])
 def test_jobs_below_one_exit_2(monkeypatch, capsys, jobs):
-    evaluated = []
-    monkeypatch.setattr(verifier, "_eval_k_cyclic",
-                        lambda *args: evaluated.append(args))
+    evaluated = _record_evaluations(monkeypatch)
     code, out, err = run(monkeypatch, capsys,
                          KCYCLIC_333 + ["--jobs", str(jobs)])
     assert (code, out, evaluated) == (2, "", [])
@@ -460,10 +471,7 @@ def test_jobs_below_one_exit_2(monkeypatch, capsys, jobs):
 ])
 def test_unwritable_checkpoint_fails_before_any_item(monkeypatch, capsys,
                                                      tmp_path, campaign):
-    evaluated = []
-    for name in ("_eval_k_cyclic", "_hunt_trial"):
-        monkeypatch.setattr(verifier, name,
-                            lambda *args: evaluated.append(args))
+    evaluated = _record_evaluations(monkeypatch)
     path = str(tmp_path / "none" / "k.ckpt")
     code, out, err = run(monkeypatch, capsys, campaign + [
         "--checkpoint", path, "--checkpoint-every", "100000", "--progress"])
@@ -479,9 +487,10 @@ def test_campaign_that_loses_a_class_is_an_internal_error(monkeypatch, capsys,
     # only the random hunt's stream still has a known length: its trials
     drive = verifier._drive
 
-    def drop_one(name, parameters, items, *args, **kwargs):
-        next(items)
-        return drive(name, parameters, items, *args, **kwargs)
+    def drop_one(name, parameters, results, *args, **kwargs):
+        def short(skip, jobs):
+            yield from islice(results(skip, jobs), 1, None)
+        return drive(name, parameters, short, *args, **kwargs)
 
     code, out, _ = run(monkeypatch, capsys, campaign + ["--format", "machine"])
     assert code == 0 and "graphs_examined=5\n" in out
@@ -499,15 +508,16 @@ def test_campaign_that_loses_a_class_is_an_internal_error(monkeypatch, capsys,
 def test_cut_stream_with_an_extra_class_is_an_internal_error(monkeypatch,
                                                              capsys, campaign):
     # a cut stream may end early, but never after the classes it stands for
-    enumerate_all = verifier.enumerate_bigraphs
+    walk = verifier._walk
 
-    def one_extra(nx, ny_max, *cuts, **named_cuts):
-        yield from enumerate_all(nx, ny_max)  # every class, none cut
-        yield next(enumerate_all(nx, ny_max))
+    def one_extra(tree, visit, *args):
+        whole = generators._tree(tree.nx, tree.ny_max)  # none cut
+        yield from walk(whole, visit)  # every class
+        yield from islice(walk(whole, visit), 1)
 
     code, out, _ = run(monkeypatch, capsys, campaign + ["--format", "machine"])
     assert code == 0 and "graphs_examined=141\n" in out
-    monkeypatch.setattr(verifier, "enumerate_bigraphs", one_extra)
+    monkeypatch.setattr(verifier, "_walk", one_extra)
     code, out, err = run(monkeypatch, capsys, campaign)
     assert code == 3 and out == ""
     assert err == ("internal error: RuntimeError: the stream yielded 142 "

@@ -150,12 +150,14 @@ def _subsets_by_combinations(g):
 @settings(max_examples=150)
 def test_subset_walk_matches_combinations(g):
     # prefix-built covers: the same (A, N^(A)) pairs in the same order
-    assert list(condition._subsets(g)) == list(_subsets_by_combinations(g))
+    assert list(condition._subsets(g.x_adj)) == \
+        list(_subsets_by_combinations(g))
 
 
 def test_subset_walk_matches_combinations_on_every_4_x_class(corpus_4_5):
     for g in corpus_4_5:
-        assert list(condition._subsets(g)) == list(_subsets_by_combinations(g))
+        assert list(condition._subsets(g.x_adj)) == \
+            list(_subsets_by_combinations(g))
 
 
 def test_condition_at_large_x_builds_only_the_triple_order(monkeypatch):
@@ -194,10 +196,11 @@ def test_walk_is_the_same_whether_orders_are_held_or_generated(monkeypatch):
     graphs = [random_bigraph(nx, rng.randint(nx - 1, nx + 2), 2,
                              rng.randrange(1 << 30))
               for nx in (6, 7, 8) for _ in range(10)]
-    held = [(list(condition._subsets(g)), is_super_cyclic(g)) for g in graphs]
+    held = [(list(condition._subsets(g.x_adj)), is_super_cyclic(g))
+            for g in graphs]
     monkeypatch.setattr(condition, "_ORDERS", {})
     monkeypatch.setattr(condition, "_ORDER_ROWS", 0)
-    assert [(list(condition._subsets(g)), is_super_cyclic(g))
+    assert [(list(condition._subsets(g.x_adj)), is_super_cyclic(g))
             for g in graphs] == held
     assert condition._ORDERS == {}
 

@@ -21,7 +21,7 @@ from supercyclic import (
     verify_degree_theorem,
     verify_k_cyclic,
 )
-from supercyclic import cli, verifier
+from supercyclic import CheckReport, cli, verifier
 from supercyclic.bigraph import _cover, super_neighborhood
 from supercyclic.bitset import full_mask, indices_of
 from supercyclic.formats import serialize_bigraph
@@ -29,7 +29,9 @@ from supercyclic.reports import escape_value, machine_lines, unescape_value
 from supercyclic.verifier_checkpoint import (CheckpointState, load_checkpoint,
                                              save_checkpoint)
 
-from oracles import burnside_class_count, condition_bruteforce
+import oracles
+from oracles import (burnside_class_count, condition_bruteforce,
+                     eval_degree, eval_hunt_graph, eval_k_cyclic)
 from strategies import bigraphs
 
 GOLDEN_333 = (
@@ -83,7 +85,7 @@ def test_degree_campaign_counts():
 
 def _full_stream_report(campaign, parameters, evaluate, nx, ny_max):
     """A campaign's report as the full stream, cut nowhere, gives it through
-    the same per-graph evaluator."""
+    a per-graph referee."""
     results = list(map(evaluate, enumerate_bigraphs(nx, ny_max)))
     return VerificationReport(
         campaign, parameters, len(results),
@@ -98,7 +100,7 @@ def test_degree_campaign_report_equals_full_stream_report(nx, top):
         want = _full_stream_report(
             "verify-degree-theorem",
             (("nx", str(nx)), ("ny_max", str(ny_max))),
-            verifier._eval_degree, nx, ny_max)
+            eval_degree, nx, ny_max)
         for jobs in (1, 2):
             got = verify_degree_theorem(nx, ny_max, jobs=jobs).to_machine()
             assert got == want, (ny_max, jobs)
@@ -111,15 +113,148 @@ def test_condition_cut_campaign_reports_equal_full_stream_reports(nx, ny_max):
     for k in range(3, nx + 1):
         want = _full_stream_report(
             "verify-k-cyclic", sizes + (("k", str(k)),),
-            partial(verifier._eval_k_cyclic, k), nx, ny_max)
+            partial(eval_k_cyclic, k), nx, ny_max)
         for jobs in (1, 2):
             got = verify_k_cyclic(nx, ny_max, k, jobs=jobs).to_machine()
             assert got == want, (k, jobs)
     config = HuntConfig(nx, ny_max)
     want = _full_stream_report("hunt", config.parameters(),
-                               verifier._eval_hunt_graph, nx, ny_max)
+                               eval_hunt_graph, nx, ny_max)
     for jobs in (1, 2):
         assert hunt_counterexample(config, jobs=jobs).to_machine() == want
+
+
+def _k_cyclic_visitor(k):
+    return partial(verifier._condition_visitor,
+                   partial(verifier._k_cyclic_verdict, k))
+
+
+_HUNT_VISITOR = partial(verifier._condition_visitor, verifier._hunt_verdict)
+
+
+def _visited(spec, make_visitor):
+    """A campaign's (checked, violation) at each node of its walk."""
+    return list(verifier._node_results(spec, make_visitor, 0, 1))
+
+
+def _refereed(spec, evaluate):
+    """The same, from a per-graph referee on each graph of the same walk."""
+    return [evaluate(g) for g in enumerate_bigraphs(*spec)]
+
+
+@pytest.mark.parametrize("nx, ny_max", [(nx, ny_max) for nx in range(6)
+                                        for ny_max in range(7)] + [(6, 6)])
+def test_node_visitors_equal_the_per_graph_referees(nx, ny_max):
+    cut = (nx, ny_max, 0, True)
+    for k in range(3, nx + 1):
+        assert _visited(cut, _k_cyclic_visitor(k)) == \
+            _refereed(cut, partial(eval_k_cyclic, k)), k
+    assert _visited(cut, _HUNT_VISITOR) == \
+        _refereed(cut, eval_hunt_graph)
+    pruned = (nx, ny_max, nx, False)
+    assert _visited(pruned, verifier._degree_visitor) == \
+        _refereed(pruned, eval_degree)
+
+
+@pytest.mark.parametrize("nx, ny_max", [(3, 5), (4, 5)])
+def test_node_visitors_report_the_referees_violations(monkeypatch, nx,
+                                                      ny_max):
+    # no violation is known, so fail every search on a graph with
+    # |Y| <= |X| + 1: a failing node can have failing children, and passing
+    # stays inherited by children, as a real verdict is
+    def failing(search):
+        def forced(g, *k):
+            if g.y_count <= g.x_count + 1:
+                return CheckReport(search.__name__[3:], False,
+                                   witness=g.x_full)
+            return search(g, *k)
+        return forced
+
+    for module in (verifier, oracles):
+        for name in ("is_k_cyclic", "is_super_cyclic"):
+            monkeypatch.setattr(module, name, failing(getattr(module, name)))
+    # a hit's dossier is tested on its own; here the hit and its witness do
+    monkeypatch.setattr(verifier, "_hit_dossier", lambda g, witness: Violation(
+        "counterexample", serialize_bigraph(g), str(witness)))
+    cut = (nx, ny_max, 0, True)
+    for k in range(3, nx + 1):
+        got = _visited(cut, _k_cyclic_visitor(k))
+        assert got == _refereed(cut, partial(eval_k_cyclic, k)), k
+        assert any(v is not None for _, v in got)
+    got = _visited(cut, _HUNT_VISITOR)
+    assert got == _refereed(cut, eval_hunt_graph)
+    assert any(v is not None for _, v in got)
+    pruned = (nx, ny_max, nx, False)
+    got = _visited(pruned, verifier._degree_visitor)
+    assert got == _refereed(pruned, eval_degree)
+    assert any(v is not None for _, v in got)
+
+
+def test_inherited_nodes_are_not_searched(monkeypatch):
+    # (4, <=6): 760 of the 1,444 walked nodes pass the condition, and 174 of
+    # those have a parent that passed and is 4-cyclic
+    searched = []
+    search = verifier.is_k_cyclic
+    monkeypatch.setattr(verifier, "is_k_cyclic",
+                        lambda g, k: searched.append(g) or search(g, k))
+    report = verify_k_cyclic(4, 6, 4)
+    assert report.graphs_checked == 760 and len(searched) == 586
+    assert len(set(searched)) == 586
+
+
+class _Halt(Exception):
+    pass
+
+
+def _inheriting_position(spec, make_visitor):
+    """The first position whose node inherits its parent's verdict."""
+    inherits = []
+
+    def recording(tree):
+        visit = make_visitor(tree)
+
+        def record(cols, x_adj, slack, state):
+            inherits.append(bool(state))
+            return visit(cols, x_adj, slack, state)
+        return record
+
+    _visited(spec, recording)
+    return inherits.index(True)
+
+
+@pytest.mark.parametrize("every", [1, 3, 500])
+@pytest.mark.parametrize("claim", ["kcyclic", "hunt"])
+def test_resumes_that_switch_jobs_are_byte_identical(monkeypatch, tmp_path,
+                                                     claim, every):
+    # (4, <=6): 1,444 positions in the cut stream, of 4,735 classes
+    campaign, make_visitor = {
+        "kcyclic": (partial(verify_k_cyclic, 4, 6, 4),
+                    _k_cyclic_visitor(4)),
+        "hunt": (partial(hunt_counterexample, HuntConfig(4, 6)),
+                 _HUNT_VISITOR),
+    }[claim]
+    want = campaign().to_machine()
+    stops = {1: [7, _inheriting_position((4, 6, 0, True), make_visitor)],
+             3: [9, 603], 500: [500, 1000]}[every]
+    save = verifier.save_checkpoint
+
+    def halting_at(position):
+        def halt(path, state):
+            save(path, state)
+            if state.examined == position:
+                raise _Halt
+        return halt
+
+    for stop in stops:
+        for first, then in ((1, 2), (2, 1)):
+            cfg = CheckpointConfig(tmp_path / f"{stop}-{first}.ckpt", every)
+            monkeypatch.setattr(verifier, "save_checkpoint", halting_at(stop))
+            with pytest.raises(_Halt):
+                campaign(jobs=first, checkpoint=cfg)
+            monkeypatch.setattr(verifier, "save_checkpoint", save)
+            assert f"examined={stop}\ncheck" in cfg.path.read_text()
+            assert campaign(jobs=then, checkpoint=cfg).to_machine() == want
+            assert "complete=1" in cfg.path.read_text()
 
 
 def test_campaigns_are_worker_count_independent():
@@ -175,29 +310,33 @@ def test_stopped_campaign_resumes_byte_identical(monkeypatch, tmp_path,
     # both walk a cut stream: 2,169 of 14,078 classes for the degree
     # campaign, 1,444 of 4,735 for the k-cyclic one
     name, campaign, stream_length = {
-        "degree": ("_eval_degree", lambda cfg: verify_degree_theorem(
+        "degree": ("_degree_visitor", lambda cfg: verify_degree_theorem(
             4, 7, checkpoint=cfg), 2169),
-        "kcyclic": ("_eval_k_cyclic", lambda cfg: verify_k_cyclic(
+        "kcyclic": ("_condition_visitor", lambda cfg: verify_k_cyclic(
             4, 6, 3, checkpoint=cfg), 1444),
     }[claim]
     want = campaign(None).to_machine()
-    evaluate = getattr(verifier, name)
+    make_visitor = getattr(verifier, name)
 
     def run(cfg, stop=None):
         calls = 0
 
         def counting(*args):
-            nonlocal calls
-            calls += 1
-            if calls == stop:
-                raise _Stop
-            return evaluate(*args)
+            visit = make_visitor(*args)
+
+            def counted(*node):
+                nonlocal calls
+                calls += 1
+                if calls == stop:
+                    raise _Stop
+                return visit(*node)
+            return counted
 
         monkeypatch.setattr(verifier, name, counting)
         try:
             return campaign(cfg).to_machine(), calls
         finally:
-            monkeypatch.setattr(verifier, name, evaluate)
+            monkeypatch.setattr(verifier, name, make_visitor)
 
     for stop in (8, 1001):  # before and after the first save at every=500
         cfg = CheckpointConfig(tmp_path / f"{claim}{stop}.ckpt", every=every)
@@ -247,10 +386,11 @@ def test_complete_cut_checkpoint_reports_every_class(monkeypatch, tmp_path):
 
     # it walks the cut stream to its end, to know the count is the stream's
     walked = []
-    enumerate_all = verifier.enumerate_bigraphs
-    monkeypatch.setattr(verifier, "_eval_degree", no_evaluation)
-    monkeypatch.setattr(verifier, "enumerate_bigraphs", lambda *args: (
-        walked.append(g) or g for g in enumerate_all(*args)))
+    walk = verifier._walk
+    monkeypatch.setattr(verifier, "_degree_visitor",
+                        lambda tree: no_evaluation)
+    monkeypatch.setattr(verifier, "_walk", lambda *args: (
+        walked.append(r) or r for r in walk(*args)))
     again = verify_degree_theorem(4, 7, checkpoint=cfg)
     assert len(walked) == 2169
     assert again.graphs_examined == expected_class_count(4, 7) == 14078
