@@ -27,8 +27,9 @@ constant amount of work per subset: a triple's N^ comes from its three
 neighborhoods, and a larger A's from the cover of its lex prefix
 A - max(A), one size down, folded with one more neighborhood the way
 ``bigraph._cover`` folds.  ``cycles`` walks the same rows, ``_order``, for
-its triples and for the single size of ``is_k_cyclic``; the cache holds a
-bounded number of them.
+its triples and for the single size of ``is_k_cyclic``, and so does the
+orderly walk's condition test for its triples; the cache holds a bounded
+number of them.
 """
 
 from __future__ import annotations
@@ -90,26 +91,16 @@ def check_condition(g: Bigraph, mode: str = "full") -> ConditionReport:
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    failure = _first_failure(g.x_adj)
-    if failure is None:
-        return ConditionReport(True, mode)
-    amask, size_fails = failure
-    a = VertexSet(SIDE_X, amask)
-    if size_fails:
-        return ConditionReport(False, mode, size_witness=a)
-    return ConditionReport(False, mode, connectivity_witness=a)
-
-
-def _first_failure(x_adj: tuple[int, ...]) -> tuple[int, bool] | None:
-    """The first A of the walk that fails the condition, as a mask, and
-    whether it fails the size clause; None when every A passes."""
+    x_adj = g.x_adj
     for amask, twice in _subsets(x_adj):
         size = amask.bit_count()
         if twice.bit_count() < size:
-            return amask, True
+            return ConditionReport(False, mode, size_witness=VertexSet(
+                SIDE_X, amask))
         if size == 3 and not _triple_is_two_connected(x_adj, amask, twice):
-            return amask, False
-    return None
+            return ConditionReport(False, mode, connectivity_witness=VertexSet(
+                SIDE_X, amask))
+    return ConditionReport(True, mode)
 
 
 def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:

@@ -92,6 +92,7 @@ from operator import or_
 from typing import Any, Callable, Iterator
 
 from .bigraph import Bigraph, _triple_is_two_connected
+from .condition import _order
 from .errors import CapacityError, InputError
 
 #: enumeration caps: isomorphism classes explode combinatorially past these
@@ -184,10 +185,10 @@ class _Tree:
     """The tables of one walk: the canonicity pack's guard and per-column
     steps, the slack pack's guard, root and per-column spends, per depth m
     and column c what c adds to ``x_adj`` as y_{m+1}, and for the size
-    clause one unit in each size field and the triples (A, x1, x2, x3)."""
+    clause one unit in each size field."""
 
     __slots__ = ("nx", "ny_max", "guard", "steps", "slack_guard", "root",
-                 "spends", "bits", "sizes", "triples")
+                 "spends", "bits", "sizes")
 
     def __init__(self, nx: int, ny_max: int,
                  fields: list[tuple[int, set[int], bool]]) -> None:
@@ -206,9 +207,6 @@ class _Tree:
                       for c in range(1 << nx)] for m in range(ny_max)]
         self.sizes = sum(unit for (_, _, size), unit in zip(fields, units)
                          if size)
-        self.triples = [(1 << i | 1 << j | 1 << k, i, j, k)
-                        for i, j, k in combinations(range(1, nx + 1), 3)
-                        ] if self.sizes else []
 
 
 class _Subtree(tuple):
@@ -272,14 +270,14 @@ def _walk(tree: _Tree,
 def _passes_condition(tree: _Tree, m: int, x_adj: tuple[int, ...],
                       slack: int) -> bool:
     """The neighborhood condition at a node with |Y| = m of a walk with
-    ``condition``: the size clause from the slack pack, then the triples
-    (module docstring)."""
+    ``condition``: the size clause from the slack pack, then the triples in
+    the condition's own order (module docstring)."""
     sizes = tree.sizes
     floor = sizes * (tree.ny_max - m)
     size_guard = sizes << tree.ny_max.bit_length()
     if slack - floor & size_guard != size_guard:
         return False
-    for amask, i, j, k in tree.triples:
+    for amask, i, j, k in _order(tree.nx, 3):
         a, b, c = x_adj[i], x_adj[j], x_adj[k]
         if not _triple_is_two_connected(x_adj, amask, a & b | (a | b) & c):
             return False

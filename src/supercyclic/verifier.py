@@ -21,8 +21,7 @@ from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
 from .bitset import full_mask, indices_of, iter_bits, mask_of
 from .classify import (YMIN_EDGE_CAP, find_critical_core, is_critical,
                        is_saturated, is_y_minimal)
-from .condition import (_first_failure, _thresholds, check_condition,
-                        min_deficiency)
+from .condition import _thresholds, check_condition, min_deficiency
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
 from .errors import InputError, SupercyclicError
 from .formats import serialize_bigraph
@@ -153,7 +152,7 @@ def verify_k_cyclic(nx: int, ny_max: int, k: int, *, jobs: int = 1,
                           partial(_condition_visitor,
                                   partial(_k_cyclic_verdict, k))),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
-                  length=expected_class_count(nx, ny_max), stream="condition")
+                  length=expected_class_count(nx, ny_max), cut=True)
 
 
 def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
@@ -161,18 +160,19 @@ def verify_degree_theorem(nx: int, ny_max: int, *, jobs: int = 1,
                           progress: Progress | None = None) -> VerificationReport:
     """Condition plus the quarter degree bound must force super-cyclicity.
 
-    The bound needs every X-degree >= nx, so the walk cuts every class with
-    a smaller X-degree and evaluates only the rest.  The report still counts
-    all ``expected_class_count(nx, ny_max)`` classes: those cut fail the
-    bound by their degree alone.  A checkpoint holds the position in the
-    cut stream.
+    The bound needs every X-degree >= nx, so the walk of ``verify_k_cyclic``
+    also cuts every class with a smaller X-degree, and evaluates only the
+    rest.  The report still counts all ``expected_class_count(nx, ny_max)``
+    classes: those cut fail the bound by their degree alone, or the
+    condition by proof.  A checkpoint holds the position in the cut stream.
     """
     params = (("nx", str(nx)), ("ny_max", str(ny_max)))
     return _drive("verify-degree-theorem", params,
-                  partial(_node_results, (nx, ny_max, nx, False),
-                          _degree_visitor),
+                  partial(_node_results, (nx, ny_max, nx, True),
+                          partial(_condition_visitor, _degree_verdict,
+                                  quarter_bound=True)),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
-                  length=expected_class_count(nx, ny_max), stream="pruned")
+                  length=expected_class_count(nx, ny_max), cut=True)
 
 
 def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
@@ -192,7 +192,7 @@ def hunt_counterexample(config: HuntConfig, *, jobs: int = 1,
                               partial(_condition_visitor, _hunt_verdict)),
                       jobs=jobs, checkpoint=checkpoint, progress=progress,
                       length=expected_class_count(config.nx, config.ny_max),
-                      stream="condition")
+                      cut=True)
     return _drive("hunt", config.parameters(), partial(_trial_results, config),
                   jobs=jobs, checkpoint=checkpoint, progress=progress,
                   length=config.trials)
@@ -203,7 +203,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
                                                         Violation | None]]],
            *, jobs: int, checkpoint: CheckpointConfig | None,
            progress: Progress | None, length: int,
-           stream: str = "") -> VerificationReport:
+           cut: bool = False) -> VerificationReport:
     """Evaluate the stream in order and count what it examined.
 
     ``results(skip, jobs)`` gives the stream, one (checked, violation) per
@@ -211,13 +211,13 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     them and reads them as unchecked.  ``length`` is what the stream stands
     for: the Burnside count of the classes of an enumerated stream, or the
     trials of a random hunt.  An
-    uncut stream must yield exactly that many.  A cut stream, named by its
-    ``stream`` tag, yields at most that many, and the report gives
-    ``length`` as examined.  Any other count is a fault of the walk and
-    raises RuntimeError, which the CLI reports as an internal error.  The
-    checkpoints and progress lines of a cut stream count its positions,
-    and the tag ends the checkpoint key, so that no checkpoint resumes a
-    stream other than the one that wrote it.
+    uncut stream must yield exactly that many.  A ``cut`` stream, the
+    condition-cut walk of every enumerated campaign, yields at most that
+    many, and the report gives ``length`` as examined.  Any other count is
+    a fault of the walk and raises RuntimeError, which the CLI reports as
+    an internal error.  The checkpoints and progress lines of a cut stream
+    count its positions, and ``;stream=condition`` ends its checkpoint key,
+    so that no checkpoint of another stream resumes it.
 
     A checkpoint is written once before the first item, so that a path that
     cannot be written fails the campaign before any work is done.  A
@@ -230,8 +230,8 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     start = time.perf_counter()
     key = ";".join(f"{k}={v}" for k, v in parameters)
     unit = ""
-    if stream:
-        key += f";stream={stream}"
+    if cut:
+        key += ";stream=condition"
         unit = f" (positions in the cut stream; {length} classes in all)"
     examined = 0
     checked = 0
@@ -240,7 +240,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     def assemble() -> VerificationReport:
         return VerificationReport(
             campaign=campaign, parameters=tuple(parameters),
-            graphs_examined=length if stream else examined,
+            graphs_examined=length if cut else examined,
             graphs_checked=checked, violations=tuple(violations),
             deterministic=True, elapsed_seconds=time.perf_counter() - start)
 
@@ -250,7 +250,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
         if state is not None:
             # a complete one probes one position past its own, unevaluated
             items = results(state.examined + state.complete, jobs)
-            _refuse_impossible(checkpoint, state, length, stream, items)
+            _refuse_impossible(checkpoint, state, length, cut, items)
             examined, checked = state.examined, state.checked
             violations = [Violation(*v) for v in state.violations]
             if state.complete:
@@ -285,7 +285,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
         consume(items)
     finally:
         items.close()  # stops the workers of an unfinished stream
-    if examined > length or not stream and examined != length:
+    if examined > length or not cut and examined != length:
         raise RuntimeError(f"the stream yielded {examined} items, but it "
                            f"stands for {length}")
     if checkpoint is not None:
@@ -294,7 +294,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
 
 
 def _refuse_impossible(checkpoint: CheckpointConfig, state: CheckpointState,
-                       length: int, stream: str, items: Iterator) -> None:
+                       length: int, cut: bool, items: Iterator) -> None:
     """Raise InputError when a checkpoint's counts cannot come from a run
     of a stream that stands for ``length`` items; a cut stream yields at
     most that many, and only ``items`` tells how many.  Once the counts are
@@ -302,7 +302,7 @@ def _refuse_impossible(checkpoint: CheckpointConfig, state: CheckpointState,
     examined, checked = state.examined, state.checked
     if examined > length:
         why = f"examined={examined} exceeds the {length} items of the stream"
-    elif state.complete and not stream and examined != length:
+    elif state.complete and not cut and examined != length:
         why = (f"it is complete at examined={examined}, but the stream has "
                f"{length} items")
     elif checked > examined:
@@ -336,18 +336,25 @@ def _trial_results(config: HuntConfig, skip: int, jobs: int
     trial = partial(_hunt_trial, config)
     todo = range(skip, config.trials)
     if jobs > 1 and todo:
-        with _pool(jobs) as pool:
-            yield from pool.imap(trial, todo, chunksize=16)
+        yield from _worker_map(trial, todo, jobs, chunksize=16)
     else:
         yield from map(trial, todo)
 
 
-def _pool(jobs: int):
-    """Worker processes started afresh, not forked: a forked child copies
-    whatever threads and locks the caller holds.  Imported here, so that
-    ``--jobs 1`` never loads multiprocessing."""
-    import multiprocessing
-    return multiprocessing.get_context("spawn").Pool(jobs)
+def _worker_map(fn: Callable, items: Iterable, jobs: int,
+                chunksize: int = 1) -> Iterator:
+    """``map(fn, items)`` in ``jobs`` workers started afresh, not forked (a
+    forked child copies whatever threads and locks the caller holds).  A
+    worker that dies raises ``BrokenProcessPool``, a RuntimeError, and
+    closing the stream cancels the items not started.  Imported here, so
+    that ``--jobs 1`` never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
+    try:
+        yield from pool.map(fn, items, chunksize=chunksize)
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _node_results(spec: tuple[int, int, int, bool],
@@ -358,12 +365,12 @@ def _node_results(spec: tuple[int, int, int, bool],
 
     The first ``skip`` nodes are walked but not visited; each gets the state
     None, so that nothing is inherited from a node that was not evaluated.
-    With ``jobs`` > 1, once those are behind, this process visits the nodes
-    above depth 2 and hands each subtree at depth 2, with its parent's
-    state, to a worker as one shard, as geng splits its tree (McKay and
-    Piperno, J. Symbolic Comput. 60, 2014); the shards come back in order,
-    so the stream is the same.  A subtree that the skipped nodes reach into
-    is walked here.
+    This process visits the nodes above depth 2, and each subtree at depth
+    2 is one shard with its parent's state, as geng splits its tree (McKay
+    and Piperno, J. Symbolic Comput. 60, 2014).  A shard is walked here, in
+    place, with ``jobs`` = 1 or when the skipped nodes reach into it; the
+    rest go to ``jobs`` workers and come back in order, so the stream is
+    the same.
     """
     tree = _tree(*spec)
     if tree is None:
@@ -378,77 +385,74 @@ def _node_results(spec: tuple[int, int, int, bool],
             return None, _UNCHECKED
         return visit(cols, x_adj, slack, state)
 
-    if jobs == 1:
-        yield from _walk(tree, counted if skip else visit)
-        return
     top = _walk(tree, counted, split=2)
     for item in top:
         if type(item) is not _Subtree:
             yield item
-        elif todo:
-            yield from _walk(tree, counted, item)
+        elif todo or jobs == 1:
+            yield from _walk(tree, counted if todo else visit, item)
         else:
             break
     else:
         return
-    rest = [item, *top]
-    with _pool(jobs) as pool:
-        shards = pool.imap(partial(_shard, spec, make_visitor),
-                           [s for s in rest if type(s) is _Subtree])
-        for item in rest:
-            if type(item) is _Subtree:
-                yield from next(shards)
-            else:
-                yield item
+    shards = _worker_map(partial(_shard, spec, make_visitor), [item, *top],
+                         jobs)
+    try:
+        for shard in shards:
+            yield from shard
+    finally:
+        shards.close()
 
 
 def _shard(spec: tuple[int, int, int, bool],
            make_visitor: Callable[[_Tree], Callable],
-           subtree: _Subtree) -> list[tuple[bool, Violation | None]]:
+           item: _Subtree | tuple[bool, Violation | None]
+           ) -> list[tuple[bool, Violation | None]]:
+    """The results of a subtree; a node visited above the shards is its
+    own result."""
+    if type(item) is not _Subtree:
+        return [item]
     tree = _tree(*spec)
-    return list(_walk(tree, make_visitor(tree), subtree))
+    return list(_walk(tree, make_visitor(tree), item))
 
 
-# Each visitor's state is whether its node passed the condition and was
+# The visitor's state is whether its node passed the condition and was
 # certified (generators docstring: a child of such a node is too).  The
 # searches are called by their module names here, so a tracer sees them.
-# The factories are module level, so that a shard names them to a worker.
+# The factory and verdicts are module level, so a shard names them to a worker.
 
 def _condition_visitor(verdict: Callable[[Bigraph], tuple[bool,
                                                           Violation | None]],
-                       tree: _Tree) -> Callable:
-    """A visitor for a campaign whose hypothesis is the condition:
-    ``verdict`` decides each node that passes it and inherits no pass."""
+                       tree: _Tree, quarter_bound: bool = False) -> Callable:
+    """A visitor for a campaign whose hypothesis holds the condition:
+    ``verdict`` decides each node that passes it and inherits no pass.
+    The degree theorem's ``quarter_bound`` is not inherited (|Y| grows), so
+    it is tested first at every node, and one that fails it passes its
+    parent's state on."""
+    nx = tree.nx
+
     def visit(cols, x_adj, slack, certified):
+        m = len(cols)
+        if quarter_bound:
+            degree = min(map(int.bit_count, x_adj[1:]), default=0)
+            if not _thresholds(nx, m, degree).meets_quarter_bound:
+                return certified, _UNCHECKED
         if certified:
             return True, _CHECKED
-        if not _passes_condition(tree, len(cols), x_adj, slack):
+        if not _passes_condition(tree, m, x_adj, slack):
             return False, _UNCHECKED
         result = verdict(_graph(cols, x_adj))
         return result[1] is None, result
     return visit
 
 
-def _degree_visitor(tree: _Tree) -> Callable:
-    """The quarter bound is not inherited (|Y| grows), so it is tested at
-    every node; the state is the condition and super-cyclicity alone."""
-    nx = tree.nx
-
-    def visit(cols, x_adj, slack, certified):
-        degree = min(map(int.bit_count, x_adj[1:]), default=0)
-        if not _thresholds(nx, len(cols), degree).meets_quarter_bound:
-            return certified, _UNCHECKED
-        if certified:
-            return True, _CHECKED
-        if _first_failure(x_adj) is not None:
-            return False, _UNCHECKED
-        g = _graph(cols, x_adj)
-        rep = is_super_cyclic(g)
-        if rep.passed:
-            return True, _CHECKED
-        return False, (True, Violation("degree_theorem", serialize_bigraph(g),
-                                       str(rep.witness)))
-    return visit
+def _degree_verdict(g: Bigraph) -> tuple[bool, Violation | None]:
+    """Verdict on a graph known to meet the degree theorem's hypothesis."""
+    rep = is_super_cyclic(g)
+    if rep.passed:
+        return True, None
+    return True, Violation("degree_theorem", serialize_bigraph(g),
+                           str(rep.witness))
 
 
 def _k_cyclic_verdict(k: int, g: Bigraph) -> tuple[bool, Violation | None]:

@@ -1,8 +1,11 @@
 import contextlib
 import io
+import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from hashlib import sha256
 from itertools import islice
 
@@ -362,6 +365,28 @@ def test_full_stream_degree_checkpoint_is_refused(monkeypatch, capsys,
     assert err.startswith("error:") and "refusing to resume" in err
 
 
+@pytest.mark.parametrize("complete", ["0", "1"])
+def test_degree_only_cut_checkpoint_is_refused(monkeypatch, capsys, tmp_path,
+                                               complete):
+    # written while the degree campaign cut its stream by degree alone: its
+    # position counts that stream, which keeps nodes the condition cuts
+    path = tmp_path / "old.ckpt"
+    text = ("checkpoint=1\ncampaign=verify-degree-theorem\n"
+            "key=nx=4;ny_max=7;stream=pruned\nexamined=2000\nchecked=150\n"
+            f"complete={complete}\nviolations=0\n")
+    path.write_text(text)
+    code, out, err = run(monkeypatch, capsys,
+                         ["verify", "degree", "--nx", "4", "--ny-max", "7",
+                          "--checkpoint", str(path)])
+    assert code == 2 and out == ""
+    assert err == (f"error: checkpoint {path} belongs to campaign "
+                   f"'verify-degree-theorem' with parameters "
+                   f"'nx=4;ny_max=7;stream=pruned'; refusing to resume "
+                   f"'verify-degree-theorem' with "
+                   f"'nx=4;ny_max=7;stream=condition'\n")
+    assert path.read_bytes() == text.encode()
+
+
 @pytest.mark.parametrize("campaign, complete", [
     (["verify", "kcyclic", "--nx", "3", "--ny-max", "4", "--k", "3"], "0"),
     (["verify", "kcyclic", "--nx", "3", "--ny-max", "4", "--k", "3"], "1"),
@@ -397,11 +422,10 @@ def _record_evaluations(monkeypatch):
     and each random trial; return the record."""
     evaluated = []
 
-    def visitor(*args):
+    def visitor(*args, **kwargs):
         return lambda *node: evaluated.append(node) or (None, (False, None))
 
-    for name in ("_condition_visitor", "_degree_visitor"):
-        monkeypatch.setattr(verifier, name, visitor)
+    monkeypatch.setattr(verifier, "_condition_visitor", visitor)
     monkeypatch.setattr(verifier, "_hunt_trial",
                         lambda *args: evaluated.append(args) or (False, None))
     return evaluated
@@ -442,7 +466,7 @@ def test_checkpoint_counts_the_stream_cannot_hold_exit_2(
     evaluated = _record_evaluations(monkeypatch)
     cli_name, key = {
         "kcyclic": ("verify-k-cyclic", "nx=3;ny_max=3;k=3;stream=condition"),
-        "degree": ("verify-degree-theorem", "nx=4;ny_max=5;stream=pruned"),
+        "degree": ("verify-degree-theorem", "nx=4;ny_max=5;stream=condition"),
         "hunt": ("hunt", "mode=random;nx=4;ny_max=4;seed=0;trials=5;"
                          "min_x_degree=2"),
     }[campaign[1] if campaign[0] == "verify" else "hunt"]
@@ -510,10 +534,11 @@ def test_cut_stream_with_an_extra_class_is_an_internal_error(monkeypatch,
     # a cut stream may end early, but never after the classes it stands for
     walk = verifier._walk
 
-    def one_extra(tree, visit, *args):
+    def one_extra(tree, visit, node=None, split=0):
         whole = generators._tree(tree.nx, tree.ny_max)  # none cut
-        yield from walk(whole, visit)  # every class
-        yield from islice(walk(whole, visit), 1)
+        yield from walk(whole, visit, node, split)  # every class
+        if node is None:  # the top of the walk, not a subtree below it
+            yield from islice(walk(whole, visit), 1)
 
     code, out, _ = run(monkeypatch, capsys, campaign + ["--format", "machine"])
     assert code == 0 and "graphs_examined=141\n" in out
@@ -522,6 +547,70 @@ def test_cut_stream_with_an_extra_class_is_an_internal_error(monkeypatch,
     assert code == 3 and out == ""
     assert err == ("internal error: RuntimeError: the stream yielded 142 "
                    "items, but it stands for 141\n")
+
+
+DYING_WORKER = """\
+import os
+import sys
+
+from supercyclic import cli, verifier
+
+
+def die(*args):
+    os._exit(1)
+
+
+if __name__ == "__main__":  # a spawned worker imports this, with the real ones
+    verifier._k_cyclic_verdict = verifier._hunt_trial = die
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("campaign", [
+    ["verify", "kcyclic", "--nx", "4", "--ny-max", "6", "--k", "4"],
+    ["hunt", "--nx", "4", "--ny-max", "4", "--random", "--trials", "50"],
+], ids=["shards", "trials"])
+def test_campaign_whose_worker_dies_is_an_internal_error(tmp_path, campaign):
+    # every node this process visits, above depth 2, fails the condition, so
+    # only the workers call the verdict, or the trial, that dies
+    script = tmp_path / "dying_worker.py"
+    script.write_text(DYING_WORKER)
+    src = os.path.dirname(os.path.dirname(verifier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # a session of its own, so that its workers can be found and stopped
+    proc = subprocess.Popen([sys.executable, str(script), *campaign,
+                             "--jobs", "2"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+        # and no worker outlives the campaign
+        deadline = time.monotonic() + 5
+        while (left := _running_in_group(proc.pid)) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert (proc.returncode, out, left) == (3, "", [])
+    assert err.startswith("internal error: BrokenProcessPool: ")
+    assert err.count("\n") == 1
+
+
+def _running_in_group(pgid):
+    """The processes of group ``pgid`` that are not zombies, from /proc."""
+    running = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # it has ended since
+            continue
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            running.append(int(pid))
+    return running
 
 
 @pytest.mark.parametrize("case", ["checkpoint-missing-dir",

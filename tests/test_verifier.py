@@ -21,7 +21,7 @@ from supercyclic import (
     verify_degree_theorem,
     verify_k_cyclic,
 )
-from supercyclic import CheckReport, cli, verifier
+from supercyclic import CheckReport, cli, generators, verifier
 from supercyclic.bigraph import _cover, super_neighborhood
 from supercyclic.bitset import full_mask, indices_of
 from supercyclic.formats import serialize_bigraph
@@ -130,6 +130,8 @@ def _k_cyclic_visitor(k):
 
 
 _HUNT_VISITOR = partial(verifier._condition_visitor, verifier._hunt_verdict)
+_DEGREE_VISITOR = partial(verifier._condition_visitor,
+                          verifier._degree_verdict, quarter_bound=True)
 
 
 def _visited(spec, make_visitor):
@@ -151,9 +153,9 @@ def test_node_visitors_equal_the_per_graph_referees(nx, ny_max):
             _refereed(cut, partial(eval_k_cyclic, k)), k
     assert _visited(cut, _HUNT_VISITOR) == \
         _refereed(cut, eval_hunt_graph)
-    pruned = (nx, ny_max, nx, False)
-    assert _visited(pruned, verifier._degree_visitor) == \
-        _refereed(pruned, eval_degree)
+    degree_cut = (nx, ny_max, nx, True)
+    assert _visited(degree_cut, _DEGREE_VISITOR) == \
+        _refereed(degree_cut, eval_degree)
 
 
 @pytest.mark.parametrize("nx, ny_max", [(3, 5), (4, 5)])
@@ -184,9 +186,9 @@ def test_node_visitors_report_the_referees_violations(monkeypatch, nx,
     got = _visited(cut, _HUNT_VISITOR)
     assert got == _refereed(cut, eval_hunt_graph)
     assert any(v is not None for _, v in got)
-    pruned = (nx, ny_max, nx, False)
-    got = _visited(pruned, verifier._degree_visitor)
-    assert got == _refereed(pruned, eval_degree)
+    degree_cut = (nx, ny_max, nx, True)
+    got = _visited(degree_cut, _DEGREE_VISITOR)
+    assert got == _refereed(degree_cut, eval_degree)
     assert any(v is not None for _, v in got)
 
 
@@ -307,22 +309,22 @@ class _Stop(Exception):
 @pytest.mark.parametrize("claim", ["degree", "kcyclic"])
 def test_stopped_campaign_resumes_byte_identical(monkeypatch, tmp_path,
                                                  claim, every):
-    # both walk a cut stream: 2,169 of 14,078 classes for the degree
+    # both walk a cut stream: 2,139 of 14,078 classes for the degree
     # campaign, 1,444 of 4,735 for the k-cyclic one
-    name, campaign, stream_length = {
-        "degree": ("_degree_visitor", lambda cfg: verify_degree_theorem(
-            4, 7, checkpoint=cfg), 2169),
-        "kcyclic": ("_condition_visitor", lambda cfg: verify_k_cyclic(
-            4, 6, 3, checkpoint=cfg), 1444),
+    campaign, stream_length = {
+        "degree": (lambda cfg: verify_degree_theorem(4, 7, checkpoint=cfg),
+                   2139),
+        "kcyclic": (lambda cfg: verify_k_cyclic(4, 6, 3, checkpoint=cfg),
+                    1444),
     }[claim]
     want = campaign(None).to_machine()
-    make_visitor = getattr(verifier, name)
+    make_visitor = verifier._condition_visitor
 
     def run(cfg, stop=None):
         calls = 0
 
-        def counting(*args):
-            visit = make_visitor(*args)
+        def counting(*args, **kwargs):
+            visit = make_visitor(*args, **kwargs)
 
             def counted(*node):
                 nonlocal calls
@@ -332,11 +334,11 @@ def test_stopped_campaign_resumes_byte_identical(monkeypatch, tmp_path,
                 return visit(*node)
             return counted
 
-        monkeypatch.setattr(verifier, name, counting)
+        monkeypatch.setattr(verifier, "_condition_visitor", counting)
         try:
             return campaign(cfg).to_machine(), calls
         finally:
-            monkeypatch.setattr(verifier, name, make_visitor)
+            monkeypatch.setattr(verifier, "_condition_visitor", make_visitor)
 
     for stop in (8, 1001):  # before and after the first save at every=500
         cfg = CheckpointConfig(tmp_path / f"{claim}{stop}.ckpt", every=every)
@@ -355,7 +357,7 @@ def test_progress_lines_say_what_they_count(tmp_path, claim):
     # both cut streams of (4, <=7) stand for 14,078 classes; the k-cyclic
     # one has 5,686 positions, so it prints a line at 4000 as well
     campaign, checked = {
-        "degree": (partial(verify_degree_theorem, 4, 7), [164]),
+        "degree": (partial(verify_degree_theorem, 4, 7), [176]),
         "kcyclic": (partial(verify_k_cyclic, 4, 7, 3), [1021, 2136]),
     }[claim]
     unit = " (positions in the cut stream; 14078 classes in all)"
@@ -377,22 +379,30 @@ def test_complete_cut_checkpoint_reports_every_class(monkeypatch, tmp_path):
     cfg = CheckpointConfig(tmp_path / "degree.ckpt")
     first = verify_degree_theorem(4, 7, checkpoint=cfg)
     state = load_checkpoint(cfg.path, "verify-degree-theorem",
-                            "nx=4;ny_max=7;stream=pruned")
+                            "nx=4;ny_max=7;stream=condition")
     assert state.complete
-    assert state.examined == len(list(enumerate_bigraphs(4, 7, 4))) == 2169
+    assert state.examined == len(list(enumerate_bigraphs(4, 7, 4, True))) \
+        == 2139
 
     def no_evaluation(*args):
         raise AssertionError("a complete checkpoint evaluated a class")
 
-    # it walks the cut stream to its end, to know the count is the stream's
+    # it walks the cut stream to its end, to know the count is the stream's;
+    # the shards at depth 2 are walked in place, each by a walk of its own
     walked = []
     walk = verifier._walk
-    monkeypatch.setattr(verifier, "_degree_visitor",
-                        lambda tree: no_evaluation)
-    monkeypatch.setattr(verifier, "_walk", lambda *args: (
-        walked.append(r) or r for r in walk(*args)))
+
+    def recording(*args, **kwargs):
+        for r in walk(*args, **kwargs):
+            if type(r) is not generators._Subtree:
+                walked.append(r)
+            yield r
+
+    monkeypatch.setattr(verifier, "_condition_visitor",
+                        lambda *args, **kwargs: no_evaluation)
+    monkeypatch.setattr(verifier, "_walk", recording)
     again = verify_degree_theorem(4, 7, checkpoint=cfg)
-    assert len(walked) == 2169
+    assert len(walked) == 2139
     assert again.graphs_examined == expected_class_count(4, 7) == 14078
     assert again.to_machine() == first.to_machine()
 
