@@ -14,10 +14,11 @@ Conventions:
 * ``Bigraph`` and ``Hypergraph`` are immutable.  "Mutators" such as
   ``with_edge`` return new graphs, so derived statistics can never go stale.
 * The edge-list constructor is the one public, validating build.  The
-  trusted mask-level ``Bigraph._of_masks`` has two callers: ``with_edge`` /
-  ``without_edge``, flipping one bit per side after ``has_edge`` checks the
-  range, and the enumerator's ``generators._graph``, from the columns and
-  the ``x_adj`` that its walk carries.
+  trusted mask-level ``Bigraph._of_masks`` has three callers:
+  ``with_edge`` / ``without_edge``, flipping one bit per side after
+  ``has_edge`` checks the range, the enumerator's ``generators._graph``,
+  from the columns and the ``x_adj`` that its walk carries, and the hunt's
+  repair, from the masks it has edited.
 * A record is a ``typing.NamedTuple`` when it is plain data, and a
   ``__slots__`` class that checks its input in ``__init__`` when it
   validates; those compared by value subclass ``_Record``.

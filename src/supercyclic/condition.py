@@ -30,11 +30,21 @@ A - max(A), one size down, folded with one more neighborhood the way
 its triples and for the single size of ``is_k_cyclic``, and so does the
 orderly walk's condition test for its triples; the cache holds a bounded
 number of them.
+
+Adding an edge never breaks an A that passes.  Proof: let the new edge be
+xy.  N^(A) only grows, so the size clause still holds.  H = G[A union
+N^(A)] changes only if x is in A: if y already had two neighbors in A, xy
+is one more edge of H; if it had one, y joins H with two neighbors in A;
+otherwise H is unchanged.  An edge added to a 2-connected graph, or a
+vertex joined to two of its vertices, leaves it 2-connected.  So after an
+added edge the first failing A comes no earlier than before, and a scan
+may start its tests at the old witness (``_scan``'s ``after``), as the
+hunt's repair does; after a deleted edge it starts over.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, dropwhile
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -80,27 +90,38 @@ class ConditionReport(_Record):
 def check_condition(g: Bigraph, mode: str = "full") -> ConditionReport:
     """Test the neighborhood condition; vacuously true when |X| < 3.
 
-    2-connectivity is tested on triples only, in either mode; ``mode`` just
-    labels the report.  This decides the clause for every A: when the scan
-    reaches an A with |A| >= 4, every triple T in A has passed, so
-    G[T union N^(T)] is 2-connected, with N^(T) inside N^(A).  Deleting a
-    vertex v from H = G[A union N^(A)] leaves any two X-vertices of A - v in
-    a triple avoiding v (|A| >= 4 leaves a third), whose graph minus v is
-    connected, and every y of H - v a neighbor in A - v.  So H is
-    2-connected, and the first failure is a size failure or a triple.
+    2-connectivity is tested on triples only, in either mode, which decides
+    it for every A (module docstring); ``mode`` just labels the report.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    x_adj = g.x_adj
-    for amask, twice in _subsets(x_adj):
+    kind, amask = _scan(g.x_adj)
+    if not kind:
+        return ConditionReport(True, mode)
+    witness = VertexSet(SIDE_X, amask)
+    if kind == "size":
+        return ConditionReport(False, mode, size_witness=witness)
+    return ConditionReport(False, mode, connectivity_witness=witness)
+
+
+def _scan(x_adj: tuple[int, ...], after: int = 0) -> tuple[str, int]:
+    """The first A that fails, as (kind, A) with kind "size" or "triple",
+    or ("", 0) if none does.
+
+    A nonzero ``after`` is the witness of a scan made before one more edge
+    was added: every A before it still passes (module docstring), so the
+    tests start at it.
+    """
+    walk = _subsets(x_adj)
+    if after:
+        walk = dropwhile(lambda pair: pair[0] != after, walk)
+    for amask, twice in walk:
         size = amask.bit_count()
         if twice.bit_count() < size:
-            return ConditionReport(False, mode, size_witness=VertexSet(
-                SIDE_X, amask))
+            return "size", amask
         if size == 3 and not _triple_is_two_connected(x_adj, amask, twice):
-            return ConditionReport(False, mode, connectivity_witness=VertexSet(
-                SIDE_X, amask))
-    return ConditionReport(True, mode)
+            return "triple", amask
+    return "", 0
 
 
 def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
@@ -113,13 +134,14 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
     if g.x_count < 3:
         raise InputError("deficiency is defined for graphs with |X| >= 3")
 
-    def deficiency(pair: tuple[int, int]) -> int:
-        amask, twice = pair
-        return twice.bit_count() - amask.bit_count()
-
-    # min keeps the first of equal keys, which is the earliest in walk order
-    best = min(_subsets(g.x_adj), key=deficiency)
-    return deficiency(best), VertexSet(SIDE_X, best[0])
+    walk = _subsets(g.x_adj)
+    best, twice = next(walk)
+    low = twice.bit_count() - 3
+    for amask, twice in walk:
+        d = twice.bit_count() - amask.bit_count()
+        if d < low:  # strictly: a tie keeps the earliest in walk order
+            low, best = d, amask
+    return low, VertexSet(SIDE_X, best)
 
 
 #: the walk orders held, by (|X|, size): (A, x1, x2, x3) for triples,

@@ -92,6 +92,7 @@ from operator import or_
 from typing import Any, Callable, Iterator
 
 from .bigraph import Bigraph, _triple_is_two_connected
+from .bitset import iter_bits
 from .condition import _order
 from .errors import CapacityError, InputError
 
@@ -402,11 +403,9 @@ def random_bigraph(nx: int, ny: int, min_x_degree: int = 0,
     rng = random.Random(seed)
     edges = []
     for x in range(1, nx + 1):
-        mask = rng.getrandbits(ny) if ny else 0
-        have = [y for y in range(1, ny + 1) if mask >> (y - 1) & 1]
-        missing = [y for y in range(1, ny + 1) if not mask >> (y - 1) & 1]
-        while len(have) < min_x_degree:
-            pick = rng.randrange(len(missing))
-            have.append(missing.pop(pick))
-        edges.extend((x, y) for y in have)
+        row = rng.getrandbits(ny) << 1 if ny else 0
+        missing = [y for y in range(1, ny + 1) if not row >> y & 1]
+        while row.bit_count() < min_x_degree:
+            row |= 1 << missing.pop(rng.randrange(len(missing)))
+        edges += [(x, y) for y in iter_bits(row)]
     return Bigraph(nx, ny, edges)

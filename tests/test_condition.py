@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 import supercyclic.bigraph
 from supercyclic import condition
@@ -260,6 +260,25 @@ def test_min_deficiency_brackets_condition(g):
 def test_min_deficiency_is_first_minimum_in_walk_order(g):
     d, a = min_deficiency(g)
     assert (d, a.members) == min_deficiency_bruteforce(g)
+
+
+@given(bigraphs(min_x=3, max_x=6, max_y=6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_an_added_edge_never_moves_the_first_failure_earlier(g, data):
+    # the lemma in the condition docstring, on the literal every-A scan
+    missing = [(x, y) for x in g.x_indices() for y in g.y_indices()
+               if not g.has_edge(x, y)]
+    assume(missing)
+    h = g.with_edge(*data.draw(st.sampled_from(missing)))
+    before = first_condition_failure(g, "full")
+    after = first_condition_failure(h, "full")
+    if before is None:
+        assert after is None
+    elif after is not None:
+        assert (len(after[1]), after[1]) >= (len(before[1]), before[1])
+    # so a scan of h may skip the triple tests before g's witness
+    _, witness = condition._scan(g.x_adj)
+    assert condition._scan(h.x_adj, witness) == condition._scan(h.x_adj)
 
 
 def test_degree_hypothesis_frozen():

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from functools import partial
 from hashlib import sha256
 
@@ -18,11 +20,12 @@ from supercyclic import (
     enumerate_bigraphs,
     expected_class_count,
     hunt_counterexample,
+    random_bigraph,
     verify_degree_theorem,
     verify_k_cyclic,
 )
-from supercyclic import CheckReport, cli, generators, verifier
-from supercyclic.bigraph import _cover, super_neighborhood
+from supercyclic import CheckReport, cli, condition, generators, verifier
+from supercyclic.bigraph import _cover
 from supercyclic.bitset import full_mask, indices_of
 from supercyclic.formats import serialize_bigraph
 from supercyclic.reports import escape_value, machine_lines, unescape_value
@@ -544,15 +547,18 @@ def test_hunt_random_graphs_checked_frozen(monkeypatch, nx, ny_max, seed,
 @given(bigraphs(min_x=3, max_x=7, max_y=8))
 @settings(max_examples=400, deadline=None)
 def test_repair_always_has_an_edge_to_change(g):
-    # why _repair_to_boundary needs no fallback when it picks an edge
-    rep = check_condition(g, "kim")
-    if rep.passed:
+    # why _repair_to_boundary needs no fallback when it picks an edge; it
+    # tells the failed clause from the cover of the scan's witness
+    kind, amask = condition._scan(g.x_adj)
+    if not kind:
         # the first triple has |N^| >= 3, so there is an edge to delete
         assert g.edge_count > 0
-    elif rep.size_witness is not None:
+        return
+    a = indices_of(amask)
+    once, twice = _cover(g.x_adj, a)
+    assert (twice.bit_count() < len(a)) == (kind == "size")
+    if kind == "size":
         # each candidate y sees at most one member of A, and |A| >= 3
-        a = rep.size_witness.members
-        once, twice = _cover(g.x_adj, a)
         cands = indices_of(once & ~twice) or \
             indices_of(full_mask(g.y_count) & ~once)
         for j in cands:
@@ -560,9 +566,33 @@ def test_repair_always_has_an_edge_to_change(g):
     else:
         # the witness is a triple with |N^| >= 3; if its xs saw all of N^,
         # it would span K(3, t), which is 2-connected
-        a = rep.connectivity_witness
-        assert any(not g.has_edge(x, j) for x in a.members
-                   for j in super_neighborhood(g, a).members)
+        assert len(a) == 3
+        assert any(not g.has_edge(x, j) for x in a
+                   for j in indices_of(twice))
+
+
+def test_repair_matches_whole_graph_referee():
+    # the mask-level repair, skipping the triples before the witness after
+    # an added edge, against the repair that checks each whole graph afresh:
+    # the same graph and the same generator state after every trial
+    outcomes = Counter()
+    for nx in range(3, 9):
+        for ny_max in range(3, 11):
+            for t in range(64):
+                seed = 1000 * (10 * nx + ny_max) + t
+                rng = random.Random(seed)
+                ny = rng.randint(3, ny_max)
+                g = random_bigraph(nx, ny, rng.randint(0, min(3, ny)),
+                                   rng.randrange(1 << 30))
+                want_rng, got_rng = random.Random(seed), random.Random(seed)
+                want = oracles.repair_to_boundary_reference(g, want_rng)
+                got = verifier._repair_to_boundary(g, got_rng)
+                assert got == want, (nx, ny_max, t)
+                assert got is None or got.y_adj == want.y_adj
+                assert got_rng.getstate() == want_rng.getstate()
+                outcomes[got is None] += 1
+    assert sum(outcomes.values()) == 3072 and outcomes[True] and \
+        outcomes[False]
 
 
 def test_hunt_config_validation():
