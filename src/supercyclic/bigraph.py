@@ -26,15 +26,15 @@ Conventions:
 ``_blocks`` is the one block (biconnected component) routine.  It serves
 only ``is_two_connected`` and the longest-cycle search in ``cycles``, both on
 the whole graph's ``_adjacency_masks``.  The condition asks 2-connectivity
-only of graphs induced on three X-vertices, which
-``_triple_is_two_connected`` decides in closed form, with no block search.
+only of graphs induced on three X-vertices, which Hall's rule decides from
+counts, with no block search (``condition`` docstring).
 
 ``_cover`` is the one computation of the super-neighborhood N^(A), the
 Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
 masks of the Y-vertices seen once and twice.  Criticality and the hunt's
-repairs call it.  The condition's subset walk folds the same way, one
-neighborhood onto the cover of A's lex prefix, and the based-cycle DFS
-folds inline, together with its degree prune.
+repairs call it.  The condition's pack folds the same way over a
+Y-column's X-vertices, on per-x field masks, and the based-cycle DFS folds
+inline, together with its degree prune.
 """
 
 from __future__ import annotations
@@ -330,31 +330,6 @@ def is_two_connected(g: Bigraph) -> bool:
         return False
     blocks = _blocks(_adjacency_masks(g))
     return len(blocks) == 1 and len(blocks[0]) == n
-
-
-def _triple_is_two_connected(x_adj: tuple[int, ...], x_mask: int,
-                             y_mask: int) -> bool:
-    """2-connectivity of the graph induced on three X-vertices (``x_mask``)
-    and ``y_mask``, in closed form, without building it.
-
-    With Y-neighborhoods a, b, c inside ``y_mask``, the graph is 2-connected
-    iff every y has two neighbors among the three, and t >= 2 or t + k >= 3,
-    where t counts the y seen by all three and k the pairs with a y of their
-    own.  Proof: deleting one X-vertex leaves the other two joined only
-    through a y they share, so t >= 1 or k = 3; deleting one y must leave the
-    three X-vertices joined, so if t = 1 then k >= 2.
-    """
-    low = x_mask & -x_mask
-    a = x_adj[low.bit_length() - 1] & y_mask
-    x_mask ^= low
-    low = x_mask & -x_mask
-    b = x_adj[low.bit_length() - 1] & y_mask
-    c = x_adj[(x_mask ^ low).bit_length() - 1] & y_mask
-    if a & b | a & c | b & c != y_mask:
-        return False
-    t = (a & b & c).bit_count()
-    k = bool(a & b & ~c) + bool(a & c & ~b) + bool(b & c & ~a)
-    return t >= 2 or t + k >= 3
 
 
 def _adjacency_masks(g: Bigraph) -> list[int]:

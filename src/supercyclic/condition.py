@@ -12,44 +12,59 @@ T in A.  Delete any vertex v of H.  Two X-vertices left lie in a triple T
 of A that avoids v, and G[T union N^(T)] - v is connected, so they stay
 joined; every y left keeps a neighbor in A - v.  So H - v is connected.
 
+A triple's clauses are counts (Hall's lemma).  For T = {x1 < x2 < x3} let
+p = N(x1) & N(x2), q = N(x2) & N(x3) and r = N(x1) & N(x3).  Then N^(T) is
+p | q | r, and the degree of x2 in H_T = G[T union N^(T)] is |p | q| (of
+x1, |p | r|; of x3, |q | r|).  Lemma: H_T is 2-connected iff p, q and r
+are non-empty and each union of two has at least two ys.  Proof: if p is
+empty, every path from x1 to x2 runs through x3; if |p | q| = 1, x2 hangs
+on one y.  Conversely, delete a vertex v.  If v is an X-vertex, the other
+two share a y, and every y keeps a neighbor.  If v = y, a set empties only
+if it was {y}, and two such sets would have a union of one y; so two of
+p, q, r stay non-empty and join the three X-vertices.  So T passes both
+clauses iff p, q, r meet Hall's condition (with |p | q | r| >= 3), i.e.
+iff T carries a based cycle (``cycles`` docstring).
+
 The scan goes by size, so every triple is tested before any larger A, and
 the first failure is always a size failure or a triple.  The ``full`` and
 ``kim`` modes therefore run the same scan and differ only in the label of
 the report; ``tests/oracles.py`` keeps the literal every-A scan as the
-referee.  A triple's test is a few mask operations on its three
-neighborhoods, with no block search (see ``bigraph._triple_is_two_connected``).
+referee.
 
-Both the condition and ``min_deficiency`` run over one subset walk,
-``_subsets``: ascending |A|, lexicographic within a size.  The condition
-stops at the first failing A, so its witness is minimal in that order, and
-``min_deficiency`` keeps the first A of least deficiency.  The walk does a
-constant amount of work per subset: a triple's N^ comes from its three
-neighborhoods, and a larger A's from the cover of its lex prefix
-A - max(A), one size down, folded with one more neighborhood the way
-``bigraph._cover`` folds.  ``cycles`` walks the same rows, ``_order``, for
-its triples and for the single size of ``is_k_cyclic``, and so does the
-orderly walk's condition test for its triples; the cache holds a bounded
-number of them.
+The scan runs on packed counts.  For each (|X|, size) a level (``_Level``)
+holds one 8-bit field per A of that size, in ``_order``'s walk order, by
+ascending size, then lexicographically, which ``cycles`` and the orderly
+walk's triple test follow too.  A triple has seven fields:
+|N^(T)| (threshold 3), the degrees of x1, x2, x3 in H_T (threshold 2),
+then |p|, |r|, |q| for the pairs x1x2, x1x3, x2x3 (threshold 1); a larger
+A has one, |N^(A)| (threshold |A|).  A Y-column c, the mask of a y's
+X-neighbors, serves the fields it counts toward, and ``served(c)``, the
+level's ``self[c]``, holds a one in each of them; a graph's counts are the
+sum of ``served`` over its columns.  ``served(c)`` is ``bigraph._cover``'s
+once/twice fold over c's X-vertices applied to per-x field masks, with the
+degree fields kept only for the x in c.  It is memoised by column, each
+new column folded onto its prefix c - max(c).
 
-Adding an edge never breaks an A that passes.  Proof: let the new edge be
-xy.  N^(A) only grows, so the size clause still holds.  H = G[A union
-N^(A)] changes only if x is in A: if y already had two neighbors in A, xy
-is one more edge of H; if it had one, y joins H with two neighbors in A;
-otherwise H is unchanged.  An edge added to a 2-connected graph, or a
-vertex joined to two of its vertices, leaves it 2-connected.  So after an
-added edge the first failing A comes no earlier than before, and a scan
-may start its tests at the old witness (``_scan``'s ``after``), as the
-hunt's repair does; after a deleted edge it starts over.
+Byte arithmetic.  A count is at most |Y| <= 64 and a threshold at most
+|X| <= 64, so each field of ``counts + (guard - thresholds)``, with guard
+128 in every field, stays in 64..191 and never carries: its guard bit is
+set iff the count meets its threshold.  The lowest guard bit cleared is
+the first failure.  Its field gives A, and its offset within a triple's
+seven fields the kind: "size" at offset 0, "triple" after it.  Levels are
+built lazily in size order and the scan stops at the first failing level,
+so a large |X| whose first triple fails builds level 3 only.  A caller
+that edits one column keeps the counts of the levels scanned so far
+(``_retally``), and each rescan costs O(levels), with no walk.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, dropwhile
+from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .bigraph import (Bigraph, VertexSet, SIDE_X, _Record,
-                      _triple_is_two_connected)
+from .bigraph import Bigraph, VertexSet, SIDE_X, _Record
+from .bitset import iter_bits
 from .errors import InputError
 
 MODES = ("full", "kim")
@@ -95,7 +110,7 @@ def check_condition(g: Bigraph, mode: str = "full") -> ConditionReport:
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    kind, amask = _scan(g.x_adj)
+    kind, amask = _first_failure(g.x_count, g.y_adj, [])
     if not kind:
         return ConditionReport(True, mode)
     witness = VertexSet(SIDE_X, amask)
@@ -104,24 +119,34 @@ def check_condition(g: Bigraph, mode: str = "full") -> ConditionReport:
     return ConditionReport(False, mode, connectivity_witness=witness)
 
 
-def _scan(x_adj: tuple[int, ...], after: int = 0) -> tuple[str, int]:
+def _first_failure(nx: int, cols: Sequence[int],
+                   tallies: list[list]) -> tuple[str, int]:
     """The first A that fails, as (kind, A) with kind "size" or "triple",
     or ("", 0) if none does.
 
-    A nonzero ``after`` is the witness of a scan made before one more edge
-    was added: every A before it still passes (module docstring), so the
-    tests start at it.
+    ``cols`` are the graph's Y-columns.  ``tallies`` holds [level, counts]
+    for the levels 3, 4, ... scanned so far, and the scan appends one for
+    each further level it reaches.
     """
-    walk = _subsets(x_adj)
-    if after:
-        walk = dropwhile(lambda pair: pair[0] != after, walk)
-    for amask, twice in walk:
-        size = amask.bit_count()
-        if twice.bit_count() < size:
-            return "size", amask
-        if size == 3 and not _triple_is_two_connected(x_adj, amask, twice):
-            return "triple", amask
+    for size in range(3, nx + 1):
+        if len(tallies) == size - 3:
+            level = _level(nx, size)
+            tallies.append([level, level.tally(cols)])
+        level, counts = tallies[size - 3]
+        failed = level.guards & ~(counts + level.bias)
+        if failed:
+            row, offset = divmod(((failed & -failed).bit_length() - 1) >> 3,
+                                 level.stride)
+            return "triple" if offset else "size", level.masks[row]
     return "", 0
+
+
+def _retally(tallies: list[list], old: int, new: int) -> None:
+    """Update the kept ``tallies`` of a graph whose Y-column ``old`` became
+    ``new``: each level's counts gain served(new) - served(old)."""
+    for tally in tallies:
+        level = tally[0]
+        tally[1] += level[new] - level[old]
 
 
 def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
@@ -129,36 +154,61 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
 
     Ties break to the smallest subset, then lexicographically.  Negative
     means the size clause of the condition fails; 0 means the graph sits on
-    its boundary.  Defined only for |X| >= 3.
+    its boundary.  Defined only for |X| >= 3.  Each level's |N^(A)| fields
+    are every ``stride``-th byte of its counts.
     """
-    if g.x_count < 3:
+    nx = g.x_count
+    if nx < 3:
         raise InputError("deficiency is defined for graphs with |X| >= 3")
-
-    walk = _subsets(g.x_adj)
-    best, twice = next(walk)
-    low = twice.bit_count() - 3
-    for amask, twice in walk:
-        d = twice.bit_count() - amask.bit_count()
-        if d < low:  # strictly: a tie keeps the earliest in walk order
-            low, best = d, amask
+    low = best = 0
+    for size in range(3, nx + 1):
+        level = _level(nx, size)
+        stride = level.stride
+        covers = level.tally(g.y_adj).to_bytes(
+            len(level.masks) * stride, "little")[::stride]
+        least = min(covers)
+        if size == 3 or least - size < low:  # a tie keeps the earlier A
+            low, best = least - size, level.masks[covers.index(least)]
     return low, VertexSet(SIDE_X, best)
 
 
 #: the walk orders held, by (|X|, size): (A, x1, x2, x3) for triples,
-#: (A, A - max(A), max(A)) above them.  An order longer than _ORDER_ROWS is
-#: generated afresh by each walk, so an early stop builds none of it; a
-#: shorter one is held, and the cache is emptied first if it would not fit.
+#: (A, A - max(A), max(A)) above them; and the pack's levels held, by the
+#: same key.  An order longer than _ORDER_ROWS is generated afresh by each
+#: walk, so an early stop builds none of it, and a level with more rows is
+#: built for one call; a shorter one is held (``_hold``).
 _ORDERS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+_LEVELS: dict[tuple[int, int], "_Level"] = {}
 _ORDER_ROWS = 1 << 16
+#: a level empties its memo of column folds past this many bytes of fields
+_MEMO_BYTES = 1 << 20
 
 
 def _order(nx: int, size: int) -> Iterable[tuple[int, ...]]:
     order = _ORDERS.get((nx, size))
-    if order is None and comb(nx, size) <= _ORDER_ROWS:
-        if comb(nx, size) + sum(map(len, _ORDERS.values())) > _ORDER_ROWS:
-            _ORDERS.clear()
-        order = _ORDERS[nx, size] = tuple(_rows(nx, size))
-    return _rows(nx, size) if order is None else order
+    if order is None:
+        if comb(nx, size) > _ORDER_ROWS:
+            return _rows(nx, size)
+        order = _hold(_ORDERS, (nx, size), tuple(_rows(nx, size)))
+    return order
+
+
+def _level(nx: int, size: int) -> "_Level":
+    level = _LEVELS.get((nx, size))
+    if level is None:
+        level = _hold(_LEVELS, (nx, size), _Level(nx, size))
+    return level
+
+
+def _hold(cache: dict, key: tuple[int, int], value):
+    """Hold ``value`` under ``key`` = (|X|, size) unless it has more than
+    _ORDER_ROWS rows; if it would not fit, empty the cache first."""
+    rows = comb(*key)
+    if rows <= _ORDER_ROWS:
+        if rows + sum(comb(*k) for k in cache) > _ORDER_ROWS:
+            cache.clear()
+        cache[key] = value
+    return value
 
 
 def _rows(nx: int, size: int) -> Iterator[tuple[int, ...]]:
@@ -172,34 +222,85 @@ def _rows(nx: int, size: int) -> Iterator[tuple[int, ...]]:
         yield amask, amask ^ 1 << x, x
 
 
-def _subsets(x_adj: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Yield (A, N^(A)) as bitmasks for every A subset of X with |A| >= 3,
-    by ascending size, then lexicographically within a size.
+#: the offsets, among a triple's seven fields, that x1, x2 and x3 each
+#: fold into: |N^(T)|, the three degrees, and its two of the pairs x1x2,
+#: x1x3, x2x3; x1's own degree is at offset 1, x2's at 2, x3's at 3
+_TRIPLE_FIELDS = ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 5, 6))
+_TRIPLE_THRESHOLDS = bytes((3, 2, 2, 2, 1, 1, 1))
 
-    A triple's cover comes from its three neighborhoods a, b, c: N^ is
-    a&b | (a|b)&c and the Y-vertices seen once are a|b|c.  A larger A
-    extends its lex prefix A - max(A), which the previous size has just
-    walked, by the one neighborhood of max(A), as ``bigraph._cover`` folds.
-    Only the covers of the previous size are kept, in a dict, so nothing
-    of size 2^|X| is built ahead of the walk.
+
+class _Level(dict):
+    """The pack of one (|X|, size) (module docstring): ``self[c]`` is
+    served(c), memoised by Y-column c.
+
+    ``masks`` lists the level's A in walk order, ``stride`` is the number
+    of fields per A, ``bias`` holds guard - threshold in each field and
+    ``guards`` the guard bits.  ``_folds`` maps a column to its fold
+    (once, twice, degrees) over the per-x field masks ``_grow`` and degree
+    masks ``_degs``; ``_keep`` clears the degree fields.
     """
-    nx = len(x_adj) - 1
-    covers: dict[int, tuple[int, int]] = {}
-    for amask, i, j, k in _order(nx, 3):
-        a, b, c = x_adj[i], x_adj[j], x_adj[k]
-        ab = a | b
-        twice = a & b | ab & c
-        covers[amask] = ab | c, twice
-        yield amask, twice
-    for size in range(4, nx + 1):
-        level: dict[int, tuple[int, int]] = {}
-        for amask, rest, x in _order(nx, size):
-            once, twice = covers[rest]
-            nbr = x_adj[x]
-            twice |= once & nbr
-            level[amask] = once | nbr, twice
-            yield amask, twice
-        covers = level
+
+    __slots__ = ("masks", "stride", "bias", "guards", "_grow", "_degs",
+                 "_keep", "_folds", "_room")
+
+    def __init__(self, nx: int, size: int) -> None:
+        super().__init__()
+        rows = list(_rows(nx, size))
+        self.masks = tuple(row[0] for row in rows)
+        self.stride = stride = 7 if size == 3 else 1
+        fields = len(rows) * stride
+        grow = [bytearray(fields) for _ in range(nx + 1)]
+        if size == 3:
+            degs = [bytearray(fields) for _ in range(nx + 1)]
+            for f, row in zip(range(0, fields, 7), rows):
+                for own, (x, offsets) in enumerate(
+                        zip(row[1:], _TRIPLE_FIELDS), start=1):
+                    for offset in offsets:
+                        grow[x][f + offset] = 1
+                    degs[x][f + own] = 1
+            self._degs = tuple(int.from_bytes(d, "little") for d in degs)
+            self._keep = ~int.from_bytes(bytes((0, 1, 1, 1, 0, 0, 0)) *
+                                         len(rows), "little")
+            thresholds = _TRIPLE_THRESHOLDS * len(rows)
+        else:
+            for f, amask in enumerate(self.masks):
+                for x in iter_bits(amask):
+                    grow[x][f] = 1
+            self._degs = (0,) * (nx + 1)
+            self._keep = -1
+            thresholds = bytes((size,)) * fields
+        self._grow = tuple(int.from_bytes(g, "little") for g in grow)
+        self.guards = int.from_bytes(b"\x80" * fields, "little")
+        self.bias = self.guards - int.from_bytes(thresholds, "little")
+        self._folds = {0: (0, 0, 0)}
+        self._room = max(1, _MEMO_BYTES // fields)
+
+    def tally(self, cols: Iterable[int]) -> int:
+        """The counts of the graph with Y-columns ``cols``."""
+        return sum(map(self.__getitem__, cols))
+
+    def __missing__(self, col: int) -> int:
+        folds = self._folds
+        if len(folds) > self._room:
+            folds.clear()
+            self.clear()
+            folds[0] = 0, 0, 0
+        todo = []
+        prefix = col
+        while prefix not in folds:
+            x = prefix.bit_length() - 1
+            todo.append(x)
+            prefix ^= 1 << x
+        once, twice, degs = folds[prefix]
+        for x in reversed(todo):
+            grow = self._grow[x]
+            twice |= once & grow
+            once |= grow
+            degs |= self._degs[x]
+            prefix |= 1 << x
+            folds[prefix] = once, twice, degs
+        served = self[col] = twice & (self._keep | degs)
+        return served
 
 
 class DegreeThresholds(NamedTuple):

@@ -35,18 +35,11 @@ Triples need no DFS.  A cycle x1 y1 x2 y2 x3 y3 is a system of distinct
 representatives of p = N(x1) & N(x2), q = N(x2) & N(x3) and
 r = N(x3) & N(x1), so ``_triple_cycle`` picks the ys in two nested low-bit
 loops, for ``find_based_cycle`` and the walk alike.  Lemma: a triple T
-carries a based cycle iff |N^(T)| >= 3 and H = G[T + N^(T)] is
-2-connected.  Forward: the union p | q | r is N^(T), so it has at least
-three ys.  By the closed form of ``bigraph._triple_is_two_connected``, H is
-2-connected iff t >= 2 or t + k >= 3, where t ys see all of T and k pairs
-have a y of their own.
-Then each of p, q, r is non-empty (t >= 1, or else k = 3), and each union
-of two has two ys (t >= 2; or t = 1 and, with k >= 2, a private y of one of
-the two pairs; or t = 0 and two private ys).  That is Hall's condition, so
-distinct representatives exist.  Converse: the cycle is 2-connected, and
-every other y of N^(T) has two neighbors on it, so adding each such y adds
-an ear and keeps the graph 2-connected; the cycle's three ys make
-|N^(T)| >= 3.
+carries a based cycle iff it passes the neighborhood condition, i.e.
+|N^(T)| >= 3 and H_T = G[T + N^(T)] is 2-connected.  By Hall's theorem the
+representatives exist iff p, q and r are non-empty, each union of two has
+at least two ys and p | q | r has at least three.  That union is N^(T),
+and the rest is the 2-connectivity of H_T (``condition`` docstring).
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ least guard, so subtracting ``ny_max - m < guard`` from every size field
 at once borrows from no neighbour, and it clears a field's guard bit
 exactly when that field falls short; so the clause is one subtraction and
 one mask.  The 2-connectivity clause is then decided on
-the triples alone (``condition`` docstring), in closed form.
+the triples alone, by Hall's rule on masks (``condition`` docstring).
 
 Inheritance.  A child adds one Y-vertex y to its parent and keeps X.  For
 each A, N^(A) gains y when y has two neighbours in A and is unchanged
@@ -91,7 +91,7 @@ from math import factorial, prod
 from operator import or_
 from typing import Any, Callable, Iterator
 
-from .bigraph import Bigraph, _triple_is_two_connected
+from .bigraph import Bigraph
 from .bitset import iter_bits
 from .condition import _order
 from .errors import CapacityError, InputError
@@ -272,15 +272,19 @@ def _passes_condition(tree: _Tree, m: int, x_adj: tuple[int, ...],
                       slack: int) -> bool:
     """The neighborhood condition at a node with |Y| = m of a walk with
     ``condition``: the size clause from the slack pack, then the triples in
-    the condition's own order (module docstring)."""
+    the condition's own order, each by Hall's rule on p = N(x1) & N(x2),
+    q = N(x2) & N(x3) and r = N(x1) & N(x3): each non-empty, and each union
+    of two with at least two ys (module docstring)."""
     sizes = tree.sizes
     floor = sizes * (tree.ny_max - m)
     size_guard = sizes << tree.ny_max.bit_length()
     if slack - floor & size_guard != size_guard:
         return False
-    for amask, i, j, k in _order(tree.nx, 3):
+    for _, i, j, k in _order(tree.nx, 3):
         a, b, c = x_adj[i], x_adj[j], x_adj[k]
-        if not _triple_is_two_connected(x_adj, amask, a & b | (a | b) & c):
+        p, q, r = a & b, b & c, a & c
+        if not (p and q and r) or (p | q).bit_count() < 2 or \
+                (q | r).bit_count() < 2 or (p | r).bit_count() < 2:
             return False
     return True
 

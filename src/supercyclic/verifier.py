@@ -21,7 +21,8 @@ from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
 from .bitset import full_mask, indices_of, iter_bits, mask_of
 from .classify import (YMIN_EDGE_CAP, find_critical_core, is_critical,
                        is_saturated, is_y_minimal)
-from .condition import _scan, _thresholds, check_condition, min_deficiency
+from .condition import (_first_failure, _retally, _thresholds,
+                        check_condition, min_deficiency)
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
 from .errors import InputError, SupercyclicError
 from .formats import serialize_bigraph
@@ -492,11 +493,14 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
     the trial does not check it again.
 
     The drawn graph is checked by ``check_condition``, each later one by
-    ``condition._scan`` on the edited adjacency masks.  An added edge
-    breaks no A that passed (``condition`` docstring), so that scan starts
-    at the last witness; after a deleted edge it starts over.  Only a graph
-    that passes is built, for ``min_deficiency``.  The benchmark's tracer
-    sees ``check_condition`` and ``min_deficiency`` but not ``_scan``.
+    ``condition._first_failure`` on the edited adjacency masks, with the
+    packed counts of the levels it has scanned kept in ``tallies``
+    (``condition`` docstring).  Toggling the edge (x, y) changes only the
+    column of y, so ``_retally`` adds served(new) - served(old) to each
+    level's counts, and a rescan tests O(levels) ints with no walk.  Only a
+    graph that passes is built, for ``min_deficiency``.  The benchmark's
+    tracer sees ``check_condition`` and ``min_deficiency`` but not the
+    rescans.
     """
     nx, ny = g.x_count, g.y_count
     if nx < 3:
@@ -505,6 +509,7 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
     witness = rep.size_witness or rep.connectivity_witness
     amask = witness.mask if witness else 0
     x_adj, y_adj = list(g.x_adj), list(g.y_adj)
+    tallies: list[list] = []
     last_good = None
     for _ in range(4 * nx * max(1, ny)):
         if not amask:
@@ -538,8 +543,10 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
                          for y in iter_bits(twice & ~x_adj[x])]
                 x, y = pairs[rng.randrange(len(pairs))]
         x_adj[x] ^= 1 << y
+        old = y_adj[y]
         y_adj[y] ^= 1 << x
-        _, amask = _scan(x_adj, amask)
+        _retally(tallies, old, y_adj[y])
+        _, amask = _first_failure(nx, y_adj, tallies)
     return last_good
 
 

@@ -20,8 +20,7 @@ from supercyclic import (
     reduce_to_superneighborhood,
     super_neighborhood,
 )
-from supercyclic.bigraph import (SIDE_X, SIDE_Y, _adjacency_masks, _blocks,
-                                 _triple_is_two_connected)
+from supercyclic.bigraph import SIDE_X, SIDE_Y, _adjacency_masks, _blocks
 from supercyclic.bitset import full_mask
 
 from oracles import (
@@ -219,6 +218,17 @@ def test_blocks_partition_edges_into_two_connected_pieces(g):
     assert shared == cut_vertices_bruteforce(g)
 
 
+def _hall(a, b, c):
+    """Hall's rule for the triple with Y-neighborhoods a, b, c, as
+    ``generators._passes_condition`` and the condition's pack decide it:
+    the three pairwise intersections are non-empty and each union of two
+    has at least two ys."""
+    p, q, r = a & b, b & c, a & c
+    return bool(p and q and r) and min((p | q).bit_count(),
+                                       (q | r).bit_count(),
+                                       (p | r).bit_count()) >= 2
+
+
 def test_triple_rule_matches_blocks_on_all_81_count_vectors():
     # (n_ab, n_ac, n_bc, n_abc), each capped at 2: the Y-vertices seen by
     # exactly that pair, or by all three, of X = {x1, x2, x3}
@@ -229,12 +239,12 @@ def test_triple_rule_matches_blocks_on_all_81_count_vectors():
         g = Bigraph(3, len(neighbors), [(x, y) for y, xs in
                                         enumerate(neighbors, start=1)
                                         for x in xs])
-        x_mask = full_mask(3)
-        y_mask = super_neighborhood(g, g.x_full).mask
-        assert y_mask == full_mask(g.y_count)
+        assert super_neighborhood(g, g.x_full).mask == full_mask(g.y_count)
         blocks = _blocks(_adjacency_masks(g))
         by_dfs = len(blocks) == 1 and len(blocks[0]) == 3 + g.y_count
-        assert _triple_is_two_connected(g.x_adj, x_mask, y_mask) == by_dfs, \
+        assert _hall(*g.x_adj[1:]) == by_dfs, counts
+        # the pack's seven fields: |N^(T)| >= 3, then the rule's six
+        assert check_condition(g).passed == (by_dfs and g.y_count >= 3), \
             counts
         connected += by_dfs
     assert connected == 55
@@ -243,12 +253,20 @@ def test_triple_rule_matches_blocks_on_all_81_count_vectors():
 @settings(max_examples=60)
 @given(bigraphs(min_x=3, max_x=6, max_y=6))
 def test_triple_rule_matches_bruteforce_on_every_y_mask(g):
+    # G[T + Y'] for every Y': 2-connected iff each y of Y' has two
+    # neighbors in T and the rule holds on the neighborhoods cut to Y'; the
+    # pack on that graph, whose N^ is then Y', agrees
     for xs in combinations(g.x_indices(), 3):
-        xm = sum(1 << x for x in xs)
+        a, b, c = (g.x_adj[x] for x in xs)
+        nh = a & b | (a | b) & c
         for ym in range(0, full_mask(g.y_count) + 1, 2):
-            assert _triple_is_two_connected(g.x_adj, xm, ym) == \
-                is_two_connected_bruteforce(
-                    g, xs, [y for y in g.y_indices() if ym >> y & 1])
+            ys = [y for y in g.y_indices() if ym >> y & 1]
+            two = is_two_connected_bruteforce(g, xs, ys)
+            inside = ym & ~nh == 0
+            assert (inside and _hall(a & ym, b & ym, c & ym)) == two
+            if inside:
+                h = g.induced(sum(1 << x for x in xs), ym).graph
+                assert check_condition(h).passed == (two and len(ys) >= 3)
 
 
 def test_induced_remaps_indices():

@@ -9,6 +9,7 @@ import supercyclic.bigraph
 from supercyclic import condition
 from supercyclic.bigraph import _cover
 from supercyclic.bitset import mask_of
+from supercyclic.cycles import _triple_cycle
 
 from supercyclic import (
     Bigraph,
@@ -140,54 +141,129 @@ def test_witness_is_first_failure_at_larger_x():
     assert outcomes["pass"] and outcomes["conn"] and outcomes["size"]
 
 
-def _subsets_by_combinations(g):
+def _fields_by_combinations(g, size):
+    # the level's fields from the definition: |N^(A)| for each A; for a
+    # triple also each member's degree in H_T and each pair's common ys
+    fields = []
+    for a in combinations(g.x_indices(), size):
+        twice = _cover(g.x_adj, a)[1]
+        fields.append(twice.bit_count())
+        if size == 3:
+            fields += [(g.x_adj[x] & twice).bit_count() for x in a]
+            fields += [(g.x_adj[x] & g.x_adj[z]).bit_count()
+                       for x, z in combinations(a, 2)]
+    return bytes(fields)
+
+
+def _pack_fields(level, counts):
+    return counts.to_bytes(len(level.masks) * level.stride, "little")
+
+
+def _assert_pack_counts_match_covers(g):
     for size in range(3, g.x_count + 1):
-        for combo in combinations(g.x_indices(), size):
-            yield mask_of(combo), _cover(g.x_adj, combo)[1]
+        level = condition._level(g.x_count, size)
+        assert level.masks == tuple(
+            mask_of(a) for a in combinations(g.x_indices(), size))
+        assert _pack_fields(level, level.tally(g.y_adj)) == \
+            _fields_by_combinations(g, size)
 
 
 @given(bigraphs(max_x=9, max_y=8))
 @settings(max_examples=150)
-def test_subset_walk_matches_combinations(g):
-    # prefix-built covers: the same (A, N^(A)) pairs in the same order
-    assert list(condition._subsets(g.x_adj)) == \
-        list(_subsets_by_combinations(g))
+def test_pack_counts_match_covers(g):
+    _assert_pack_counts_match_covers(g)
 
 
-def test_subset_walk_matches_combinations_on_every_4_x_class(corpus_4_5):
+def test_pack_counts_match_covers_on_every_4_x_class(corpus_4_5):
     for g in corpus_4_5:
-        assert list(condition._subsets(g.x_adj)) == \
-            list(_subsets_by_combinations(g))
+        _assert_pack_counts_match_covers(g)
+
+
+def _assert_kept_counts_match_counts_from_scratch(g, toggles):
+    # the hunt's repair: the levels scanned so far are kept and retallied
+    # per toggled edge; more levels join as later scans reach them
+    nx = g.x_count
+    cols = list(g.y_adj)
+    tallies = []
+    condition._first_failure(nx, cols, tallies)
+    for x, y in toggles:
+        old = cols[y]
+        cols[y] ^= 1 << x
+        condition._retally(tallies, old, cols[y])
+        got = condition._first_failure(nx, cols, tallies)
+        assert got == condition._first_failure(nx, cols, [])
+        for level, counts in tallies:
+            assert counts == level.tally(cols)
+
+
+@given(bigraphs(min_x=3, max_x=9, min_y=1, max_y=8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kept_counts_match_counts_from_scratch(g, data):
+    edges = st.tuples(st.integers(1, g.x_count), st.integers(1, g.y_count))
+    toggles = data.draw(st.lists(edges, min_size=1, max_size=12))
+    _assert_kept_counts_match_counts_from_scratch(g, toggles)
+
+
+def test_kept_counts_match_counts_from_scratch_on_every_4_x_class(
+        corpus_4_5):
+    rng = random.Random(45)
+    for g in corpus_4_5:
+        if g.y_count:
+            toggles = [(rng.randint(1, 4), rng.randint(1, g.y_count))
+                       for _ in range(6)]
+            _assert_kept_counts_match_counts_from_scratch(g, toggles)
+
+
+def _assert_triple_verdicts_are_based_cycles(g):
+    level = condition._level(g.x_count, 3)
+    fields = _pack_fields(level, level.tally(g.y_adj))
+    floor = bytes((3, 2, 2, 2, 1, 1, 1))
+    for t, (i, j, k) in enumerate(combinations(g.x_indices(), 3)):
+        passes = all(map(int.__ge__, fields[7 * t:7 * t + 7], floor))
+        assert passes == (_triple_cycle(g.x_adj, i, j, k) is not None)
+
+
+@given(bigraphs(min_x=3, max_x=9, max_y=8))
+@settings(max_examples=150)
+def test_pack_triple_verdict_is_a_based_cycle(g):
+    _assert_triple_verdicts_are_based_cycles(g)
+
+
+def test_pack_triple_verdict_is_a_based_cycle_on_every_4_x_class(corpus_4_5):
+    for g in corpus_4_5:
+        _assert_triple_verdicts_are_based_cycles(g)
 
 
 def test_condition_at_large_x_builds_only_the_triple_order(monkeypatch):
-    # the first triple of a |X| = 40 graph fails: the walk must stop there,
-    # having built only the size-3 order and nothing of size 2^|X|
-    monkeypatch.setattr(condition, "_ORDERS", {})
+    # the first triple of a |X| = 40 graph fails: the scan must stop there,
+    # having built only the level of triples and nothing of size 2^|X|
+    monkeypatch.setattr(condition, "_LEVELS", {})
     g = Bigraph(40, HINGE.y_count, list(HINGE.edges()))
     rep = check_condition(g, "kim")
     assert str(rep.connectivity_witness) == "X{1,2,3}"
-    assert list(condition._ORDERS) == [(40, 3)]
+    assert list(condition._LEVELS) == [(40, 3)]
 
 
 def test_order_cache_stays_under_its_row_bound(monkeypatch):
-    monkeypatch.setattr(condition, "_ORDERS", {})
+    # the pack's levels are held under the orders' row bound
+    monkeypatch.setattr(condition, "_LEVELS", {})
     monkeypatch.setattr(condition, "_ORDER_ROWS", 60)
     assert check_condition(complete_bipartite(8, 8)).passed
     # (8, 3) has 56 rows and is held; (8, 4) has 70, more than the bound, so
-    # it is generated and never held; (8, 5) and (8, 6) would each pass the
-    # bound, so each empties the cache before it is held
-    assert sorted(condition._ORDERS) == [(8, 6), (8, 7), (8, 8)]
-    assert sum(map(len, condition._ORDERS.values())) <= 60
+    # it is built for the one scan and never held; (8, 5) and (8, 6) would
+    # each pass the bound, so each empties the cache before it is held
+    assert sorted(condition._LEVELS) == [(8, 6), (8, 7), (8, 8)]
+    assert sum(len(level.masks)
+               for level in condition._LEVELS.values()) <= 60
 
 
 def test_order_cache_keeps_small_orders_across_x_sizes(monkeypatch):
-    # a Y-minimality scan walks induced subgraphs whose |X| changes from
-    # one subset to the next; their orders stay held, not rebuilt per switch
-    monkeypatch.setattr(condition, "_ORDERS", {})
+    # a Y-minimality scan checks induced subgraphs whose |X| changes from
+    # one subset to the next; their levels stay held, not rebuilt per switch
+    monkeypatch.setattr(condition, "_LEVELS", {})
     for n in (6, 4, 5, 6):
         assert check_condition(complete_bipartite(n, n)).passed
-    assert sorted(condition._ORDERS) == \
+    assert sorted(condition._LEVELS) == \
         [(n, size) for n in (4, 5, 6) for size in range(3, n + 1)]
 
 
@@ -196,13 +272,38 @@ def test_walk_is_the_same_whether_orders_are_held_or_generated(monkeypatch):
     graphs = [random_bigraph(nx, rng.randint(nx - 1, nx + 2), 2,
                              rng.randrange(1 << 30))
               for nx in (6, 7, 8) for _ in range(10)]
-    held = [(list(condition._subsets(g.x_adj)), is_super_cyclic(g))
-            for g in graphs]
+
+    def outcomes():
+        return [(check_condition(g).describe(), min_deficiency(g),
+                 is_super_cyclic(g)) for g in graphs]
+
+    held = outcomes()
     monkeypatch.setattr(condition, "_ORDERS", {})
+    monkeypatch.setattr(condition, "_LEVELS", {})
     monkeypatch.setattr(condition, "_ORDER_ROWS", 0)
-    assert [(list(condition._subsets(g.x_adj)), is_super_cyclic(g))
-            for g in graphs] == held
-    assert condition._ORDERS == {}
+    assert outcomes() == held
+    assert condition._ORDERS == {} and condition._LEVELS == {}
+
+
+def test_level_memo_stays_under_its_byte_bound(monkeypatch):
+    # a level empties its memo of column folds once it holds more than
+    # _MEMO_BYTES of fields, and its counts do not change
+    monkeypatch.setattr(condition, "_LEVELS", {})
+    monkeypatch.setattr(condition, "_MEMO_BYTES", 7 * 35 * 4)
+    g = random_bigraph(7, 12, 2, 77)
+    prefixes = {0}
+    for col in g.y_adj:
+        while col:
+            prefixes.add(col)
+            col ^= 1 << col.bit_length() - 1
+    # room for 4, then one more column's chain of at most |X| prefixes
+    bound = 4 + 1 + g.x_count
+    assert len(prefixes) > bound
+    level = condition._level(7, 3)
+    want = _fields_by_combinations(g, 3)
+    for _ in range(3):
+        assert _pack_fields(level, level.tally(g.y_adj)) == want
+        assert len(level._folds) <= bound
 
 
 def test_condition_runs_no_block_search(monkeypatch, corpus_4_5):
@@ -265,20 +366,29 @@ def test_min_deficiency_is_first_minimum_in_walk_order(g):
 @given(bigraphs(min_x=3, max_x=6, max_y=6), st.data())
 @settings(max_examples=300, deadline=None)
 def test_an_added_edge_never_moves_the_first_failure_earlier(g, data):
-    # the lemma in the condition docstring, on the literal every-A scan
+    # on the literal every-A scan: each N^(A) only grows, and an edge or a
+    # y with two neighbors in A keeps G[A + N^(A)] 2-connected
     missing = [(x, y) for x in g.x_indices() for y in g.y_indices()
                if not g.has_edge(x, y)]
     assume(missing)
-    h = g.with_edge(*data.draw(st.sampled_from(missing)))
+    x, y = data.draw(st.sampled_from(missing))
+    h = g.with_edge(x, y)
     before = first_condition_failure(g, "full")
     after = first_condition_failure(h, "full")
     if before is None:
         assert after is None
     elif after is not None:
         assert (len(after[1]), after[1]) >= (len(before[1]), before[1])
-    # so a scan of h may skip the triple tests before g's witness
-    _, witness = condition._scan(g.x_adj)
-    assert condition._scan(h.x_adj, witness) == condition._scan(h.x_adj)
+    # g's kept counts, retallied for the edge, name h's first failure
+    tallies = []
+    condition._first_failure(g.x_count, g.y_adj, tallies)
+    condition._retally(tallies, g.y_adj[y], h.y_adj[y])
+    kind, amask = condition._first_failure(h.x_count, h.y_adj, tallies)
+    if after is None:
+        assert not kind
+    else:
+        assert (kind == "size", amask) == \
+            (after[0] == "size", mask_of(after[1]))
 
 
 def test_degree_hypothesis_frozen():

@@ -1,4 +1,5 @@
-"""Import hygiene: every imported name is used, and the CLI imports light.
+"""Import hygiene: every imported name is used, the CLI imports light, and
+a minimal CLI call builds no condition level.
 
 Each ``.py`` file under ``src/``, ``tests/`` and ``demos/`` is parsed with
 ``ast``.  An imported name counts as used when the module refers to it as a
@@ -61,3 +62,18 @@ def test_cli_import_skips_heavy_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_minimal_cli_call_builds_no_condition_level():
+    # the benchmark's setup call: a level is built by the first condition
+    # scan at its |X|, never at import
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import supercyclic.cli; "
+            "supercyclic.cli.main(['gen', 'complete', '--nx', '1', "
+            "'--ny', '1']); "
+            "from supercyclic import condition; "
+            "print(condition._LEVELS, condition._ORDERS, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code,
+                           str(ROOT / "src")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == "{} {}\n"

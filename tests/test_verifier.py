@@ -549,7 +549,7 @@ def test_hunt_random_graphs_checked_frozen(monkeypatch, nx, ny_max, seed,
 def test_repair_always_has_an_edge_to_change(g):
     # why _repair_to_boundary needs no fallback when it picks an edge; it
     # tells the failed clause from the cover of the scan's witness
-    kind, amask = condition._scan(g.x_adj)
+    kind, amask = condition._first_failure(g.x_count, g.y_adj, [])
     if not kind:
         # the first triple has |N^| >= 3, so there is an edge to delete
         assert g.edge_count > 0
@@ -572,8 +572,8 @@ def test_repair_always_has_an_edge_to_change(g):
 
 
 def test_repair_matches_whole_graph_referee():
-    # the mask-level repair, skipping the triples before the witness after
-    # an added edge, against the repair that checks each whole graph afresh:
+    # the mask-level repair, retallying its kept counts per toggled edge,
+    # against the repair that checks each whole graph afresh:
     # the same graph and the same generator state after every trial
     outcomes = Counter()
     for nx in range(3, 9):
