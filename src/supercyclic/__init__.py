@@ -6,34 +6,15 @@ The library decides based-cycle existence, the super-cyclicity hierarchy and
 its necessary neighborhood condition, classifies would-be minimal
 counterexamples, and reruns the supporting theorems exhaustively at desk
 scale.
+
+Every name in ``__all__`` is loaded on first use (PEP 562): importing the
+package imports none of its modules, and ``supercyclic.name`` or
+``from supercyclic import name`` imports only the module that defines
+``name``, then keeps the value here.  So a CLI call, and each ``--jobs``
+worker, compiles and imports only the modules its command runs.
 """
 
-from .bigraph import (Bigraph, Hypergraph, InducedSubgraph, VertexSet,
-                      hypergraph_of, incidence_graph,
-                      induced_with_superneighborhood, is_two_connected,
-                      reduce_to_superneighborhood, super_neighborhood)
-from .classify import (find_critical_core, is_critical, is_saturated,
-                       is_y_minimal)
-from .condition import (ConditionReport, DegreeThresholds, check_condition,
-                        degree_hypothesis, min_deficiency)
-from .cycles import (BaseCycle, find_based_cycle, is_k_cyclic,
-                     is_super_cyclic, is_super_pancyclic,
-                     longest_cycle_length)
-from .errors import (CapacityError, FormatError, InputError,
-                     PreconditionError, SupercyclicError)
-from .formats import (iter_records, parse_bigraph, parse_graph,
-                      parse_hypergraph, serialize, write_stream)
-from .generators import (complete_bipartite, construct_g3,
-                         enumerate_bigraphs, expected_class_count,
-                         random_bigraph)
-from .reports import CheckReport
-from .structure import (CrossingReport, Fan, SuccessorMaps,
-                        crossing_bound_holds, crossings, max_fan,
-                        successor_maps)
-from .verifier import (HuntConfig, VerificationReport, Violation,
-                       audit_critical_properties, hunt_counterexample,
-                       verify_degree_theorem, verify_k_cyclic)
-from .verifier_checkpoint import CheckpointConfig
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -56,3 +37,42 @@ __all__ = [
     "super_neighborhood", "verify_degree_theorem", "verify_k_cyclic",
     "write_stream",
 ]
+
+#: the module that defines each public name
+_EXPORTS = {name: module for module, names in (
+    ("bigraph", "Bigraph Hypergraph InducedSubgraph VertexSet hypergraph_of "
+                "incidence_graph induced_with_superneighborhood "
+                "is_two_connected reduce_to_superneighborhood "
+                "super_neighborhood"),
+    ("classify", "find_critical_core is_critical is_saturated is_y_minimal"),
+    ("condition", "ConditionReport DegreeThresholds check_condition "
+                  "degree_hypothesis min_deficiency"),
+    ("cycles", "BaseCycle find_based_cycle is_k_cyclic is_super_cyclic "
+               "is_super_pancyclic longest_cycle_length"),
+    ("errors", "CapacityError FormatError InputError PreconditionError "
+               "SupercyclicError"),
+    ("formats", "iter_records parse_bigraph parse_graph parse_hypergraph "
+                "serialize write_stream"),
+    ("generators", "complete_bipartite construct_g3 enumerate_bigraphs "
+                   "expected_class_count random_bigraph"),
+    ("reports", "CheckReport"),
+    ("structure", "CrossingReport Fan SuccessorMaps crossing_bound_holds "
+                  "crossings max_fan successor_maps"),
+    ("verifier", "HuntConfig VerificationReport Violation "
+                 "audit_critical_properties hunt_counterexample "
+                 "verify_degree_theorem verify_k_cyclic"),
+    ("verifier_checkpoint", "CheckpointConfig"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

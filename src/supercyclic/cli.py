@@ -11,6 +11,9 @@ Exit codes are part of the contract for scripting:
   campaign found violations, not critical);
 * 2: usage or format errors, and files that cannot be read or written;
 * 3: an internal error (any other exception), reported on one line.
+
+Each command imports the modules it runs when it runs, so a call compiles
+and loads only its own part of the package.
 """
 
 from __future__ import annotations
@@ -19,19 +22,7 @@ import argparse
 import os
 import sys
 
-from .bigraph import Bigraph, Hypergraph, VertexSet, SIDE_X, incidence_graph
-from .classify import is_critical, is_saturated, is_y_minimal
-from .condition import check_condition, degree_hypothesis
-from .cycles import BaseCycle, find_based_cycle
 from .errors import FormatError, InputError, SupercyclicError
-from .formats import iter_records, serialize
-from .generators import (_condition_classes, complete_bipartite, construct_g3,
-                         enumerate_bigraphs, random_bigraph)
-from .reports import machine_lines
-from .structure import crossing_bound_holds, crossings, max_fan, successor_maps
-from .verifier import (HuntConfig, hunt_counterexample, verify_degree_theorem,
-                       verify_k_cyclic)
-from .verifier_checkpoint import CheckpointConfig
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,9 +47,11 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_bigraphs(args) -> list[Bigraph]:
+def _load_bigraphs(args) -> list:
     """Parse the input stream into bigraphs, converting hypergraph records
     through their incidence graph when --as-hypergraph is given."""
+    from .bigraph import Bigraph, Hypergraph, incidence_graph
+    from .formats import iter_records
     want_h = getattr(args, "as_hypergraph", False)
     graphs = []
     for rec in iter_records(_read_text(args.input)):
@@ -86,8 +79,9 @@ def _parse_index_list(text: str, what: str) -> list[int]:
                          f"got {text!r}") from None
 
 
-def _parse_cycle(text: str) -> BaseCycle:
+def _parse_cycle(text: str):
     """Accept '1,1,2,2' or 'x1,y1,x2,y2' alternating X and Y indices."""
+    from .cycles import BaseCycle
     toks = [t.strip() for t in text.split(",") if t.strip()]
     xs: list[int] = []
     ys: list[int] = []
@@ -109,6 +103,8 @@ def _parse_cycle(text: str) -> BaseCycle:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_check(args) -> int:
+    from .condition import check_condition, degree_hypothesis
+    from .reports import machine_lines
     graphs = _load_bigraphs(args)
     all_pass = True
     for i, g in enumerate(graphs, start=1):
@@ -137,6 +133,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
+    from .bigraph import SIDE_X, VertexSet
+    from .cycles import find_based_cycle
     graphs = _load_bigraphs(args)
     base = _parse_index_list(args.base, "--base")
     found_all = True
@@ -151,6 +149,8 @@ def _cmd_cycle(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import is_critical, is_saturated, is_y_minimal
+    from .reports import machine_lines
     graphs = _load_bigraphs(args)
     all_critical = True
     for i, g in enumerate(graphs, start=1):
@@ -180,6 +180,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .bigraph import SIDE_X
+    from .structure import (crossing_bound_holds, crossings, max_fan,
+                            successor_maps)
     graphs = _load_bigraphs(args)
     if len(graphs) != 1:
         raise InputError("analyze expects exactly one graph record")
@@ -222,6 +225,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .formats import serialize
+    from .generators import (_condition_classes, complete_bipartite,
+                             construct_g3, enumerate_bigraphs, random_bigraph)
     if args.generator == "g3":
         sizes = _parse_index_list(args.n, "--n")
         if len(sizes) != 3:
@@ -247,9 +253,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _checkpoint_from(args) -> CheckpointConfig | None:
+def _checkpoint_from(args):
     if not args.checkpoint:
         return None
+    from .verifier_checkpoint import CheckpointConfig
     # join keeps an absolute --checkpoint as it is
     path = os.path.join(os.environ.get("SUPERCYCLIC_CHECKPOINT_DIR", ""),
                         args.checkpoint)
@@ -271,6 +278,7 @@ def _emit_report(report, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import verify_degree_theorem, verify_k_cyclic
     ckpt = _checkpoint_from(args)
     prog = _progress_from(args)
     if args.claim == "kcyclic":
@@ -285,6 +293,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
+    from .verifier import HuntConfig, hunt_counterexample
     config = HuntConfig(
         nx=args.nx, ny_max=args.ny_max,
         mode="random" if args.random else "exhaustive",

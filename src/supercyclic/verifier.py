@@ -6,6 +6,10 @@ worker counts, campaigns consume the enumeration stream in its canonical
 order, and random hunts seed each trial as seed + trial index, so the same
 parameters always produce byte-identical machine reports, with any number
 of workers.
+
+The lemma audit and the serialization of a violation import ``classify``,
+``structure`` and ``formats`` where they run, never on a per-node or
+per-trial path, so a campaign that finds nothing never loads them.
 """
 
 from __future__ import annotations
@@ -16,20 +20,16 @@ from functools import partial
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .bigraph import (Bigraph, VertexSet, SIDE_X, SIDE_Y, is_two_connected,
-                      reduce_to_superneighborhood, _cover)
+from .bigraph import (MAX_SIDE, Bigraph, VertexSet, SIDE_X, SIDE_Y,
+                      is_two_connected, reduce_to_superneighborhood, _cover)
 from .bitset import full_mask, indices_of, iter_bits, mask_of
-from .classify import (YMIN_EDGE_CAP, find_critical_core, is_critical,
-                       is_saturated, is_y_minimal)
 from .condition import (_first_failure, _retally, _thresholds,
                         check_condition, min_deficiency)
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
 from .errors import InputError, SupercyclicError
-from .formats import serialize_bigraph
 from .generators import (_Subtree, _Tree, _graph, _passes_condition, _tree,
                          _walk, expected_class_count, random_bigraph)
 from .reports import machine_lines
-from .structure import max_fan
 from .verifier_checkpoint import (CheckpointConfig, CheckpointState,
                                   load_checkpoint, save_checkpoint)
 
@@ -120,6 +120,14 @@ class HuntConfig:
                              f"got {mode!r}")
         if mode == "random" and trials < 1:
             raise InputError("random mode needs trials >= 1")
+        # a trial draws |Y| up to ny_max, so refuse here what
+        # random_bigraph would refuse only inside a trial
+        if mode == "random" and not (0 <= nx <= MAX_SIDE
+                                     and 0 <= ny_max <= MAX_SIDE):
+            raise InputError(f"random mode needs nx and ny_max in "
+                             f"0..{MAX_SIDE}, got ({nx}, {ny_max})")
+        if min_x_degree < 0:
+            raise InputError(f"min_x_degree must be >= 0, got {min_x_degree}")
         self.nx, self.ny_max, self.mode = nx, ny_max, mode
         self.seed, self.trials, self.min_x_degree = seed, trials, min_x_degree
 
@@ -452,6 +460,7 @@ def _degree_verdict(g: Bigraph) -> tuple[bool, Violation | None]:
     rep = is_super_cyclic(g)
     if rep.passed:
         return True, None
+    from .formats import serialize_bigraph
     return True, Violation("degree_theorem", serialize_bigraph(g),
                            str(rep.witness))
 
@@ -461,6 +470,7 @@ def _k_cyclic_verdict(k: int, g: Bigraph) -> tuple[bool, Violation | None]:
     rep = is_k_cyclic(g, k)
     if rep.passed:
         return True, None
+    from .formats import serialize_bigraph
     return True, Violation("k_cyclic", serialize_bigraph(g), str(rep.witness))
 
 
@@ -552,6 +562,8 @@ def _repair_to_boundary(g: Bigraph, rng: random.Random) -> Bigraph | None:
 
 def _hit_dossier(g: Bigraph, witness: VertexSet) -> Violation:
     """Full workup of a hunt hit: core extraction plus labeled audits."""
+    from .classify import find_critical_core
+    from .formats import serialize_bigraph
     sections = []
     try:
         core = find_critical_core(g)
@@ -583,6 +595,10 @@ def audit_critical_properties(g: Bigraph) -> VerificationReport:
     either a classification bug or a genuine mathematical finding, and the
     report says exactly which conclusion broke.
     """
+    from .classify import (YMIN_EDGE_CAP, is_critical, is_saturated,
+                           is_y_minimal)
+    from .formats import serialize_bigraph
+    from .structure import max_fan
     start = time.perf_counter()
     params = (("x_count", str(g.x_count)), ("y_count", str(g.y_count)),
               ("edge_count", str(g.edge_count)))

@@ -284,6 +284,22 @@ def test_hunt_cli_matches_library(monkeypatch, capsys):
     assert out == want.to_machine()
 
 
+@pytest.mark.parametrize("sizes", [
+    ["--ny-max", "70", "--trials", "2"],   # no trial draws |Y| > 64
+    ["--ny-max", "70", "--trials", "60"],  # a later trial does
+    ["--nx", "65", "--trials", "2"],
+    ["--min-x-degree", "-1", "--trials", "2"],
+], ids=["ny-max-70-short", "ny-max-70-long", "nx-65", "min-x-degree--1"])
+def test_hunt_sizes_out_of_range_exit_2_before_any_checkpoint(
+        monkeypatch, capsys, tmp_path, sizes):
+    argv = ["hunt", "--nx", "4", "--ny-max", "6", "--random", "--seed", "1",
+            "--checkpoint", str(tmp_path / "hunt.ckpt")] + sizes
+    code, out, err = run(monkeypatch, capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_env_dir(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("SUPERCYCLIC_CHECKPOINT_DIR", str(tmp_path))
     argv = ["verify", "kcyclic", "--nx", "3", "--ny-max", "3", "--k", "3",

@@ -1,5 +1,6 @@
-"""Import hygiene: every imported name is used, the CLI imports light, and
-a minimal CLI call builds no condition level.
+"""Import hygiene: every imported name is used, the CLI imports light, each
+command loads only the modules it runs, the package's public names resolve
+on first use, and a minimal CLI call builds no condition level.
 
 Each ``.py`` file under ``src/``, ``tests/`` and ``demos/`` is parsed with
 ``ast``.  An imported name counts as used when the module refers to it as a
@@ -9,6 +10,7 @@ name anywhere, lists it in ``__all__``, or imports it ``from __future__``.
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +79,63 @@ def test_minimal_cli_call_builds_no_condition_level():
                            str(ROOT / "src")],
                           capture_output=True, text=True, check=True)
     assert proc.stderr == "{} {}\n"
+
+
+def _loaded_after(statements: str, stdin: str = "") -> set[str]:
+    """The ``supercyclic`` submodules loaded by ``statements`` in a fresh
+    ``python -S``, which must exit 0; stdout is discarded."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            f"{statements}; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('supercyclic.')), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code,
+                           str(ROOT / "src")],
+                          capture_output=True, text=True, input=stdin,
+                          check=True)
+    last = proc.stderr.strip().splitlines()[-1]
+    return {m.removeprefix("supercyclic.") for m in ast.literal_eval(last)}
+
+
+def test_cli_import_loads_only_cli_and_errors():
+    assert _loaded_after("import supercyclic.cli") == {"cli", "errors"}
+
+
+K33 = "p bigraph 3 3\n" + "".join(f"e {x} {y}\n" for x in (1, 2, 3)
+                                  for y in (1, 2, 3))
+
+
+@pytest.mark.parametrize("argv, stdin, status, runs, skips", [
+    (["gen", "complete", "--nx", "1", "--ny", "1"], "", 0,
+     {"generators", "formats"},
+     {"cycles", "classify", "verifier", "structure", "verifier_checkpoint",
+      "reports"}),
+    # exit 1: K(3, 3) is super-cyclic, so not critical
+    (["classify"], K33, 1, {"classify", "formats"},
+     {"verifier", "generators", "structure", "verifier_checkpoint"}),
+    # exit 0: no trial hits, so no dossier is written
+    (["hunt", "--nx", "4", "--ny-max", "4", "--random", "--seed", "1",
+      "--trials", "5"], "", 0, {"verifier", "generators"},
+     {"classify", "structure", "formats"}),
+], ids=["gen", "classify", "hunt"])
+def test_each_command_loads_only_its_modules(argv, stdin, status, runs,
+                                            skips):
+    loaded = _loaded_after("import supercyclic.cli; "
+                           f"assert supercyclic.cli.main({argv!r}) == "
+                           f"{status}",
+                           stdin)
+    assert runs <= loaded
+    assert loaded & skips == set()
+
+
+def test_lazy_exports_resolve_to_their_defining_modules():
+    import supercyclic
+    table = supercyclic._EXPORTS
+    assert set(table) == set(supercyclic.__all__)
+    assert set(supercyclic.__all__) <= set(dir(supercyclic))
+    assert not hasattr(supercyclic, "nope")
+    for name, module in table.items():
+        scope: dict = {}
+        exec(f"from supercyclic import {name}", scope)
+        defining = importlib.import_module(f"supercyclic.{module}")
+        assert scope[name] is getattr(defining, name), name
+        assert scope[name].__module__ == defining.__name__, name

@@ -600,6 +600,14 @@ def test_hunt_config_validation():
         HuntConfig(3, 4, mode="thorough")
     with pytest.raises(InputError):
         HuntConfig(3, 4, mode="random", trials=0)
+    # random_bigraph's 0..64 cap, refused before any trial runs
+    for nx, ny_max in ((65, 4), (3, 65), (-1, 4), (3, -1)):
+        with pytest.raises(InputError, match="0..64"):
+            HuntConfig(nx, ny_max, mode="random", trials=1)
+    HuntConfig(64, 64, mode="random", trials=1)
+    for mode, trials in (("random", 1), ("exhaustive", 0)):
+        with pytest.raises(InputError, match="min_x_degree"):
+            HuntConfig(3, 4, mode=mode, trials=trials, min_x_degree=-1)
 
 
 def test_audit_is_vacuous_off_critical_graphs():
