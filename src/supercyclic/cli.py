@@ -137,6 +137,8 @@ def _cmd_cycle(args) -> int:
     from .cycles import find_based_cycle
     graphs = _load_bigraphs(args)
     base = _parse_index_list(args.base, "--base")
+    if len(set(base)) != len(base):
+        raise InputError(f"--base must not repeat an index, got {args.base!r}")
     found_all = True
     for i, g in enumerate(graphs, start=1):
         c = find_based_cycle(g, VertexSet.of(SIDE_X, base))

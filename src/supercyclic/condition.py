@@ -32,18 +32,17 @@ the report; ``tests/oracles.py`` keeps the literal every-A scan as the
 referee.
 
 The scan runs on packed counts.  For each (|X|, size) a level (``_Level``)
-holds one 8-bit field per A of that size, in ``_order``'s walk order, by
-ascending size, then lexicographically, which ``cycles`` and the orderly
-walk's triple test follow too.  A triple has seven fields:
-|N^(T)| (threshold 3), the degrees of x1, x2, x3 in H_T (threshold 2),
-then |p|, |r|, |q| for the pairs x1x2, x1x3, x2x3 (threshold 1); a larger
-A has one, |N^(A)| (threshold |A|).  A Y-column c, the mask of a y's
-X-neighbors, serves the fields it counts toward, and ``served(c)``, the
-level's ``self[c]``, holds a one in each of them; a graph's counts are the
-sum of ``served`` over its columns.  ``served(c)`` is ``bigraph._cover``'s
-once/twice fold over c's X-vertices applied to per-x field masks, with the
-degree fields kept only for the x in c.  It is memoised by column, each
-new column folded onto its prefix c - max(c).
+holds one 8-bit field per A of that size, in lex order (``_masks``, which
+``cycles`` follows too), and the scan takes the levels by ascending size.
+A triple has seven fields: |N^(T)| (threshold 3), the degrees of x1, x2,
+x3 in H_T (threshold 2), then |p|, |r|, |q| for the pairs x1x2, x1x3, x2x3
+(threshold 1); a larger A has one, |N^(A)| (threshold |A|).  A Y-column c,
+the mask of a y's X-neighbors, serves the fields it counts toward, and
+``served(c)``, the level's ``self[c]``, holds a one in each of them; a
+graph's counts are the sum of ``served`` over its columns.  ``served(c)``
+is ``bigraph._cover``'s once/twice fold over c's X-vertices applied to
+per-x field masks, with the degree fields kept only for the x in c.  It is
+memoised by column, each new column folded onto its prefix c - max(c).
 
 Byte arithmetic.  A count is at most |Y| <= 64 and a threshold at most
 |X| <= 64, so each field of ``counts + (guard - thresholds)``, with guard
@@ -60,7 +59,6 @@ that edits one column keeps the counts of the levels scanned so far
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bigraph import Bigraph, VertexSet, SIDE_X, _Record
@@ -172,54 +170,32 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
     return low, VertexSet(SIDE_X, best)
 
 
-#: the walk orders held, by (|X|, size): (A, x1, x2, x3) for triples,
-#: (A, A - max(A), max(A)) above them; and the pack's levels held, by the
-#: same key.  An order longer than _ORDER_ROWS is generated afresh by each
-#: walk, so an early stop builds none of it, and a level with more rows is
-#: built for one call; a shorter one is held (``_hold``).
-_ORDERS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+#: the pack's levels held, by (|X|, size).  A level with more than
+#: _LEVEL_ROWS rows is built for one call; a smaller one is held, and one
+#: that would not fit empties the cache first.
 _LEVELS: dict[tuple[int, int], "_Level"] = {}
-_ORDER_ROWS = 1 << 16
+_LEVEL_ROWS = 1 << 16
 #: a level empties its memo of column folds past this many bytes of fields
 _MEMO_BYTES = 1 << 20
-
-
-def _order(nx: int, size: int) -> Iterable[tuple[int, ...]]:
-    order = _ORDERS.get((nx, size))
-    if order is None:
-        if comb(nx, size) > _ORDER_ROWS:
-            return _rows(nx, size)
-        order = _hold(_ORDERS, (nx, size), tuple(_rows(nx, size)))
-    return order
 
 
 def _level(nx: int, size: int) -> "_Level":
     level = _LEVELS.get((nx, size))
     if level is None:
-        level = _hold(_LEVELS, (nx, size), _Level(nx, size))
+        level = _Level(nx, size)
+        rows = len(level.masks)
+        if rows <= _LEVEL_ROWS:
+            if rows + sum(len(held.masks)
+                          for held in _LEVELS.values()) > _LEVEL_ROWS:
+                _LEVELS.clear()
+            _LEVELS[nx, size] = level
     return level
 
 
-def _hold(cache: dict, key: tuple[int, int], value):
-    """Hold ``value`` under ``key`` = (|X|, size) unless it has more than
-    _ORDER_ROWS rows; if it would not fit, empty the cache first."""
-    rows = comb(*key)
-    if rows <= _ORDER_ROWS:
-        if rows + sum(comb(*k) for k in cache) > _ORDER_ROWS:
-            cache.clear()
-        cache[key] = value
-    return value
-
-
-def _rows(nx: int, size: int) -> Iterator[tuple[int, ...]]:
-    if size == 3:
-        for i, j, k in combinations(range(1, nx + 1), 3):
-            yield 1 << i | 1 << j | 1 << k, i, j, k
-        return
-    for amask in map(sum, combinations([1 << i for i in range(1, nx + 1)],
-                                       size)):
-        x = amask.bit_length() - 1
-        yield amask, amask ^ 1 << x, x
+def _masks(nx: int, size: int) -> Iterator[int]:
+    """The subsets of size ``size`` of X = {1..nx} as masks, in lex order,
+    generated as they are asked for."""
+    return map(sum, combinations([1 << i for i in range(1, nx + 1)], size))
 
 
 #: the offsets, among a triple's seven fields, that x1, x2 and x3 each
@@ -233,7 +209,7 @@ class _Level(dict):
     """The pack of one (|X|, size) (module docstring): ``self[c]`` is
     served(c), memoised by Y-column c.
 
-    ``masks`` lists the level's A in walk order, ``stride`` is the number
+    ``masks`` lists the level's A in lex order, ``stride`` is the number
     of fields per A, ``bias`` holds guard - threshold in each field and
     ``guards`` the guard bits.  ``_folds`` maps a column to its fold
     (once, twice, degrees) over the per-x field masks ``_grow`` and degree
@@ -245,23 +221,23 @@ class _Level(dict):
 
     def __init__(self, nx: int, size: int) -> None:
         super().__init__()
-        rows = list(_rows(nx, size))
-        self.masks = tuple(row[0] for row in rows)
+        self.masks = tuple(_masks(nx, size))
         self.stride = stride = 7 if size == 3 else 1
-        fields = len(rows) * stride
+        rows = len(self.masks)
+        fields = rows * stride
         grow = [bytearray(fields) for _ in range(nx + 1)]
         if size == 3:
             degs = [bytearray(fields) for _ in range(nx + 1)]
-            for f, row in zip(range(0, fields, 7), rows):
+            for f, amask in zip(range(0, fields, 7), self.masks):
                 for own, (x, offsets) in enumerate(
-                        zip(row[1:], _TRIPLE_FIELDS), start=1):
+                        zip(iter_bits(amask), _TRIPLE_FIELDS), start=1):
                     for offset in offsets:
                         grow[x][f + offset] = 1
                     degs[x][f + own] = 1
             self._degs = tuple(int.from_bytes(d, "little") for d in degs)
             self._keep = ~int.from_bytes(bytes((0, 1, 1, 1, 0, 0, 0)) *
-                                         len(rows), "little")
-            thresholds = _TRIPLE_THRESHOLDS * len(rows)
+                                         rows, "little")
+            thresholds = _TRIPLE_THRESHOLDS * rows
         else:
             for f, amask in enumerate(self.masks):
                 for x in iter_bits(amask):

@@ -18,8 +18,8 @@ there is no separate pre-check.
 ``is_super_cyclic`` certifies its bases on masks, prefix by prefix, and
 builds no ``VertexSet`` or ``BaseCycle`` for a base that has a cycle.  A
 certificate is plain data, (A, xs, ys, used) with ``used`` the mask of the
-ys.  The triples come in the condition's walk, ``condition._order``, and
-are decided in closed form.  Each larger base A = P + x is reached from the
+ys.  The triples come in lex order, the condition's too, and are decided
+in closed form.  Each larger base A = P + x is reached from the
 certificate of its lex prefix P = A - max(A), with x from max(P) + 1 to
 |X|, which is the lex order of its size.  If P's cycle runs x_i y_i x_{i+1}
 and x has distinct neighbors y' of x_i and y'' of x_{i+1}, each unused or
@@ -44,11 +44,13 @@ and the rest is the 2-connectivity of H_T (``condition`` docstring).
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
                       incidence_graph, _Record, _adjacency_masks, _blocks,
                       _require_x_subset)
 from .bitset import iter_bits
-from .condition import _order
+from .condition import _masks
 from .errors import CapacityError, InputError
 from .reports import CheckReport
 
@@ -225,9 +227,9 @@ def is_k_cyclic(g: Bigraph, k: int) -> CheckReport:
         raise InputError(f"k must be in 3..|X|, got k={k} with |X|={g.x_count}")
     if k == 3:
         return _check_bases(g, "k_cyclic", 3, "k=3")
-    for row in _order(g.x_count, k):
-        if find_based_cycle(g, VertexSet(SIDE_X, row[0])) is None:
-            return _no_cycle("k_cyclic", row[0])
+    for amask in _masks(g.x_count, k):
+        if find_based_cycle(g, VertexSet(SIDE_X, amask)) is None:
+            return _no_cycle("k_cyclic", amask)
     return CheckReport("k_cyclic", True, detail=f"k={k}")
 
 
@@ -258,21 +260,21 @@ def _check_bases(g: Bigraph, check: str, last: int,
     """Pass iff every X-subset of size 3..``last`` carries a based cycle;
     the witness is the first one without, by size then lex order.
 
-    The triples come in ``condition._order`` and are decided by
-    ``_triple_cycle``.  Each larger size is one ``_grow`` over the
-    certificates held for the size below, which lists its bases in the
-    same order.  A size holds only the bases that some larger base extends:
-    those below the last size with max(A) < |X|.
+    The triples come in lex order and are decided by ``_triple_cycle``.
+    Each larger size is one ``_grow`` over the certificates held for the
+    size below, which lists its bases in the same order.  A size holds only
+    the bases that some larger base extends: those below the last size
+    with max(A) < |X|.
     """
     nx = g.x_count
     x_adj = g.x_adj
     held: list[_Cert] | None = [] if last > 3 else None
-    for amask, i, j, k in _order(nx, 3):
+    for i, j, k in combinations(range(1, nx + 1), 3):
         cert = _triple_cycle(x_adj, i, j, k)
         if cert is None:
-            return _no_cycle(check, amask)
+            return _no_cycle(check, 1 << i | 1 << j | 1 << k)
         if held is not None and k < nx:
-            held.append((amask, *cert))
+            held.append((1 << i | 1 << j | 1 << k, *cert))
     for size in range(4, last + 1):
         grown: list[_Cert] | None = [] if size < last else None
         missing = _grow(g, held, grown)

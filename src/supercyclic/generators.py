@@ -55,17 +55,25 @@ what the walk yields there.  ``enumerate_bigraphs`` is the visitor that
 builds each graph; the campaigns in ``verifier`` evaluate each node without
 building it unless a search needs it.  Two lemmas make that cheap.
 
-The size clause, read from the pack (``_passes_condition``).  At a node
-with |Y| = m, the size field of A holds ``guard + ny_max - |A| - (m -
-|N^(A)|)``: each of the m columns so far either serves it, and is counted
-in N^(A), or took one off.  So the field less guard, less ``ny_max - m``,
-is |N^(A)| - |A|, and every A meets |N^(A)| >= |A| iff every size field is
-at least ``guard + ny_max - m``.  Every field of a walked node holds at
-least guard, so subtracting ``ny_max - m < guard`` from every size field
+The condition, read from the pack (``_passes_condition``).  At a node with
+|Y| = m, a field of threshold t holds ``guard + ny_max - t - (m - count)``:
+each of the m columns so far either serves it, and is counted, or took one
+off.  So the field less guard, less ``ny_max - m``, is count - t.  Every
+field of a walked node holds at least guard, as the walk cuts on each, so
+subtracting ``ny_max - m < guard`` from every size and triple-degree field
 at once borrows from no neighbour, and it clears a field's guard bit
-exactly when that field falls short; so the clause is one subtraction and
-one mask.  The 2-connectivity clause is then decided on
-the triples alone, by Hall's rule on masks (``condition`` docstring).
+exactly when its count falls short: |N^(A)| < |A|, or x has fewer than two
+neighbours in N^(T).  That one subtraction and one mask, with one more
+test, decide the whole condition.  Lemma: a triple T passes it iff
+|N^(T)| >= 3, each pair of T shares a y, and each x of T has at least two
+neighbours in N^(T).  Proof: with p, q, r the common neighbours of the
+pairs x1x2, x2x3, x1x3, T passes iff p, q, r are non-empty, each union of
+two has at least two ys and p | q | r has at least three (``condition``
+docstring); N^(T) is p | q | r, and the neighbours of x1 in it are p | r,
+of x2 p | q, of x3 q | r.  When |X| >= 3 every pair of X lies in a
+triple, so the triples all pass iff every pair of X shares a y and every
+triple-degree field meets 2.  When |X| < 3 the condition is vacuous: there
+are no condition fields, and no pair is tested.
 
 Inheritance.  A child adds one Y-vertex y to its parent and keeps X.  For
 each A, N^(A) gains y when y has two neighbours in A and is unchanged
@@ -93,7 +101,6 @@ from typing import Any, Callable, Iterator
 
 from .bigraph import Bigraph
 from .bitset import iter_bits
-from .condition import _order
 from .errors import CapacityError, InputError
 
 #: enumeration caps: isomorphism classes explode combinatorially past these
@@ -185,11 +192,11 @@ def _condition_classes(nx: int, ny_max: int,
 class _Tree:
     """The tables of one walk: the canonicity pack's guard and per-column
     steps, the slack pack's guard, root and per-column spends, per depth m
-    and column c what c adds to ``x_adj`` as y_{m+1}, and for the size
-    clause one unit in each size field."""
+    and column c what c adds to ``x_adj`` as y_{m+1}, and for the condition
+    one unit in each condition field and the pairs of X that it tests."""
 
     __slots__ = ("nx", "ny_max", "guard", "steps", "slack_guard", "root",
-                 "spends", "bits", "sizes")
+                 "spends", "bits", "conditions", "pairs")
 
     def __init__(self, nx: int, ny_max: int,
                  fields: list[tuple[int, set[int], bool]]) -> None:
@@ -206,8 +213,10 @@ class _Tree:
                             if c not in serves) for c in range(1 << nx)]
         self.bits = [[tuple((c << 1 >> x & 1) << m + 1 for x in range(nx + 1))
                       for c in range(1 << nx)] for m in range(ny_max)]
-        self.sizes = sum(unit for (_, _, size), unit in zip(fields, units)
-                         if size)
+        self.conditions = sum(unit for (_, _, condition), unit
+                              in zip(fields, units) if condition)
+        self.pairs = (tuple(combinations(range(1, nx + 1), 2))
+                      if self.conditions else ())
 
 
 class _Subtree(tuple):
@@ -271,20 +280,14 @@ def _walk(tree: _Tree,
 def _passes_condition(tree: _Tree, m: int, x_adj: tuple[int, ...],
                       slack: int) -> bool:
     """The neighborhood condition at a node with |Y| = m of a walk with
-    ``condition``: the size clause from the slack pack, then the triples in
-    the condition's own order, each by Hall's rule on p = N(x1) & N(x2),
-    q = N(x2) & N(x3) and r = N(x1) & N(x3): each non-empty, and each union
-    of two with at least two ys (module docstring)."""
-    sizes = tree.sizes
-    floor = sizes * (tree.ny_max - m)
-    size_guard = sizes << tree.ny_max.bit_length()
-    if slack - floor & size_guard != size_guard:
+    ``condition``: every condition field of the slack pack meets its
+    threshold, and every pair of X shares a y (module docstring)."""
+    conditions = tree.conditions
+    guard = conditions << tree.ny_max.bit_length()
+    if slack - conditions * (tree.ny_max - m) & guard != guard:
         return False
-    for _, i, j, k in _order(tree.nx, 3):
-        a, b, c = x_adj[i], x_adj[j], x_adj[k]
-        p, q, r = a & b, b & c, a & c
-        if not (p and q and r) or (p | q).bit_count() < 2 or \
-                (q | r).bit_count() < 2 or (p | r).bit_count() < 2:
+    for i, j in tree.pairs:
+        if not x_adj[i] & x_adj[j]:
             return False
     return True
 
@@ -374,7 +377,7 @@ def _canonicity_steps(nx: int, ny_max: int) -> tuple[int, list[int]]:
 def _slack_fields(nx: int, min_x_degree: int, condition: bool
                   ) -> list[tuple[int, set[int], bool]]:
     """The threshold of each slack field, the columns that serve it, and
-    whether it is a size field."""
+    whether it is a condition field: a size or a triple-degree field."""
     cols = range(1 << nx)
     bits = [1 << x for x in range(nx)]
     fields = []
@@ -387,7 +390,7 @@ def _slack_fields(nx: int, min_x_degree: int, condition: bool
                 pairs = {c for c in cols if (c & a).bit_count() >= 2}
                 fields.append((size, pairs, True))
                 if size == 3:
-                    fields += [(2, {c for c in pairs if c & x}, False)
+                    fields += [(2, {c for c in pairs if c & x}, True)
                                for x in bits if a & x]
     return fields
 
@@ -401,6 +404,8 @@ def random_bigraph(nx: int, ny: int, min_x_degree: int = 0,
     """
     if not 0 <= nx <= 64 or not 0 <= ny <= 64:
         raise InputError("sizes must be in 0..64")
+    if min_x_degree < 0:
+        raise InputError(f"min_x_degree must be >= 0, got {min_x_degree}")
     if min_x_degree > ny:
         raise InputError(f"min_x_degree={min_x_degree} is impossible "
                          f"with |Y|={ny}")

@@ -219,10 +219,11 @@ def test_blocks_partition_edges_into_two_connected_pieces(g):
 
 
 def _hall(a, b, c):
-    """Hall's rule for the triple with Y-neighborhoods a, b, c, as
-    ``generators._passes_condition`` and the condition's pack decide it:
-    the three pairwise intersections are non-empty and each union of two
-    has at least two ys."""
+    """Hall's rule for the triple with Y-neighborhoods a, b, c, as the
+    condition's pack decides it: the three pairwise intersections are
+    non-empty and each union of two has at least two ys.  The walk's
+    ``generators._passes_condition`` decides it in another form, refereed
+    against this one below."""
     p, q, r = a & b, b & c, a & c
     return bool(p and q and r) and min((p | q).bit_count(),
                                        (q | r).bit_count(),
@@ -243,6 +244,13 @@ def test_triple_rule_matches_blocks_on_all_81_count_vectors():
         blocks = _blocks(_adjacency_masks(g))
         by_dfs = len(blocks) == 1 and len(blocks[0]) == 3 + g.y_count
         assert _hall(*g.x_adj[1:]) == by_dfs, counts
+        # the walk's form: every pair shares a y, and each x has at least
+        # two neighbors in N^(T)
+        a, b, c = g.x_adj[1:]
+        nh = a & b | b & c | a & c
+        assert (bool(a & b and b & c and a & c) and
+                min((x & nh).bit_count() for x in (a, b, c)) >= 2) == \
+            _hall(a, b, c), counts
         # the pack's seven fields: |N^(T)| >= 3, then the rule's six
         assert check_condition(g).passed == (by_dfs and g.y_count >= 3), \
             counts

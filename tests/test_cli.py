@@ -102,6 +102,10 @@ def test_cycle_found_and_absent(monkeypatch, capsys):
     code, _, err = run(monkeypatch, capsys, ["cycle", "--base", "a,b"],
                        serialize(C6))
     assert code == 2
+    # a repeated index is refused, not read as the set {1, 2, 3}
+    code, out, err = run(monkeypatch, capsys, ["cycle", "--base", "1,1,2,3"],
+                         serialize(C6))
+    assert code == 2 and out == "" and "repeat" in err
 
 
 def test_classify_human(monkeypatch, capsys):
@@ -245,6 +249,13 @@ def test_gen_random_deterministic(monkeypatch, capsys):
     _, out2, _ = run(monkeypatch, capsys, argv)
     assert out1 == out2
     assert len(list(iter_records(out1))) == 3
+
+
+def test_gen_random_refuses_negative_min_x_degree(monkeypatch, capsys):
+    code, out, err = run(monkeypatch, capsys,
+                         ["gen", "random", "--nx", "3", "--ny", "3",
+                          "--min-x-degree", "-2"])
+    assert code == 2 and out == "" and "min_x_degree" in err
 
 
 def test_verify_machine_golden(monkeypatch, capsys):

@@ -245,9 +245,9 @@ def test_condition_at_large_x_builds_only_the_triple_order(monkeypatch):
 
 
 def test_order_cache_stays_under_its_row_bound(monkeypatch):
-    # the pack's levels are held under the orders' row bound
+    # the pack's levels are held under their row bound
     monkeypatch.setattr(condition, "_LEVELS", {})
-    monkeypatch.setattr(condition, "_ORDER_ROWS", 60)
+    monkeypatch.setattr(condition, "_LEVEL_ROWS", 60)
     assert check_condition(complete_bipartite(8, 8)).passed
     # (8, 3) has 56 rows and is held; (8, 4) has 70, more than the bound, so
     # it is built for the one scan and never held; (8, 5) and (8, 6) would
@@ -278,11 +278,10 @@ def test_walk_is_the_same_whether_orders_are_held_or_generated(monkeypatch):
                  is_super_cyclic(g)) for g in graphs]
 
     held = outcomes()
-    monkeypatch.setattr(condition, "_ORDERS", {})
     monkeypatch.setattr(condition, "_LEVELS", {})
-    monkeypatch.setattr(condition, "_ORDER_ROWS", 0)
+    monkeypatch.setattr(condition, "_LEVEL_ROWS", 0)
     assert outcomes() == held
-    assert condition._ORDERS == {} and condition._LEVELS == {}
+    assert condition._LEVELS == {}
 
 
 def test_level_memo_stays_under_its_byte_bound(monkeypatch):

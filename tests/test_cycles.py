@@ -22,7 +22,7 @@ from supercyclic import (
     longest_cycle_length,
     random_bigraph,
 )
-from supercyclic import condition, cycles
+from supercyclic import cycles
 from supercyclic.bigraph import SIDE_X
 from supercyclic.verifier import _repair_to_boundary
 
@@ -526,22 +526,21 @@ def test_super_cyclic_is_trivial_below_three_x(nx):
 
 def test_k_cyclic_at_large_x_stops_at_its_first_base(monkeypatch):
     # x4..x40 are isolated, so the first 10-base has no cycle: the walk must
-    # answer there, making one row of the C(40, 10) ~ 8.5e8 of that size
+    # answer there, making one mask of the C(40, 10) ~ 8.5e8 of that size
     made = []
-    rows = condition._rows
+    masks = cycles._masks
 
     def counted(nx, size):
-        for row in rows(nx, size):
-            made.append(row[0])
-            assert len(made) < 100, "the walk built rows past its first base"
-            yield row
+        for amask in masks(nx, size):
+            made.append(amask)
+            assert len(made) < 100, "the walk made masks past its first base"
+            yield amask
 
-    monkeypatch.setattr(condition, "_rows", counted)
-    monkeypatch.setattr(condition, "_ORDERS", {})
+    monkeypatch.setattr(cycles, "_masks", counted)
     g = Bigraph(40, 3, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
     rep = is_k_cyclic(g, 10)
     assert not rep.passed and rep.witness.mask == (1 << 11) - 2
-    assert made == [(1 << 11) - 2] and condition._ORDERS == {}
+    assert made == [(1 << 11) - 2]
 
 
 class _PrefixReferee:

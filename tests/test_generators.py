@@ -263,4 +263,6 @@ def test_random_bigraph_degree_padding():
     assert g == complete_bipartite(4, 4)
     with pytest.raises(InputError):
         random_bigraph(3, 2, 3, seed=0)
+    with pytest.raises(InputError):
+        random_bigraph(3, 3, -2, seed=0)
     assert random_bigraph(0, 5, 0, seed=1) == Bigraph(0, 5, [])

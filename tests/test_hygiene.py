@@ -74,11 +74,11 @@ def test_minimal_cli_call_builds_no_condition_level():
             "supercyclic.cli.main(['gen', 'complete', '--nx', '1', "
             "'--ny', '1']); "
             "from supercyclic import condition; "
-            "print(condition._LEVELS, condition._ORDERS, file=sys.stderr)")
+            "print(condition._LEVELS, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-S", "-c", code,
                            str(ROOT / "src")],
                           capture_output=True, text=True, check=True)
-    assert proc.stderr == "{} {}\n"
+    assert proc.stderr == "{}\n"
 
 
 def _loaded_after(statements: str, stdin: str = "") -> set[str]:
@@ -107,8 +107,8 @@ K33 = "p bigraph 3 3\n" + "".join(f"e {x} {y}\n" for x in (1, 2, 3)
 @pytest.mark.parametrize("argv, stdin, status, runs, skips", [
     (["gen", "complete", "--nx", "1", "--ny", "1"], "", 0,
      {"generators", "formats"},
-     {"cycles", "classify", "verifier", "structure", "verifier_checkpoint",
-      "reports"}),
+     {"condition", "cycles", "classify", "verifier", "structure",
+      "verifier_checkpoint", "reports"}),
     # exit 1: K(3, 3) is super-cyclic, so not critical
     (["classify"], K33, 1, {"classify", "formats"},
      {"verifier", "generators", "structure", "verifier_checkpoint"}),
