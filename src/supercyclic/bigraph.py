@@ -31,10 +31,10 @@ counts, with no block search (``condition`` docstring).
 
 ``_cover`` is the one computation of the super-neighborhood N^(A), the
 Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
-masks of the Y-vertices seen once and twice.  Criticality and the hunt's
-repairs call it.  The condition's pack folds the same way over a
-Y-column's X-vertices, on per-x field masks, and the based-cycle DFS folds
-inline, together with its degree prune.
+masks of the Y-vertices seen once and twice.  Criticality, the hunt's
+repairs and the condition's pack call it, the pack over a Y-column's
+X-vertices on per-x field masks.  The based-cycle DFS folds inline,
+together with its degree prune.
 """
 
 from __future__ import annotations

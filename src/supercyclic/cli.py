@@ -139,15 +139,12 @@ def _cmd_cycle(args) -> int:
     base = _parse_index_list(args.base, "--base")
     if len(set(base)) != len(base):
         raise InputError(f"--base must not repeat an index, got {args.base!r}")
-    found_all = True
-    for i, g in enumerate(graphs, start=1):
-        c = find_based_cycle(g, VertexSet.of(SIDE_X, base))
-        if c is None:
-            print(f"graph {i}: ABSENT")
-            found_all = False
-        else:
-            print(f"graph {i}: {c}")
-    return 0 if found_all else 1
+    a = VertexSet.of(SIDE_X, base)
+    # every graph is searched before the first line, so an error prints none
+    found = [find_based_cycle(g, a) for g in graphs]
+    for i, c in enumerate(found, start=1):
+        print(f"graph {i}: {'ABSENT' if c is None else c}")
+    return 0 if all(c is not None for c in found) else 1
 
 
 def _cmd_classify(args) -> int:
@@ -191,25 +188,11 @@ def _cmd_analyze(args) -> int:
     g = graphs[0]
     c = _parse_cycle(args.cycle)
     c.validate_in(g)
+    # every result is computed before the first line, so an error prints none
     maps = successor_maps(c)
-    print(f"cycle: {c}")
-    print("successors along the orientation:")
-    for side, idx in c.sequence():
-        v = (side, idx)
-        name = f"{'x' if side == SIDE_X else 'y'}{idx}"
-        print(f"  {name}: x+ = x{maps.x_plus[v]}  x- = x{maps.x_minus[v]}  "
-              f"y+ = y{maps.y_plus[v]}  y- = y{maps.y_minus[v]}")
-
     roots = ([args.fan_root] if args.fan_root is not None
              else [x for x in g.x_indices() if x not in c.xs])
-    for root in roots:
-        fan = max_fan(g, root, c)
-        print(f"fan from x{root}: size {fan.size}, "
-              f"{fan.vertex_count} vertices")
-        for p in fan.paths:
-            print("  path: " + " ".join(
-                f"{'x' if s == SIDE_X else 'y'}{i}" for s, i in p))
-
+    fans = [(root, max_fan(g, root, c)) for root in roots]
     ok = True
     if args.pair:
         pair = _parse_index_list(args.pair, "--pair")
@@ -219,6 +202,21 @@ def _cmd_analyze(args) -> int:
         u, v = pair
         rep = crossings(g, c, u, v)
         ok = crossing_bound_holds(g, c, u, v)
+
+    print(f"cycle: {c}")
+    print("successors along the orientation:")
+    for w in c.sequence():
+        side, idx = w
+        name = f"{'x' if side == SIDE_X else 'y'}{idx}"
+        print(f"  {name}: x+ = x{maps.x_plus[w]}  x- = x{maps.x_minus[w]}  "
+              f"y+ = y{maps.y_plus[w]}  y- = y{maps.y_minus[w]}")
+    for root, fan in fans:
+        print(f"fan from x{root}: size {fan.size}, "
+              f"{fan.vertex_count} vertices")
+        for p in fan.paths:
+            print("  path: " + " ".join(
+                f"{'x' if s == SIDE_X else 'y'}{i}" for s, i in p))
+    if args.pair:
         crossed = ",".join(f"x{w}" for w in rep.crossed_at) or "none"
         print(f"crossings of (x{u}, x{v}): {rep.count} (at {crossed})")
         print(f"degree-sum bound d_C(u)+d_C(v) <= l+2+crossings: "
@@ -238,10 +236,15 @@ def _cmd_gen(args) -> int:
     elif args.generator == "complete":
         graphs = [complete_bipartite(args.nx, args.ny)]
     elif args.generator == "random":
+        if args.count < 1:
+            raise InputError(f"--count must be >= 1, got {args.count}")
         graphs = [random_bigraph(args.nx, args.ny, args.min_x_degree,
                                  args.seed + i)
                   for i in range(args.count)]
     else:  # enum; cond1 decides the condition at each node of its walk
+        if args.min_y_degree < 0:
+            raise InputError(
+                f"--min-y-degree must be >= 0, got {args.min_y_degree}")
         walk = _condition_classes if args.filter else enumerate_bigraphs
         graphs = (g for g in walk(args.nx, args.ny_max, args.min_x_degree)
                   if g.min_x_degree >= args.min_x_degree

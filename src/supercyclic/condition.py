@@ -40,9 +40,9 @@ x3 in H_T (threshold 2), then |p|, |r|, |q| for the pairs x1x2, x1x3, x2x3
 the mask of a y's X-neighbors, serves the fields it counts toward, and
 ``served(c)``, the level's ``self[c]``, holds a one in each of them; a
 graph's counts are the sum of ``served`` over its columns.  ``served(c)``
-is ``bigraph._cover``'s once/twice fold over c's X-vertices applied to
+is the ``twice`` mask of ``bigraph._cover`` over c's X-vertices, applied to
 per-x field masks, with the degree fields kept only for the x in c.  It is
-memoised by column, each new column folded onto its prefix c - max(c).
+memoised by column.
 
 Byte arithmetic.  A count is at most |Y| <= 64 and a threshold at most
 |X| <= 64, so each field of ``counts + (guard - thresholds)``, with guard
@@ -61,8 +61,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .bigraph import Bigraph, VertexSet, SIDE_X, _Record
-from .bitset import iter_bits
+from .bigraph import Bigraph, VertexSet, SIDE_X, _Record, _cover
+from .bitset import indices_of, iter_bits
 from .errors import InputError
 
 MODES = ("full", "kim")
@@ -175,7 +175,7 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
 #: that would not fit empties the cache first.
 _LEVELS: dict[tuple[int, int], "_Level"] = {}
 _LEVEL_ROWS = 1 << 16
-#: a level empties its memo of column folds past this many bytes of fields
+#: a level empties its memo of served columns past this many bytes of fields
 _MEMO_BYTES = 1 << 20
 
 
@@ -211,13 +211,12 @@ class _Level(dict):
 
     ``masks`` lists the level's A in lex order, ``stride`` is the number
     of fields per A, ``bias`` holds guard - threshold in each field and
-    ``guards`` the guard bits.  ``_folds`` maps a column to its fold
-    (once, twice, degrees) over the per-x field masks ``_grow`` and degree
-    masks ``_degs``; ``_keep`` clears the degree fields.
+    ``guards`` the guard bits.  ``_grow`` holds the per-x field masks and
+    ``_degs`` the per-x degree masks; ``_keep`` clears the degree fields.
     """
 
     __slots__ = ("masks", "stride", "bias", "guards", "_grow", "_degs",
-                 "_keep", "_folds", "_room")
+                 "_keep", "_room")
 
     def __init__(self, nx: int, size: int) -> None:
         super().__init__()
@@ -248,7 +247,6 @@ class _Level(dict):
         self._grow = tuple(int.from_bytes(g, "little") for g in grow)
         self.guards = int.from_bytes(b"\x80" * fields, "little")
         self.bias = self.guards - int.from_bytes(thresholds, "little")
-        self._folds = {0: (0, 0, 0)}
         self._room = max(1, _MEMO_BYTES // fields)
 
     def tally(self, cols: Iterable[int]) -> int:
@@ -256,26 +254,13 @@ class _Level(dict):
         return sum(map(self.__getitem__, cols))
 
     def __missing__(self, col: int) -> int:
-        folds = self._folds
-        if len(folds) > self._room:
-            folds.clear()
+        if len(self) > self._room:
             self.clear()
-            folds[0] = 0, 0, 0
-        todo = []
-        prefix = col
-        while prefix not in folds:
-            x = prefix.bit_length() - 1
-            todo.append(x)
-            prefix ^= 1 << x
-        once, twice, degs = folds[prefix]
-        for x in reversed(todo):
-            grow = self._grow[x]
-            twice |= once & grow
-            once |= grow
+        xs = indices_of(col)
+        degs = 0
+        for x in xs:
             degs |= self._degs[x]
-            prefix |= 1 << x
-            folds[prefix] = once, twice, degs
-        served = self[col] = twice & (self._keep | degs)
+        served = self[col] = _cover(self._grow, xs)[1] & (self._keep | degs)
         return served
 
 

@@ -34,12 +34,14 @@ each base for k >= 4.
 Triples need no DFS.  A cycle x1 y1 x2 y2 x3 y3 is a system of distinct
 representatives of p = N(x1) & N(x2), q = N(x2) & N(x3) and
 r = N(x3) & N(x1), so ``_triple_cycle`` picks the ys in two nested low-bit
-loops, for ``find_based_cycle`` and the walk alike.  Lemma: a triple T
-carries a based cycle iff it passes the neighborhood condition, i.e.
-|N^(T)| >= 3 and H_T = G[T + N^(T)] is 2-connected.  By Hall's theorem the
-representatives exist iff p, q and r are non-empty, each union of two has
-at least two ys and p | q | r has at least three.  That union is N^(T),
-and the rest is the 2-connectivity of H_T (``condition`` docstring).
+loops for ``_check_bases``.  It tries the two cyclic orders and the ys
+ascending within each, which is the DFS's own order, so it returns the
+cycle ``find_based_cycle`` returns.  Lemma: a triple T carries a based
+cycle iff it passes the neighborhood condition, i.e. |N^(T)| >= 3 and
+H_T = G[T + N^(T)] is 2-connected.  By Hall's theorem the representatives
+exist iff p, q and r are non-empty, each union of two has at least two ys
+and p | q | r has at least three.  That union is N^(T), and the rest is
+the 2-connectivity of H_T (``condition`` docstring).
 """
 
 from __future__ import annotations
@@ -131,21 +133,12 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
     clears its y from ``free``, the mask of unused ys, and a backtrack pops.
     Sets are walked low bit first with no generator, and each node's two
     prunes share one fold over the X-vertices left and the path's ends.
-
-    A triple needs no search: ``_triple_cycle`` tries its two cyclic orders
-    and the ys ascending within each, which is the DFS's own order, so it
-    returns the same cycle.
     """
     _require_x_subset(g, a)
     if len(a) < 3:
         raise InputError("based cycles are defined for |A| >= 3")
     x_adj = g.x_adj
     x1 = (a.mask & -a.mask).bit_length() - 1
-    if len(a) == 3:
-        rest = a.mask ^ 1 << x1
-        x2 = (rest & -rest).bit_length() - 1
-        cert = _triple_cycle(x_adj, x1, x2, (rest ^ 1 << x2).bit_length() - 1)
-        return None if cert is None else BaseCycle(*cert[:2])
     xs, ys = [x1], []
 
     def dfs(last: int, rem: int, free: int) -> bool:

@@ -161,7 +161,7 @@ def enumerate_bigraphs(nx: int, ny_max: int, min_x_degree: int = 0,
     the graphs it emits keep the full stream's order, and callers still
     filter them as they need.
     """
-    _check_sizes(nx, ny_max)
+    _check_sizes(nx, ny_max, min_x_degree)
     tree = _tree(nx, ny_max, min_x_degree, condition)
     if tree is not None:
         yield from _walk(tree, _graph_at)
@@ -176,7 +176,7 @@ def _condition_classes(nx: int, ny_max: int,
                        min_x_degree: int = 0) -> Iterator[Bigraph]:
     """The classes of ``enumerate_bigraphs(nx, ny_max, min_x_degree, True)``
     that pass the neighborhood condition, each decided at its node."""
-    _check_sizes(nx, ny_max)
+    _check_sizes(nx, ny_max, min_x_degree)
     tree = _tree(nx, ny_max, min_x_degree, True)
     if tree is None:
         return
@@ -336,9 +336,11 @@ def expected_class_count(nx: int, ny_max: int) -> int:
     return total // factorial(nx)
 
 
-def _check_sizes(nx: int, ny_max: int) -> None:
+def _check_sizes(nx: int, ny_max: int, min_x_degree: int = 0) -> None:
     if nx < 0 or ny_max < 0:
         raise InputError("sizes must be nonnegative")
+    if min_x_degree < 0:
+        raise InputError(f"min_x_degree must be >= 0, got {min_x_degree}")
     if nx > ENUM_MAX_X or ny_max > ENUM_MAX_Y:
         raise CapacityError(
             f"enumeration caps are |X| <= {ENUM_MAX_X}, |Y| <= {ENUM_MAX_Y}; "

@@ -108,6 +108,14 @@ def test_cycle_found_and_absent(monkeypatch, capsys):
     assert code == 2 and out == "" and "repeat" in err
 
 
+def test_cycle_error_on_a_later_graph_prints_nothing(monkeypatch, capsys):
+    # the base lies outside the second graph: no line for the first
+    stream = serialize(C6) + "\n" + serialize(complete_bipartite(2, 2))
+    code, out, err = run(monkeypatch, capsys, ["cycle", "--base", "1,2,3"],
+                         stream)
+    assert code == 2 and out == "" and "outside the graph" in err
+
+
 def test_classify_human(monkeypatch, capsys):
     code, out, _ = run(monkeypatch, capsys, ["classify"], serialize(K33))
     assert code == 1
@@ -158,6 +166,20 @@ def test_analyze_input_errors(monkeypatch, capsys):
                              ["analyze", "--cycle", "1,1,2,2,3,3",
                               "--pair", pair], serialize(K33))
         assert code == 2 and "--pair" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pair", "1,1"], ["--pair", "1,4"], ["--pair", "1,2,3"],
+    ["--fan-root", "9"], ["--fan-root", "1"],
+])
+def test_analyze_errors_print_nothing(monkeypatch, capsys, flags):
+    # every result is computed before the first line of output
+    g = Bigraph(4, 4, [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 1),
+                       (4, 1), (4, 2), (4, 4)])
+    code, out, err = run(monkeypatch, capsys,
+                         ["analyze", "--cycle", "1,2,2,3,3,1", *flags],
+                         serialize(g))
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_gen_g3_roundtrip(monkeypatch, capsys):
@@ -256,6 +278,20 @@ def test_gen_random_refuses_negative_min_x_degree(monkeypatch, capsys):
                          ["gen", "random", "--nx", "3", "--ny", "3",
                           "--min-x-degree", "-2"])
     assert code == 2 and out == "" and "min_x_degree" in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["random", "--nx", "99", "--ny", "3", "--count", "0"], "--count"),
+    (["random", "--nx", "3", "--ny", "3", "--count", "-1"], "--count"),
+    (["enum", "--nx", "3", "--ny-max", "2", "--min-x-degree", "-1"],
+     "min_x_degree"),
+    (["enum", "--nx", "3", "--ny-max", "2", "--min-y-degree", "-5"],
+     "--min-y-degree"),
+])
+def test_gen_refuses_counts_and_floors_below_range(monkeypatch, capsys,
+                                                   argv, what):
+    code, out, err = run(monkeypatch, capsys, ["gen", *argv])
+    assert code == 2 and out == "" and what in err
 
 
 def test_verify_machine_golden(monkeypatch, capsys):
@@ -862,6 +898,7 @@ def test_cli_fuzz_exits_0_1_or_2_without_traceback(call):
         finally:
             sys.stdin = saved
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert code != 2 or not out.getvalue(), (argv, out.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
 

@@ -285,24 +285,19 @@ def test_walk_is_the_same_whether_orders_are_held_or_generated(monkeypatch):
 
 
 def test_level_memo_stays_under_its_byte_bound(monkeypatch):
-    # a level empties its memo of column folds once it holds more than
+    # a level empties its memo of served columns once it holds more than
     # _MEMO_BYTES of fields, and its counts do not change
     monkeypatch.setattr(condition, "_LEVELS", {})
     monkeypatch.setattr(condition, "_MEMO_BYTES", 7 * 35 * 4)
     g = random_bigraph(7, 12, 2, 77)
-    prefixes = {0}
-    for col in g.y_adj:
-        while col:
-            prefixes.add(col)
-            col ^= 1 << col.bit_length() - 1
-    # room for 4, then one more column's chain of at most |X| prefixes
-    bound = 4 + 1 + g.x_count
-    assert len(prefixes) > bound
+    # room for 4, then the one column that finds the memo full
+    bound = 4 + 1
+    assert len(set(g.y_adj)) > bound
     level = condition._level(7, 3)
     want = _fields_by_combinations(g, 3)
     for _ in range(3):
         assert _pack_fields(level, level.tally(g.y_adj)) == want
-        assert len(level._folds) <= bound
+        assert len(level) <= bound
 
 
 def test_condition_runs_no_block_search(monkeypatch, corpus_4_5):

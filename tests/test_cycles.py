@@ -216,24 +216,27 @@ def test_found_cycle_is_least_interleaved_at_six_x():
 
 
 def _triple_results(g):
-    """find_based_cycle and the oracle on every triple of ``g``."""
+    """find_based_cycle, the closed form ``_triple_cycle`` and the oracle
+    on every triple of ``g``."""
     for t in combinations(g.x_indices(), 3):
         c = find_based_cycle(g, VertexSet.of(SIDE_X, t))
-        yield t, None if c is None else (c.xs, c.ys), least_based_cycle(g, t)
+        closed = cycles._triple_cycle(g.x_adj, *t)
+        yield (t, None if c is None else (c.xs, c.ys),
+               None if closed is None else closed[:2], least_based_cycle(g, t))
 
 
 def _check_triples(graphs):
     found = missing = 0
     for g in graphs:
-        for t, got, want in _triple_results(g):
-            assert got == want, (str(g), t)
+        for t, got, closed, want in _triple_results(g):
+            assert got == closed == want, (str(g), t)
             found += got is not None
             missing += got is None
     assert found and missing
 
 
 def test_triple_cycles_match_oracle_on_every_4_x_class(corpus_4_5):
-    # triples take the closed-form path, not the DFS
+    # the DFS of find_based_cycle and the closed form of _check_bases
     _check_triples(corpus_4_5)
 
 
@@ -252,10 +255,10 @@ def test_triple_cycles_match_oracle_on_seeded_graphs():
 def test_triple_lemma(g):
     # T carries a based cycle iff |N^(T)| >= 3 and G[T + N^(T)] is
     # 2-connected (proof in the cycles module docstring)
-    for t, got, want in _triple_results(g):
+    for t, got, closed, want in _triple_results(g):
         nh = super_neighborhood_naive(g, t)
         lemma = len(nh) >= 3 and is_two_connected_bruteforce(g, t, nh)
-        assert got == want
+        assert got == closed == want
         assert (got is not None) == lemma, t
 
 

@@ -58,6 +58,12 @@ def test_empty_sided_records():
     "p hgraph 3 1\ns 4\n",
     "p hgraph 3 1\ne 1 2\n",
     "p bigraph 2 2\ne 1 1\n\np bigraph 1 1\n",  # two records where one expected
+    # numbers are ASCII decimal digits only
+    "p bigraph 12 2\ne 1_2 1\n",
+    "p bigraph 2 2\ne \u0661 \u0662\n",  # Arabic-Indic digits
+    "p bigraph 2 2\ne +1 1\n",
+    "p bigraph +2 2\n",
+    "p hgraph 3 1\ns 1 \u0662\n",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(FormatError):

@@ -236,6 +236,10 @@ def test_enumeration_caps_and_validation():
         list(enumerate_bigraphs(3, 9))
     with pytest.raises(InputError):
         list(enumerate_bigraphs(-1, 2))
+    # a negative degree floor is refused, not read as no floor
+    for walk in (enumerate_bigraphs, generators._condition_classes):
+        with pytest.raises(InputError, match="min_x_degree"):
+            list(walk(3, 2, -1))
 
 
 def test_random_bigraph_deterministic():

@@ -112,11 +112,19 @@ K33 = "p bigraph 3 3\n" + "".join(f"e {x} {y}\n" for x in (1, 2, 3)
     # exit 1: K(3, 3) is super-cyclic, so not critical
     (["classify"], K33, 1, {"classify", "formats"},
      {"verifier", "generators", "structure", "verifier_checkpoint"}),
+    # exit 0: K(3, 3) passes the condition
+    (["check"], K33, 0, {"condition", "formats"},
+     {"cycles", "verifier", "generators", "classify", "structure",
+      "verifier_checkpoint"}),
+    # exit 0: K(3, 3) has a cycle based on X
+    (["cycle", "--base", "1,2,3"], K33, 0, {"condition", "cycles", "formats"},
+     {"verifier", "generators", "classify", "structure",
+      "verifier_checkpoint"}),
     # exit 0: no trial hits, so no dossier is written
     (["hunt", "--nx", "4", "--ny-max", "4", "--random", "--seed", "1",
       "--trials", "5"], "", 0, {"verifier", "generators"},
      {"classify", "structure", "formats"}),
-], ids=["gen", "classify", "hunt"])
+], ids=["gen", "classify", "check", "cycle", "hunt"])
 def test_each_command_loads_only_its_modules(argv, stdin, status, runs,
                                             skips):
     loaded = _loaded_after("import supercyclic.cli; "
