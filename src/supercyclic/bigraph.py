@@ -23,9 +23,10 @@ Conventions:
   ``__slots__`` class that checks its input in ``__init__`` when it
   validates; those compared by value subclass ``_Record``.
 
-``_blocks`` is the one block (biconnected component) routine.  It serves
-only ``is_two_connected`` and the longest-cycle search in ``cycles``, both on
-the whole graph's ``_adjacency_masks``.  The condition asks 2-connectivity
+``_blocks`` is the one block (biconnected component) routine, on the whole
+graph's ``_adjacency_masks``.  It serves only ``is_two_connected`` and
+``cycles.longest_cycle_length``, which runs the based-cycle DFS within each
+block, since a cycle lies in one.  The condition asks 2-connectivity
 only of graphs induced on three X-vertices, which Hall's rule decides from
 counts, with no block search (``condition`` docstring).
 

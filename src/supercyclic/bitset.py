@@ -8,6 +8,7 @@ sites, no wrapper needed.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import combinations
 
 from .errors import InputError
 
@@ -27,6 +28,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def subset_masks(mask: int, size: int) -> Iterator[int]:
+    """The subsets of size ``size`` of ``mask`` as masks, in lex order of
+    their vertices (``itertools.combinations``), generated as asked for."""
+    return map(sum, combinations([1 << i for i in iter_bits(mask)], size))
 
 
 def indices_of(mask: int) -> tuple[int, ...]:

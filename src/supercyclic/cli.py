@@ -71,12 +71,17 @@ def _load_bigraphs(args) -> list:
     return graphs
 
 
+def _digits(tok: str) -> bool:
+    """ASCII digits only, the record parser's rule; ``int`` takes more."""
+    return tok.isascii() and tok.isdigit()
+
+
 def _parse_index_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(t) for t in text.replace(" ", "").split(",") if t]
-    except ValueError:
+    toks = [t for t in text.replace(" ", "").split(",") if t]
+    if not all(map(_digits, toks)):
         raise InputError(f"{what} must be a comma-separated index list, "
-                         f"got {text!r}") from None
+                         f"got {text!r}")
+    return [int(t) for t in toks]
 
 
 def _parse_cycle(text: str):
@@ -92,11 +97,9 @@ def _parse_cycle(text: str):
                 raise InputError(
                     f"cycle token {tok!r} out of x,y,x,y,... alternation")
             tok = tok[1:]
-        try:
-            idx = int(tok)
-        except ValueError:
-            raise InputError(f"bad cycle token {tok!r}") from None
-        (xs if side_is_x else ys).append(idx)
+        if not _digits(tok):
+            raise InputError(f"bad cycle token {tok!r}")
+        (xs if side_is_x else ys).append(int(tok))
     return BaseCycle(tuple(xs), tuple(ys))
 
 
@@ -299,11 +302,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hunt(args) -> int:
     from .verifier import HuntConfig, hunt_counterexample
+    if not args.random and (args.seed, args.trials,
+                            args.min_x_degree) != (None, None, None):
+        raise InputError("only --random takes --seed, --trials and "
+                         "--min-x-degree")
     config = HuntConfig(
         nx=args.nx, ny_max=args.ny_max,
         mode="random" if args.random else "exhaustive",
-        seed=args.seed, trials=args.trials,
-        min_x_degree=args.min_x_degree)
+        seed=args.seed or 0, trials=args.trials or 0,
+        min_x_degree=2 if args.min_x_degree is None else args.min_x_degree)
     report = hunt_counterexample(config, jobs=args.jobs,
                                  checkpoint=_checkpoint_from(args),
                                  progress=_progress_from(args))
@@ -425,9 +432,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true",
                    help="seeded random trials instead of exhaustive "
                         "enumeration")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--min-x-degree", type=int, default=2)
+    # --random only; _cmd_hunt defaults them to 0, 0 and 2
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--min-x-degree", type=int)
     _add_campaign_flags(p)
     p.set_defaults(func=_cmd_hunt)
 

@@ -32,17 +32,17 @@ the report; ``tests/oracles.py`` keeps the literal every-A scan as the
 referee.
 
 The scan runs on packed counts.  For each (|X|, size) a level (``_Level``)
-holds one 8-bit field per A of that size, in lex order (``_masks``, which
-``cycles`` follows too), and the scan takes the levels by ascending size.
-A triple has seven fields: |N^(T)| (threshold 3), the degrees of x1, x2,
-x3 in H_T (threshold 2), then |p|, |r|, |q| for the pairs x1x2, x1x3, x2x3
-(threshold 1); a larger A has one, |N^(A)| (threshold |A|).  A Y-column c,
-the mask of a y's X-neighbors, serves the fields it counts toward, and
-``served(c)``, the level's ``self[c]``, holds a one in each of them; a
-graph's counts are the sum of ``served`` over its columns.  ``served(c)``
-is the ``twice`` mask of ``bigraph._cover`` over c's X-vertices, applied to
-per-x field masks, with the degree fields kept only for the x in c.  It is
-memoised by column.
+holds one 8-bit field per A of that size, in lex order
+(``bitset.subset_masks``, which ``cycles`` follows too), and the scan takes
+the levels by ascending size.  A triple has seven fields: |N^(T)| (threshold
+3), the degrees of x1, x2, x3 in H_T (threshold 2), then |p|, |r|, |q| for
+the pairs x1x2, x1x3, x2x3 (threshold 1); a larger A has one, |N^(A)|
+(threshold |A|).  A Y-column c, the mask of a y's X-neighbors, serves the
+fields it counts toward, and ``served(c)``, the level's ``self[c]``, holds a
+one in each of them; a graph's counts are the sum of ``served`` over its
+columns.  ``served(c)`` is the ``twice`` mask of ``bigraph._cover`` over c's
+X-vertices, applied to per-x field masks, with the degree fields kept only
+for the x in c.  It is memoised by column.
 
 Byte arithmetic.  A count is at most |Y| <= 64 and a threshold at most
 |X| <= 64, so each field of ``counts + (guard - thresholds)``, with guard
@@ -58,11 +58,10 @@ that edits one column keeps the counts of the levels scanned so far
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bigraph import Bigraph, VertexSet, SIDE_X, _Record, _cover
-from .bitset import indices_of, iter_bits
+from .bitset import full_mask, indices_of, iter_bits, subset_masks
 from .errors import InputError
 
 MODES = ("full", "kim")
@@ -192,12 +191,6 @@ def _level(nx: int, size: int) -> "_Level":
     return level
 
 
-def _masks(nx: int, size: int) -> Iterator[int]:
-    """The subsets of size ``size`` of X = {1..nx} as masks, in lex order,
-    generated as they are asked for."""
-    return map(sum, combinations([1 << i for i in range(1, nx + 1)], size))
-
-
 #: the offsets, among a triple's seven fields, that x1, x2 and x3 each
 #: fold into: |N^(T)|, the three degrees, and its two of the pairs x1x2,
 #: x1x3, x2x3; x1's own degree is at offset 1, x2's at 2, x3's at 3
@@ -220,7 +213,7 @@ class _Level(dict):
 
     def __init__(self, nx: int, size: int) -> None:
         super().__init__()
-        self.masks = tuple(_masks(nx, size))
+        self.masks = tuple(subset_masks(full_mask(nx), size))
         self.stride = stride = 7 if size == 3 else 1
         rows = len(self.masks)
         fields = rows * stride

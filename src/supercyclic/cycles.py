@@ -5,15 +5,16 @@ exactly A.  Through the incidence correspondence this captures Berge cycles
 of a hypergraph with a prescribed base vertex set, which is why everything
 in this module is phrased relative to the X side.
 
-Every Y-vertex of a cycle based on A lies in the super-neighborhood N^(A).
-The based-cycle DFS keeps one path, appended on descent and popped on
-backtrack, and works on masks throughout: every loop over a set is a
-low-bit loop (``low = m & -m; m ^= low``), with no generator.  It prunes
-each node in one fold over the X-vertices left and the two ends of the
-path: each X-vertex left needs two unused Y-neighbors, and the unused
-Y-vertices with two neighbors in the fold must outnumber the X-vertices
-left.  At the root the ends coincide and that test is |N^(A)| >= |A|, so
-there is no separate pre-check.
+The module has one cycle search, the based-cycle DFS ``_based_cycle``, on
+masks; ``find_based_cycle`` checks its input and wraps it, and the
+certificate walk calls it by that name, which the benchmark's tracer
+wraps.  Every Y-vertex of a cycle based on A lies in N^(A).  The DFS keeps
+one path, appended on descent and popped on backtrack; every loop over a
+set is a low-bit loop (``low = m & -m; m ^= low``).  It prunes each node
+in one fold over the X-vertices left and the two ends of the path: each
+X-vertex left needs two unused Y-neighbors, and the unused Y-vertices with
+two neighbors in the fold must outnumber the X-vertices left.  At the root
+the ends coincide and that test is |N^(A)| >= |A|.
 
 ``is_super_cyclic`` certifies its bases on masks, prefix by prefix, and
 builds no ``VertexSet`` or ``BaseCycle`` for a base that has a cycle.  A
@@ -42,6 +43,12 @@ H_T = G[T + N^(T)] is 2-connected.  By Hall's theorem the representatives
 exist iff p, q and r are non-empty, each union of two has at least two ys
 and p | q | r has at least three.  That union is N^(T), and the rest is
 the 2-connectivity of H_T (``condition`` docstring).
+
+The longest cycle is twice the largest base that carries a cycle: a cycle
+is based on its own X-vertices, and it is 2-connected, so it lies in one
+block (``bigraph._blocks``).  ``longest_cycle_length`` runs the DFS on the
+k-subsets of a block's X-vertices, within the block, for k from its
+smaller side down to half the best length so far.
 """
 
 from __future__ import annotations
@@ -51,13 +58,13 @@ from itertools import combinations
 from .bigraph import (Bigraph, Hypergraph, VertexSet, SIDE_X, SIDE_Y,
                       incidence_graph, _Record, _adjacency_masks, _blocks,
                       _require_x_subset)
-from .bitset import iter_bits
-from .condition import _masks
+from .bitset import full_mask, subset_masks
 from .errors import CapacityError, InputError
 from .reports import CheckReport
 
-#: longest_cycle_length refuses graphs with more cycle-eligible vertices
-#: than this; the search is exact and exponential past the 2-connected blocks
+#: longest_cycle_length refuses graphs whose cyclic blocks hold more
+#: vertices than this in total: it may run the based-cycle DFS on every
+#: X-subset of a block, which is exponential in the block's size
 ELIGIBLE_CAP = 24
 
 
@@ -129,16 +136,27 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
     Deterministic: the search anchors at min(a) and extends by ascending
     vertex index, so the returned cycle minimizes the interleaved index
     tuple (x_2, y_1, x_3, y_2, ...) among all cycles based on ``a``.  The
-    DFS keeps one path in ``xs`` and ``ys``: a descent appends to both and
-    clears its y from ``free``, the mask of unused ys, and a backtrack pops.
-    Sets are walked low bit first with no generator, and each node's two
-    prunes share one fold over the X-vertices left and the path's ends.
+    search is ``_based_cycle``; this wrapper checks ``a`` and builds the
+    ``BaseCycle``.
     """
     _require_x_subset(g, a)
     if len(a) < 3:
         raise InputError("based cycles are defined for |A| >= 3")
-    x_adj = g.x_adj
-    x1 = (a.mask & -a.mask).bit_length() - 1
+    found = _based_cycle(g.x_adj, a.mask)
+    return found and BaseCycle(*found)
+
+
+def _based_cycle(x_adj: tuple[int, ...], amask: int
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The least-interleaved cycle based on the X-mask ``amask``, of at
+    least two vertices, as (xs, ys), or None; on a pair, a 4-cycle.
+
+    The DFS keeps one path in ``xs`` and ``ys``: a descent appends to both
+    and clears its y from ``free``, the mask of unused ys, and a backtrack
+    pops.  Sets are walked low bit first with no generator, and each node's
+    two prunes share one fold over the X-vertices left and the path's ends.
+    """
+    x1 = (amask & -amask).bit_length() - 1
     xs, ys = [x1], []
 
     def dfs(last: int, rem: int, free: int) -> bool:
@@ -180,9 +198,9 @@ def find_based_cycle(g: Bigraph, a: VertexSet) -> BaseCycle | None:
             xs.pop()
         return False
 
-    if not dfs(x1, a.mask ^ 1 << x1, -1):
+    if not dfs(x1, amask ^ 1 << x1, -1):
         return None
-    return BaseCycle(tuple(xs), tuple(ys))
+    return tuple(xs), tuple(ys)
 
 
 def _triple_cycle(x_adj: tuple[int, ...], x1: int, x2: int, x3: int
@@ -220,7 +238,7 @@ def is_k_cyclic(g: Bigraph, k: int) -> CheckReport:
         raise InputError(f"k must be in 3..|X|, got k={k} with |X|={g.x_count}")
     if k == 3:
         return _check_bases(g, "k_cyclic", 3, "k=3")
-    for amask in _masks(g.x_count, k):
+    for amask in subset_masks(full_mask(g.x_count), k):
         if find_based_cycle(g, VertexSet(SIDE_X, amask)) is None:
             return _no_cycle("k_cyclic", amask)
     return CheckReport("k_cyclic", True, detail=f"k={k}")
@@ -350,11 +368,9 @@ def is_super_pancyclic(h: Hypergraph) -> CheckReport:
 def longest_cycle_length(g: Bigraph) -> int:
     """Exact longest cycle length (vertex count; 0 when the graph is a forest).
 
-    Works block by block: only 2-connected blocks can hold cycles, and the
-    exponential search never leaves one.  A block's cycles alternate sides,
-    so none is longer than twice its smaller side, and the search stops at
-    that bound.  Graphs whose cyclic blocks hold more than ELIGIBLE_CAP
-    vertices in total are refused.
+    Twice the largest base that carries a based cycle, searched block by
+    block (module docstring).  Graphs whose cyclic blocks hold more than
+    ELIGIBLE_CAP vertices in total are refused.
     """
     masks = _adjacency_masks(g)
     cyclic_blocks = [b for b in _blocks(masks) if len(b) >= 3]
@@ -363,44 +379,17 @@ def longest_cycle_length(g: Bigraph) -> int:
         raise CapacityError(
             f"{eligible} cycle-eligible vertices exceed the cap of "
             f"{ELIGIBLE_CAP}; the exact search would not finish at desk scale")
+    nx = g.x_count
     best = 0
     for block in sorted(cyclic_blocks, key=len, reverse=True):
-        if len(block) <= best:
-            break
-        best = _longest_cycle_in_block(masks, sum(1 << v for v in block),
-                                       (1 << g.x_count) - 1, best)
-    return best
-
-
-def _longest_cycle_in_block(masks: list[int], block: int, x_side: int,
-                            floor: int) -> int:
-    """Longest cycle in the 2-connected block with vertex mask ``block``,
-    given the whole graph's 0-based adjacency masks.
-
-    Anchored DFS: for each anchor s ascending, search cycles whose least
-    vertex is s using only block vertices >= s, pruning on the best length
-    found so far (seeded with ``floor`` from larger blocks already
-    searched).  A cycle alternates sides, so within the allowed vertices it
-    is at most twice as long as the smaller side (``x_side`` masks the
-    X-vertices); an anchor's search stops once ``best`` reaches that bound.
-    """
-    best = floor
-
-    def dfs(v: int, visited: int, length: int) -> None:
-        nonlocal best
-        if length >= 4 and masks[v] >> anchor & 1 and length > best:
-            best = length
-        rest = allowed & ~visited
-        if length + rest.bit_count() <= best or bound <= best:
-            return
-        for w in iter_bits(masks[v] & rest):
-            dfs(w, visited | (1 << w), length + 1)
-
-    for anchor in iter_bits(block):
-        allowed = block >> anchor << anchor
-        xs = (allowed & x_side).bit_count()
-        bound = 2 * min(xs, allowed.bit_count() - xs)
-        if bound < 4 or bound <= best:
-            break
-        dfs(anchor, 1 << anchor, 1)
+        vmask = sum(1 << v for v in block)
+        xmask = (vmask & (1 << nx) - 1) << 1
+        ymask = vmask >> nx << 1
+        x_adj = tuple(m & ymask for m in g.x_adj)
+        for k in range(min(xmask.bit_count(), ymask.bit_count()), best // 2,
+                       -1):
+            if any(_based_cycle(x_adj, amask)
+                   for amask in subset_masks(xmask, k)):
+                best = 2 * k
+                break
     return best

@@ -94,7 +94,7 @@ def load_checkpoint(path: str | os.PathLike, campaign: str,
 
     def count(name: str) -> int:
         value = text(name)
-        if not value.isdecimal():
+        if not (value.isascii() and value.isdecimal()):
             raise InputError(f"checkpoint {path}: {name}={value!r} is not "
                              f"a nonnegative integer")
         return int(value)

@@ -116,6 +116,25 @@ def test_cycle_error_on_a_later_graph_prints_nothing(monkeypatch, capsys):
     assert code == 2 and out == "" and "outside the graph" in err
 
 
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["cycle", "--base", "\u0661,\u0662,\u0663"], serialize(C6)),
+    (["cycle", "--base", "+1,2,3"], serialize(C6)),
+    (["cycle", "--base", "1,2,0_3"], serialize(C6)),
+    (["analyze", "--cycle", "x\u0661,y1,x2,y2,x3,y3"], serialize(K33)),
+    (["analyze", "--cycle", "1,+1,2,2,3,3"], serialize(K33)),
+    (["analyze", "--cycle", "1,1,2,2,3,3", "--pair", "1,\u0662"],
+     serialize(K33)),
+    (["gen", "g3", "--n", "2,+1,1", "--delta", "3"], ""),
+], ids=["base-arabic-indic", "base-plus", "base-underscore",
+        "cycle-arabic-indic", "cycle-plus", "pair-arabic-indic", "n-plus"])
+def test_index_lists_and_cycle_tokens_take_ascii_digits_only(
+        monkeypatch, capsys, argv, stdin_text):
+    # int() alone reads a sign, underscores and other scripts' digits; the
+    # CLI takes the record parser's rule
+    code, out, err = run(monkeypatch, capsys, argv, stdin_text)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_classify_human(monkeypatch, capsys):
     code, out, _ = run(monkeypatch, capsys, ["classify"], serialize(K33))
     assert code == 1
@@ -393,6 +412,8 @@ GOOD_CHECKPOINT = ("checkpoint=1\ncampaign=verify-k-cyclic\n"
 
 @pytest.mark.parametrize("field, bad", [
     ("examined", None), ("examined", "abc"), ("examined", "-1"),
+    # Arabic-Indic digits, which int() reads as 10 and 2
+    ("examined", "\u0661\u0660"), ("checked", "\u0662"),
     ("checked", None), ("checked", "2.5"),
     ("violations", None), ("violations", "one"),
     ("violation.0.graph", None), ("violation.0.witness", None),
@@ -404,7 +425,7 @@ def test_garbled_checkpoint_exits_2(monkeypatch, capsys, tmp_path,
     if bad is not None:
         lines.append(f"{field}={bad}")
     path = tmp_path / "run.ckpt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run(monkeypatch, capsys,
                          ["verify", "kcyclic", "--nx", "3", "--ny-max", "3",
                           "--k", "3", "--checkpoint", str(path)])
@@ -478,6 +499,20 @@ RANDOM_HUNT = ["hunt", "--nx", "4", "--ny-max", "4", "--random",
 
 
 DEGREE_45 = ["verify", "degree", "--nx", "4", "--ny-max", "5"]
+
+
+@pytest.mark.parametrize("flag", [["--seed", "9"], ["--trials", "50"],
+                                  ["--min-x-degree", "4"], ["--seed", "0"]],
+                         ids=["seed", "trials", "min-x-degree", "seed-0"])
+def test_exhaustive_hunt_refuses_random_only_flags(monkeypatch, capsys,
+                                                   flag):
+    evaluated = _record_evaluations(monkeypatch)
+    code, out, err = run(monkeypatch, capsys,
+                         ["hunt", "--nx", "4", "--ny-max", "4", *flag,
+                          "--format", "machine"])
+    assert (code, out, evaluated) == (2, "", [])
+    assert err == ("error: only --random takes --seed, --trials and "
+                   "--min-x-degree\n")
 
 
 def _record_evaluations(monkeypatch):

@@ -24,6 +24,7 @@ from supercyclic import (
 )
 from supercyclic import cycles
 from supercyclic.bigraph import SIDE_X
+from supercyclic.bitset import indices_of
 from supercyclic.verifier import _repair_to_boundary
 
 from oracles import (cycle_survey, insertion_exists,
@@ -170,6 +171,49 @@ def test_longest_cycle_capacity():
 @settings(max_examples=150)
 def test_longest_cycle_matches_bruteforce(g):
     assert longest_cycle_length(g) == longest_cycle_bruteforce(g)
+
+
+def test_longest_cycle_matches_bruteforce_on_every_class_of_5_5():
+    for g in enumerate_bigraphs(5, 5):
+        assert longest_cycle_length(g) == longest_cycle_bruteforce(g), g
+
+
+def _theta(paths):
+    """``paths`` internally disjoint paths x1 y_i x_i y1 of length 3,
+    i = 2..paths + 1, between x1 and y1: every cycle uses two of them."""
+    ends = range(2, paths + 2)
+    return Bigraph(paths + 1, paths + 1,
+                   [(1, i) for i in ends] + [(i, i) for i in ends] +
+                   [(i, 1) for i in ends])
+
+
+def test_longest_cycle_frozen_slow_families():
+    # frozen from the anchored block DFS, which took several seconds on
+    # each random graph; the theta has 12 X-vertices in one block, and
+    # every cycle is based on x1 and two others
+    assert longest_cycle_length(_theta(11)) == 6
+    for seed in (37, 52, 94):
+        assert longest_cycle_length(random_bigraph(12, 12, 3, seed)) == 24
+
+
+def test_based_cycle_core_matches_the_survey():
+    # every X-subset of size >= 2 carries a cycle iff the all-cycle survey
+    # saw one based on it; on a pair, a 4-cycle through two shared ys
+    for nx, ny_max in ((4, 4), (3, 5)):
+        for g in enumerate_bigraphs(nx, ny_max):
+            survey = cycle_survey(g)[0]
+            for size in range(2, nx + 1):
+                for a in combinations(range(1, nx + 1), size):
+                    found = cycles._based_cycle(g.x_adj, _mask(a))
+                    assert (found is not None) == (frozenset(a) in survey)
+                    if found is None:
+                        continue
+                    xs, ys = found
+                    BaseCycle(xs, ys).validate_in(g)
+                    assert xs[0] == a[0] and sorted(xs) == list(a)
+                    if size == 2:  # the two least shared ys
+                        shared = g.x_adj[a[0]] & g.x_adj[a[1]]
+                        assert ys == indices_of(shared)[:2]
 
 
 @given(bigraphs(min_x=3, max_x=5, max_y=5))
@@ -531,15 +575,15 @@ def test_k_cyclic_at_large_x_stops_at_its_first_base(monkeypatch):
     # x4..x40 are isolated, so the first 10-base has no cycle: the walk must
     # answer there, making one mask of the C(40, 10) ~ 8.5e8 of that size
     made = []
-    masks = cycles._masks
+    masks = cycles.subset_masks
 
-    def counted(nx, size):
-        for amask in masks(nx, size):
+    def counted(mask, size):
+        for amask in masks(mask, size):
             made.append(amask)
             assert len(made) < 100, "the walk made masks past its first base"
             yield amask
 
-    monkeypatch.setattr(cycles, "_masks", counted)
+    monkeypatch.setattr(cycles, "subset_masks", counted)
     g = Bigraph(40, 3, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
     rep = is_k_cyclic(g, 10)
     assert not rep.passed and rep.witness.mask == (1 << 11) - 2

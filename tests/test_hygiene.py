@@ -117,8 +117,8 @@ K33 = "p bigraph 3 3\n" + "".join(f"e {x} {y}\n" for x in (1, 2, 3)
      {"cycles", "verifier", "generators", "classify", "structure",
       "verifier_checkpoint"}),
     # exit 0: K(3, 3) has a cycle based on X
-    (["cycle", "--base", "1,2,3"], K33, 0, {"condition", "cycles", "formats"},
-     {"verifier", "generators", "classify", "structure",
+    (["cycle", "--base", "1,2,3"], K33, 0, {"cycles", "formats"},
+     {"condition", "verifier", "generators", "classify", "structure",
       "verifier_checkpoint"}),
     # exit 0: no trial hits, so no dossier is written
     (["hunt", "--nx", "4", "--ny-max", "4", "--random", "--seed", "1",
