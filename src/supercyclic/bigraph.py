@@ -42,12 +42,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .bitset import full_mask, indices_of, iter_bits, mask_of
+from .bitset import MAX_SIDE, full_mask, indices_of, iter_bits, mask_of
 from .errors import InputError
 
 SIDE_X = "X"
 SIDE_Y = "Y"
-MAX_SIDE = 64
 
 
 class _Record:

@@ -12,12 +12,14 @@ from itertools import combinations
 
 from .errors import InputError
 
+MAX_SIDE = 64  # vertices a side; every bigraph and vertex set keeps to it
+
 
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
-        if i < 1:
-            raise InputError(f"vertex indices are 1-based, got {i}")
+        if not 1 <= i <= MAX_SIDE:
+            raise InputError(f"vertex indices are in 1..{MAX_SIDE}, got {i}")
         m |= 1 << i
     return m
 

@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 
-from .errors import FormatError, InputError, SupercyclicError
+from .errors import FormatError, InputError, SupercyclicError, is_number
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,14 +71,22 @@ def _load_bigraphs(args) -> list:
     return graphs
 
 
-def _digits(tok: str) -> bool:
-    """ASCII digits only, the record parser's rule; ``int`` takes more."""
-    return tok.isascii() and tok.isdigit()
+def _integer(text: str) -> int:
+    """The ``type`` of every integer flag: a number after at most one
+    ``-``, so a negative value meets the library's own range check."""
+    if not is_number(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def _tokens(text: str) -> list[str]:
+    """The items of a comma list, each stripped, empty ones dropped."""
+    return [t for t in map(str.strip, text.split(",")) if t]
 
 
 def _parse_index_list(text: str, what: str) -> list[int]:
-    toks = [t for t in text.replace(" ", "").split(",") if t]
-    if not all(map(_digits, toks)):
+    toks = _tokens(text)
+    if not all(map(is_number, toks)):
         raise InputError(f"{what} must be a comma-separated index list, "
                          f"got {text!r}")
     return [int(t) for t in toks]
@@ -87,17 +95,16 @@ def _parse_index_list(text: str, what: str) -> list[int]:
 def _parse_cycle(text: str):
     """Accept '1,1,2,2' or 'x1,y1,x2,y2' alternating X and Y indices."""
     from .cycles import BaseCycle
-    toks = [t.strip() for t in text.split(",") if t.strip()]
     xs: list[int] = []
     ys: list[int] = []
-    for pos, tok in enumerate(toks):
+    for pos, tok in enumerate(_tokens(text)):
         side_is_x = pos % 2 == 0
         if tok[0] in "xy":
             if tok[0] != ("x" if side_is_x else "y"):
                 raise InputError(
                     f"cycle token {tok!r} out of x,y,x,y,... alternation")
             tok = tok[1:]
-        if not _digits(tok):
+        if not is_number(tok):
             raise InputError(f"bad cycle token {tok!r}")
         (xs if side_is_x else ys).append(int(tok))
     return BaseCycle(tuple(xs), tuple(ys))
@@ -241,9 +248,10 @@ def _cmd_gen(args) -> int:
     elif args.generator == "random":
         if args.count < 1:
             raise InputError(f"--count must be >= 1, got {args.count}")
-        graphs = [random_bigraph(args.nx, args.ny, args.min_x_degree,
+        # lazy: the draws share sizes and floor, so only the first raises
+        graphs = (random_bigraph(args.nx, args.ny, args.min_x_degree,
                                  args.seed + i)
-                  for i in range(args.count)]
+                  for i in range(args.count))
     else:  # enum; cond1 decides the condition at each node of its walk
         if args.min_y_degree < 0:
             raise InputError(
@@ -262,13 +270,16 @@ def _cmd_gen(args) -> int:
 
 
 def _checkpoint_from(args):
+    every = args.checkpoint_every
     if not args.checkpoint:
+        if every is not None:
+            raise InputError("--checkpoint-every needs --checkpoint")
         return None
     from .verifier_checkpoint import CheckpointConfig
     # join keeps an absolute --checkpoint as it is
     path = os.path.join(os.environ.get("SUPERCYCLIC_CHECKPOINT_DIR", ""),
                         args.checkpoint)
-    return CheckpointConfig(path, every=args.checkpoint_every)
+    return CheckpointConfig(path, every=500 if every is None else every)
 
 
 def _progress_from(args):
@@ -325,12 +336,13 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_integer, default=1,
                    help="worker processes (reports do not depend on this)")
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint file; relative paths resolve under "
                         "SUPERCYCLIC_CHECKPOINT_DIR when that is set")
-    p.add_argument("--checkpoint-every", type=int, default=500)
+    p.add_argument("--checkpoint-every", type=_integer,
+                   help="items between saves, default 500")
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.add_argument("--progress", action="store_true",
                    help="print progress lines to stderr")
@@ -378,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(x/y prefixes optional)")
     p.add_argument("--pair", default=None,
                    help="two cycle X-indices for the crossing count")
-    p.add_argument("--fan-root", type=int, default=None,
+    p.add_argument("--fan-root", type=_integer, default=None,
                    help="off-cycle X-index (default: all off-cycle xs)")
     p.set_defaults(func=_cmd_analyze)
 
@@ -386,56 +398,56 @@ def _build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="generator", required=True)
     pg = gsub.add_parser("g3", help="three-part extremal construction")
     pg.add_argument("--n", required=True, help="part sizes n1,n2,n3")
-    pg.add_argument("--delta", type=int, required=True)
+    pg.add_argument("--delta", type=_integer, required=True)
     pg.set_defaults(func=_cmd_gen)
     pc = gsub.add_parser("complete", help="complete bipartite graph")
-    pc.add_argument("--nx", type=int, required=True)
-    pc.add_argument("--ny", type=int, required=True)
+    pc.add_argument("--nx", type=_integer, required=True)
+    pc.add_argument("--ny", type=_integer, required=True)
     pc.set_defaults(func=_cmd_gen)
     pe = gsub.add_parser("enum",
                          help="all isomorphism classes within the caps")
-    pe.add_argument("--nx", type=int, required=True)
-    pe.add_argument("--ny-max", type=int, required=True)
-    pe.add_argument("--min-x-degree", type=int, default=0)
-    pe.add_argument("--min-y-degree", type=int, default=0)
+    pe.add_argument("--nx", type=_integer, required=True)
+    pe.add_argument("--ny-max", type=_integer, required=True)
+    pe.add_argument("--min-x-degree", type=_integer, default=0)
+    pe.add_argument("--min-y-degree", type=_integer, default=0)
     pe.add_argument("--filter", choices=("cond1",), default=None,
                     help="cond1: only graphs passing the condition")
     pe.set_defaults(func=_cmd_gen)
     pr = gsub.add_parser("random", help="seeded random bigraphs")
-    pr.add_argument("--nx", type=int, required=True)
-    pr.add_argument("--ny", type=int, required=True)
-    pr.add_argument("--min-x-degree", type=int, default=0)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--count", type=int, default=1)
+    pr.add_argument("--nx", type=_integer, required=True)
+    pr.add_argument("--ny", type=_integer, required=True)
+    pr.add_argument("--min-x-degree", type=_integer, default=0)
+    pr.add_argument("--seed", type=_integer, default=0)
+    pr.add_argument("--count", type=_integer, default=1)
     pr.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="exhaustive desk-scale verification")
     vsub = p.add_subparsers(dest="claim", required=True)
     pk = vsub.add_parser("kcyclic",
                          help="condition implies k-cyclic on the range")
-    pk.add_argument("--nx", type=int, required=True)
-    pk.add_argument("--ny-max", type=int, required=True)
-    pk.add_argument("--k", type=int, required=True)
+    pk.add_argument("--nx", type=_integer, required=True)
+    pk.add_argument("--ny-max", type=_integer, required=True)
+    pk.add_argument("--k", type=_integer, required=True)
     _add_campaign_flags(pk)
     pk.set_defaults(func=_cmd_verify)
     pd = vsub.add_parser("degree",
                          help="condition + quarter degree bound implies "
                               "super-cyclic")
-    pd.add_argument("--nx", type=int, required=True)
-    pd.add_argument("--ny-max", type=int, required=True)
+    pd.add_argument("--nx", type=_integer, required=True)
+    pd.add_argument("--ny-max", type=_integer, required=True)
     _add_campaign_flags(pd)
     pd.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hunt", help="search for a counterexample graph")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny-max", type=int, required=True)
+    p.add_argument("--nx", type=_integer, required=True)
+    p.add_argument("--ny-max", type=_integer, required=True)
     p.add_argument("--random", action="store_true",
                    help="seeded random trials instead of exhaustive "
                         "enumeration")
     # --random only; _cmd_hunt defaults them to 0, 0 and 2
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--min-x-degree", type=int)
+    p.add_argument("--seed", type=_integer)
+    p.add_argument("--trials", type=_integer)
+    p.add_argument("--min-x-degree", type=_integer)
     _add_campaign_flags(p)
     p.set_defaults(func=_cmd_hunt)
 

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one digit rule."""
+
+
+def is_number(text: str) -> bool:
+    """ASCII decimal digits, nothing else: ``int`` alone would also take a
+    sign, underscores, surrounding spaces and the digits of other scripts."""
+    return text.isascii() and text.isdigit()
 
 
 class SupercyclicError(Exception):

@@ -8,8 +8,8 @@ Record grammar (one graph per record, records separated by blank lines):
     p hgraph NV NE           header of a hypergraph record
     s V1 V2 ...              one hyperedge per line (possibly empty after s)
 
-The parser is strict: numbers other than ASCII decimal digits (no sign,
-underscore or other script), out-of-range indices, duplicate ``e`` lines,
+The parser is strict: numbers that fail :func:`errors.is_number` (ASCII
+decimal digits only), out-of-range indices, duplicate ``e`` lines,
 wrong token counts, an ``s``-line count that disagrees with NE, and unknown
 tags are all rejected with :class:`FormatError`.  Serialization is
 canonical (sorted edges), so parse/serialize round-trips are bit-exact on
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Union
 
 from .bigraph import Bigraph, Hypergraph
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, is_number
 
 Graph = Union[Bigraph, Hypergraph]
 
@@ -98,21 +98,14 @@ def _parse_record(lines: list[str]) -> Graph:
     if len(head) != 4:
         raise FormatError(f"p line needs 4 tokens, got {body[0]!r}")
     kind = head[1]
-    _require_digits(head[2] + head[3], "sizes", body[0])
+    if not is_number(head[2] + head[3]):
+        raise FormatError(f"non-integer sizes in {body[0]!r}")
     a, b = int(head[2]), int(head[3])
     if kind == "bigraph":
         return _parse_bigraph_body(a, b, body[1:])
     if kind == "hgraph":
         return _parse_hypergraph_body(a, b, body[1:])
     raise FormatError(f"unknown record kind {kind!r}")
-
-
-def _require_digits(digits: str, what: str, line: str) -> None:
-    """Refuse the number tokens of ``line``, joined as ``digits``, unless
-    they are ASCII decimal digits; ``int`` alone would take a sign,
-    underscores and the digits of other scripts."""
-    if digits and not (digits.isascii() and digits.isdigit()):
-        raise FormatError(f"non-integer {what} in {line!r}")
 
 
 def _parse_bigraph_body(nx: int, ny: int, lines: list[str]) -> Bigraph:
@@ -122,7 +115,8 @@ def _parse_bigraph_body(nx: int, ny: int, lines: list[str]) -> Bigraph:
         toks = ln.split()
         if toks[0] != "e" or len(toks) != 3:
             raise FormatError(f"expected 'e I J', got {ln!r}")
-        _require_digits(toks[1] + toks[2], "edge", ln)
+        if not is_number(toks[1] + toks[2]):  # one check a line
+            raise FormatError(f"non-integer edge in {ln!r}")
         x, y = int(toks[1]), int(toks[2])
         if not 1 <= x <= nx or not 1 <= y <= ny:
             raise FormatError(f"edge ({x}, {y}) out of range for ({nx}, {ny})")
@@ -142,7 +136,8 @@ def _parse_hypergraph_body(nv: int, ne: int, lines: list[str]) -> Hypergraph:
         toks = ln.split()
         if toks[0] != "s":
             raise FormatError(f"expected 's V1 V2 ...', got {ln!r}")
-        _require_digits("".join(toks[1:]), "vertex", ln)
+        if len(toks) > 1 and not is_number("".join(toks[1:])):
+            raise FormatError(f"non-integer vertex in {ln!r}")
         vs = [int(t) for t in toks[1:]]
         if len(set(vs)) != len(vs):
             raise FormatError(f"repeated vertex within one edge: {ln!r}")

@@ -99,7 +99,7 @@ from math import factorial, prod
 from operator import or_
 from typing import Any, Callable, Iterator
 
-from .bigraph import Bigraph
+from .bigraph import MAX_SIDE, Bigraph
 from .bitset import iter_bits
 from .errors import CapacityError, InputError
 
@@ -129,8 +129,9 @@ def construct_g3(n1: int, n2: int, n3: int, delta: int) -> Bigraph:
     nx = n1 + n2 + n3
     d2 = delta - 2
     ny = 3 * d2 + 2
-    if nx > 64 or ny > 64:
-        raise InputError(f"sizes ({nx}, {ny}) exceed the 64-vertex cap")
+    if nx > MAX_SIDE or ny > MAX_SIDE:
+        raise InputError(
+            f"sizes ({nx}, {ny}) exceed the {MAX_SIDE}-vertex cap")
     part_of = [None] + [0] * n1 + [1] * n2 + [2] * n3  # 1-indexed
     edges = []
     for x in range(1, nx + 1):
@@ -404,8 +405,8 @@ def random_bigraph(nx: int, ny: int, min_x_degree: int = 0,
 
     Same (nx, ny, min_x_degree, seed) always yields the same graph.
     """
-    if not 0 <= nx <= 64 or not 0 <= ny <= 64:
-        raise InputError("sizes must be in 0..64")
+    if not 0 <= nx <= MAX_SIDE or not 0 <= ny <= MAX_SIDE:
+        raise InputError(f"sizes must be in 0..{MAX_SIDE}")
     if min_x_degree < 0:
         raise InputError(f"min_x_degree must be >= 0, got {min_x_degree}")
     if min_x_degree > ny:

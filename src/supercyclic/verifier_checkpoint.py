@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, is_number
 from .reports import machine_lines, unescape_value
 
 
@@ -94,7 +94,7 @@ def load_checkpoint(path: str | os.PathLike, campaign: str,
 
     def count(name: str) -> int:
         value = text(name)
-        if not (value.isascii() and value.isdecimal()):
+        if not is_number(value):
             raise InputError(f"checkpoint {path}: {name}={value!r} is not "
                              f"a nonnegative integer")
         return int(value)

@@ -67,6 +67,10 @@ def test_vertex_set_rejects_bad_input():
         VertexSet(SIDE_X, 1)  # bit 0 is reserved, vertices are 1-based
     with pytest.raises(InputError):
         VertexSet.of(SIDE_X, [0])
+    # past the 64-vertex cap, not a mask of 65 or 10**21 bits
+    for index in (65, 10**21):
+        with pytest.raises(InputError, match="1..64"):
+            VertexSet.of(SIDE_X, [1, index])
 
 
 def test_construction_rejects_out_of_range_edges():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -125,14 +126,65 @@ def test_cycle_error_on_a_later_graph_prints_nothing(monkeypatch, capsys):
     (["analyze", "--cycle", "1,1,2,2,3,3", "--pair", "1,\u0662"],
      serialize(K33)),
     (["gen", "g3", "--n", "2,+1,1", "--delta", "3"], ""),
+    (["cycle", "--base", "1 2,3,4"], serialize(complete_bipartite(12, 4))),
+    (["cycle", "--base", "1,2,999999999999999999999"],
+     serialize(complete_bipartite(12, 4))),
 ], ids=["base-arabic-indic", "base-plus", "base-underscore",
-        "cycle-arabic-indic", "cycle-plus", "pair-arabic-indic", "n-plus"])
+        "cycle-arabic-indic", "cycle-plus", "pair-arabic-indic", "n-plus",
+        "base-inner-space", "base-past-the-cap"])
 def test_index_lists_and_cycle_tokens_take_ascii_digits_only(
         monkeypatch, capsys, argv, stdin_text):
     # int() alone reads a sign, underscores and other scripts' digits; the
     # CLI takes the record parser's rule
     code, out, err = run(monkeypatch, capsys, argv, stdin_text)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "complete", "--nx", "\u0663", "--ny", "2"],
+    ["gen", "complete", "--nx", "1_0", "--ny", "2"],
+    ["gen", "complete", "--nx", "3", "--ny", "+2"],
+    ["gen", "complete", "--nx", " 2", "--ny", "2"],
+    ["gen", "random", "--nx", "3", "--ny", "3", "--seed=--5"],
+    ["verify", "kcyclic", "--nx", "3", "--ny-max", "\u0663", "--k", "3"],
+], ids=["arabic-indic", "underscore", "plus", "space", "double-minus",
+        "verify-arabic-indic"])
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "") and "invalid integer" in err
+
+
+def test_minus_signs_and_spaced_lists_read_as_before(monkeypatch, capsys):
+    # one leading '-' reaches the library, which takes any seed
+    code, out, _ = run(monkeypatch, capsys,
+                       ["gen", "random", "--nx", "3", "--ny", "3",
+                        "--seed", "-5"])
+    assert code == 0
+    assert out == serialize(generators.random_bigraph(3, 3, 0, -5))
+    # spaces around items are dropped: the bytes of x1,y1,... --pair 1,3
+    code, out, _ = run(monkeypatch, capsys,
+                       ["analyze", "--cycle", "x1, y1, x2, y2, x3, y3",
+                        "--pair", " 1 , 3 "],
+                       serialize(complete_bipartite(4, 4)))
+    assert code == 0
+    assert sha256(out.encode()).hexdigest()[:16] == "75bc854abd21992d"
+
+
+def _actions(parser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+def test_no_flag_reads_its_number_with_int():
+    # int() takes a sign, underscores, spaces and other scripts' digits
+    actions = list(_actions(cli._build_parser()))
+    assert [a.option_strings for a in actions if a.type is int] == []
+    assert sum(a.type is cli._integer for a in actions) >= 25
 
 
 def test_classify_human(monkeypatch, capsys):
@@ -292,6 +344,22 @@ def test_gen_random_deterministic(monkeypatch, capsys):
     assert len(list(iter_records(out1))) == 3
 
 
+def test_gen_random_prints_each_graph_before_drawing_the_next(monkeypatch):
+    out = io.StringIO()
+    printed_at_draw = []
+    draw = generators.random_bigraph
+
+    def counting(*args):
+        printed_at_draw.append(out.getvalue().count("p bigraph"))
+        return draw(*args)
+
+    monkeypatch.setattr(generators, "random_bigraph", counting)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["gen", "random", "--nx", "3", "--ny", "3",
+                 "--count", "3"]) == 0
+    assert printed_at_draw == [0, 1, 2]
+
+
 def test_gen_random_refuses_negative_min_x_degree(monkeypatch, capsys):
     code, out, err = run(monkeypatch, capsys,
                          ["gen", "random", "--nx", "3", "--ny", "3",
@@ -400,6 +468,18 @@ def test_checkpoint_every_zero_is_an_input_error(monkeypatch, capsys,
                           "--checkpoint-every", "0"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_checkpoint_every_needs_checkpoint(monkeypatch, capsys):
+    for every in ("0", "5"):
+        code, out, err = run(monkeypatch, capsys,
+                             ["verify", "kcyclic", "--nx", "3", "--ny-max",
+                              "3", "--k", "3", "--checkpoint-every", every])
+        assert (code, out) == (2, "")
+        assert err == "error: --checkpoint-every needs --checkpoint\n"
+    # with --checkpoint alone, a save every 500 items
+    args = argparse.Namespace(checkpoint="run.ckpt", checkpoint_every=None)
+    assert cli._checkpoint_from(args).every == 500
 
 
 GOOD_CHECKPOINT = ("checkpoint=1\ncampaign=verify-k-cyclic\n"
