@@ -12,13 +12,14 @@ Exit codes are part of the contract for scripting:
 * 2: usage or format errors, and files that cannot be read or written;
 * 3: an internal error (any other exception), reported on one line.
 
-Each command imports the modules it runs when it runs, so a call compiles
-and loads only its own part of the package.
+The command line is read against one table, ``_TREE``, without argparse.
+Each command imports the modules it runs when it runs, and ``cli_usage``
+prints help and usage errors, so a call compiles and loads only its own
+part of the package.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -26,8 +27,7 @@ from .errors import FormatError, InputError, SupercyclicError, is_number
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (SupercyclicError, OSError, UnicodeDecodeError) as exc:
@@ -69,14 +69,6 @@ def _load_bigraphs(args) -> list:
     if not graphs:
         raise FormatError("no graph records in input")
     return graphs
-
-
-def _integer(text: str) -> int:
-    """The ``type`` of every integer flag: a number after at most one
-    ``-``, so a negative value meets the library's own range check."""
-    if not is_number(text.removeprefix("-")):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    return int(text)
 
 
 def _tokens(text: str) -> list[str]:
@@ -328,130 +320,137 @@ def _cmd_hunt(args) -> int:
     return _emit_report(report, args.format)
 
 
-# -- parser ------------------------------------------------------------------
+# -- the command table -------------------------------------------------------
 
-def _add_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", default="-",
-                   help="graph stream file, or - for stdin (default)")
+# A flag is one string, "name kind default help": the kind is int, text,
+# switch or the choices joined by "|", and the default is "required",
+# "none", "off" for a switch, or a value.  A command is (its handler's
+# name, help, flags); a group is (the attribute that names its chosen
+# command, help, {name: command or group}).
+_DEFAULTS = {"required": ..., "none": None, "off": False}
+_INPUT = "--input text - graph stream file, or - for stdin"
+_HYPER = ("--as-hypergraph switch off input records are hypergraphs; "
+          "analyze their incidence bigraphs")
+_FORMAT = "--format human|machine human"
+_NX = "--nx int required |X|"
+_NY = "--ny int required |Y|"
+_NY_MAX = "--ny-max int required largest |Y|"
+_CAMPAIGN = (
+    "--jobs int 1 worker processes, at most one per CPU; reports do not "
+    "depend on this",
+    "--checkpoint text none checkpoint file; a relative path resolves "
+    "under SUPERCYCLIC_CHECKPOINT_DIR when that is set",
+    "--checkpoint-every int none items between saves, default 500",
+    _FORMAT,
+    "--progress switch off print progress lines to stderr")
 
-
-def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=_integer, default=1,
-                   help="worker processes (reports do not depend on this)")
-    p.add_argument("--checkpoint", default=None,
-                   help="checkpoint file; relative paths resolve under "
-                        "SUPERCYCLIC_CHECKPOINT_DIR when that is set")
-    p.add_argument("--checkpoint-every", type=_integer,
-                   help="items between saves, default 500")
-    p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.add_argument("--progress", action="store_true",
-                   help="print progress lines to stderr")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="supercyclic",
-        description="Based cycles, the neighborhood condition, and "
+_TREE = ("command", "Based cycles, the neighborhood condition, and "
                     "exhaustive verification for bipartite graphs with an "
-                    "ordered bipartition.")
-    sub = parser.add_subparsers(dest="command", required=True)
+                    "ordered bipartition.", {
+    "check": ("_cmd_check", "neighborhood condition + degree bounds", (
+        _INPUT, _HYPER, _FORMAT,
+        "--mode full|kim full both modes run the same scan; the mode only "
+        "labels the report")),
+    "cycle": ("_cmd_cycle", "find a cycle based on given X-indices", (
+        _INPUT, "--base text required e.g. 1,3,4", _HYPER)),
+    "classify": ("_cmd_classify", "critical / saturated / Y-minimal report",
+                 (_INPUT, _HYPER, _FORMAT,
+                  "--ym-mode one_deletion|exhaustive one_deletion")),
+    "analyze": ("_cmd_analyze", "successor maps, fans, crossings for a cycle",
+                (_INPUT,
+                 "--cycle text required alternating indices x1,y1,x2,y2,... "
+                 "(x/y prefixes optional)",
+                 "--pair text none two cycle X-indices for the crossing "
+                 "count",
+                 "--fan-root int none off-cycle X-index (default: all "
+                 "off-cycle xs)")),
+    "gen": ("generator", "emit graphs in the text format", {
+        "g3": ("_cmd_gen", "three-part extremal construction", (
+            "--n text required part sizes n1,n2,n3", "--delta int required")),
+        "complete": ("_cmd_gen", "complete bipartite graph", (_NX, _NY)),
+        "enum": ("_cmd_gen", "all isomorphism classes within the caps", (
+            _NX, _NY_MAX, "--min-x-degree int 0", "--min-y-degree int 0",
+            "--filter cond1 none cond1: only graphs passing the condition")),
+        "random": ("_cmd_gen", "seeded random bigraphs", (
+            _NX, _NY, "--min-x-degree int 0", "--seed int 0",
+            "--count int 1"))}),
+    "verify": ("claim", "exhaustive desk-scale verification", {
+        "kcyclic": ("_cmd_verify", "condition implies k-cyclic on the range",
+                    (_NX, _NY_MAX, "--k int required") + _CAMPAIGN),
+        "degree": ("_cmd_verify",
+                   "condition + quarter degree bound implies super-cyclic",
+                   (_NX, _NY_MAX) + _CAMPAIGN)}),
+    "hunt": ("_cmd_hunt", "search for a counterexample graph", (
+        _NX, _NY_MAX,
+        "--random switch off seeded random trials instead of exhaustive "
+        "enumeration",
+        # --random only; _cmd_hunt defaults them to 0, 0 and 2
+        "--seed int none", "--trials int none", "--min-x-degree int none")
+        + _CAMPAIGN)})
 
-    p = sub.add_parser("check", help="neighborhood condition + degree bounds")
-    _add_input(p)
-    p.add_argument("--mode", choices=("full", "kim"), default="full",
-                   help="both modes run the same scan; the mode only labels "
-                        "the report")
-    p.add_argument("--as-hypergraph", action="store_true",
-                   help="input records are hypergraphs; analyze their "
-                        "incidence bigraphs")
-    p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("cycle", help="find a cycle based on given X-indices")
-    _add_input(p)
-    p.add_argument("--base", required=True, help="e.g. 1,3,4")
-    p.add_argument("--as-hypergraph", action="store_true")
-    p.set_defaults(func=_cmd_cycle)
+def _parse(argv: list[str]):
+    """Read ``argv`` against ``_TREE``: each group's choice, each flag of
+    the command under its name with ``_`` for ``-``, and the command's
+    handler as ``func``.  The last of a repeated flag wins."""
+    node, path, got = _TREE, "supercyclic", {}
+    words = iter(argv)
+    while type(node[2]) is dict:  # a group: the name of a command, or help
+        word = next(words, "")
+        if word == "-h" or word[2:] and "--help".startswith(word):
+            _help(node, path)
+        if word not in node[2]:
+            _fail(path, "expected a %s (%s), got %r", node[0],
+                  ", ".join(node[2]), word)
+        got[node[0]] = word
+        node, path = node[2][word], path + " " + word
+    kinds = {"-h": "switch", "--help": "switch"}
+    for spec in node[2]:
+        name, kind, default = spec.split(" ", 3)[:3]
+        kinds[name] = kind
+        got[name[2:].replace("-", "_")] = (
+            int(default) if default.isdigit() else
+            _DEFAULTS.get(default, default))
+    for word in words:
+        name, eq, text = word.partition("=")
+        # an exact name, or the prefix of one flag: "-" and "--" begin them all
+        hits = [name] if name in kinds else [
+            k for k in kinds if k.startswith(name)]
+        if len(hits) != 1:
+            _fail(path, "unrecognized or ambiguous argument %r", word)
+        name, kind = hits[0], kinds[hits[0]]
+        if kind == "switch":
+            if eq:
+                _fail(path, "argument %s: takes no value", name)
+            if name in ("-h", "--help"):
+                _help(node, path)
+            text = True
+        elif not eq:
+            text = next(words, "--")  # none left reads as the next flag
+            if text[:2] == "--":
+                _fail(path, "argument %s: expected a value", name)
+        if kind == "int" and is_number(text.removeprefix("-")):
+            text = int(text)
+        elif kind == "int" or kind not in ("text", "switch") and \
+                text not in kind.split("|"):
+            _fail(path, "argument %s: invalid %s %r", name,
+                  "integer" if kind == "int" else "choice", text)
+        got[name[2:].replace("-", "_")] = text
+    missing = ["--" + k.replace("_", "-") for k, v in got.items() if v is ...]
+    if missing:
+        _fail(path, "missing %s", ", ".join(missing))
+    # type(sys.implementation) is types.SimpleNamespace, here not imported
+    return type(sys.implementation)(func=globals()[node[0]], **got)
 
-    p = sub.add_parser("classify",
-                       help="critical / saturated / Y-minimal report")
-    _add_input(p)
-    p.add_argument("--ym-mode", choices=("one_deletion", "exhaustive"),
-                   default="one_deletion")
-    p.add_argument("--as-hypergraph", action="store_true")
-    p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("analyze",
-                       help="successor maps, fans, crossings for a cycle")
-    _add_input(p)
-    p.add_argument("--cycle", required=True,
-                   help="alternating indices x1,y1,x2,y2,... "
-                        "(x/y prefixes optional)")
-    p.add_argument("--pair", default=None,
-                   help="two cycle X-indices for the crossing count")
-    p.add_argument("--fan-root", type=_integer, default=None,
-                   help="off-cycle X-index (default: all off-cycle xs)")
-    p.set_defaults(func=_cmd_analyze)
+def _fail(path: str, message: str, *args):
+    from .cli_usage import fail  # only a usage error compiles it
+    fail(path, message % args)
 
-    p = sub.add_parser("gen", help="emit graphs in the text format")
-    gsub = p.add_subparsers(dest="generator", required=True)
-    pg = gsub.add_parser("g3", help="three-part extremal construction")
-    pg.add_argument("--n", required=True, help="part sizes n1,n2,n3")
-    pg.add_argument("--delta", type=_integer, required=True)
-    pg.set_defaults(func=_cmd_gen)
-    pc = gsub.add_parser("complete", help="complete bipartite graph")
-    pc.add_argument("--nx", type=_integer, required=True)
-    pc.add_argument("--ny", type=_integer, required=True)
-    pc.set_defaults(func=_cmd_gen)
-    pe = gsub.add_parser("enum",
-                         help="all isomorphism classes within the caps")
-    pe.add_argument("--nx", type=_integer, required=True)
-    pe.add_argument("--ny-max", type=_integer, required=True)
-    pe.add_argument("--min-x-degree", type=_integer, default=0)
-    pe.add_argument("--min-y-degree", type=_integer, default=0)
-    pe.add_argument("--filter", choices=("cond1",), default=None,
-                    help="cond1: only graphs passing the condition")
-    pe.set_defaults(func=_cmd_gen)
-    pr = gsub.add_parser("random", help="seeded random bigraphs")
-    pr.add_argument("--nx", type=_integer, required=True)
-    pr.add_argument("--ny", type=_integer, required=True)
-    pr.add_argument("--min-x-degree", type=_integer, default=0)
-    pr.add_argument("--seed", type=_integer, default=0)
-    pr.add_argument("--count", type=_integer, default=1)
-    pr.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", help="exhaustive desk-scale verification")
-    vsub = p.add_subparsers(dest="claim", required=True)
-    pk = vsub.add_parser("kcyclic",
-                         help="condition implies k-cyclic on the range")
-    pk.add_argument("--nx", type=_integer, required=True)
-    pk.add_argument("--ny-max", type=_integer, required=True)
-    pk.add_argument("--k", type=_integer, required=True)
-    _add_campaign_flags(pk)
-    pk.set_defaults(func=_cmd_verify)
-    pd = vsub.add_parser("degree",
-                         help="condition + quarter degree bound implies "
-                              "super-cyclic")
-    pd.add_argument("--nx", type=_integer, required=True)
-    pd.add_argument("--ny-max", type=_integer, required=True)
-    _add_campaign_flags(pd)
-    pd.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("hunt", help="search for a counterexample graph")
-    p.add_argument("--nx", type=_integer, required=True)
-    p.add_argument("--ny-max", type=_integer, required=True)
-    p.add_argument("--random", action="store_true",
-                   help="seeded random trials instead of exhaustive "
-                        "enumeration")
-    # --random only; _cmd_hunt defaults them to 0, 0 and 2
-    p.add_argument("--seed", type=_integer)
-    p.add_argument("--trials", type=_integer)
-    p.add_argument("--min-x-degree", type=_integer)
-    _add_campaign_flags(p)
-    p.set_defaults(func=_cmd_hunt)
-
-    return parser
+def _help(node, path: str):
+    from .cli_usage import show_help  # only a call for help compiles it
+    show_help(node, path)
 
 
 if __name__ == "__main__":

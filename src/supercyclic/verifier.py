@@ -352,14 +352,16 @@ def _trial_results(config: HuntConfig, skip: int, jobs: int
 
 def _worker_map(fn: Callable, items: Iterable, jobs: int,
                 chunksize: int = 1) -> Iterator:
-    """``map(fn, items)`` in ``jobs`` workers started afresh, not forked (a
-    forked child copies whatever threads and locks the caller holds).  A
-    worker that dies raises ``BrokenProcessPool``, a RuntimeError, and
-    closing the stream cancels the items not started.  Imported here, so
-    that ``--jobs 1`` never loads multiprocessing."""
+    """``map(fn, items)`` in ``jobs`` workers, at most one per CPU, started
+    afresh, not forked (a forked child copies whatever threads and locks
+    the caller holds).  A worker that dies raises ``BrokenProcessPool``, a
+    RuntimeError, and closing the stream cancels the items not started.
+    Imported here, so that ``--jobs 1`` never loads multiprocessing."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
-    pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
+    from os import cpu_count
+    pool = ProcessPoolExecutor(min(jobs, cpu_count() or 1),
+                               mp_context=get_context("spawn"))
     try:
         yield from pool.map(fn, items, chunksize=chunksize)
     finally:

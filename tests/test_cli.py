@@ -172,19 +172,102 @@ def test_minus_signs_and_spaced_lists_read_as_before(monkeypatch, capsys):
     assert sha256(out.encode()).hexdigest()[:16] == "75bc854abd21992d"
 
 
-def _actions(parser):
-    for action in parser._actions:
-        yield action
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _actions(sub)
+def _commands(node=cli._TREE, path=()):
+    """(argv prefix, flags) of every command in the table, each flag as
+    (name, kind, default, help)."""
+    below = node[2]
+    if isinstance(below, dict):
+        for name, sub in below.items():
+            yield from _commands(sub, path + (name,))
+    else:
+        yield list(path), [(spec + " ").split(" ", 3) for spec in below]
 
 
-def test_no_flag_reads_its_number_with_int():
-    # int() takes a sign, underscores, spaces and other scripts' digits
-    actions = list(_actions(cli._build_parser()))
-    assert [a.option_strings for a in actions if a.type is int] == []
-    assert sum(a.type is cli._integer for a in actions) >= 25
+def test_no_flag_reads_its_number_with_int(capsys):
+    # int() takes a sign, underscores, spaces and other scripts' digits;
+    # every integer flag of every command takes the record parser's rule
+    int_flags = [path + [f[0]] for path, flags in _commands()
+                 for f in flags if f[1] == "int"]
+    assert len(int_flags) >= 25
+    for argv in int_flags:
+        for bad in ("1_0", "+2", "\u0663", " 2"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [bad])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, ""), argv
+            assert f"invalid integer {bad!r}" in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["gen"],
+    ["check", "--nope"],
+    ["gen", "enum", "--nx", "3", "--ny-max", "3", "--min-", "1"],
+    ["gen", "complete", "--nx", "2"],
+    ["gen", "complete", "--nx", "2", "--ny"],
+    ["gen", "complete", "--nx", "--ny", "2"],
+    ["check", "--format", "xml"],
+    ["verify", "kcyclic", "--nx", "3", "--ny-max", "3", "--k", "3",
+     "--progress=1"],
+    ["gen", "complete", "--nx", "2", "--ny", "2", "extra"],
+    ["-x", "check"],
+], ids=["no-command", "unknown-command", "no-generator", "unknown-flag",
+        "ambiguous-prefix", "missing-required", "missing-value",
+        "flag-for-value", "bad-choice", "switch-with-value",
+        "stray-positional", "single-dash"])
+def test_usage_errors_exit_2_with_usage_and_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: supercyclic")
+    assert error.startswith("supercyclic") and ": error: " in error
+
+
+LEVELS = [([], ()), (["gen"], ()), (["verify"], ()), *_commands()]
+
+
+@pytest.mark.parametrize("path, flags", LEVELS,
+                         ids=[" ".join(p) or "top" for p, _ in LEVELS])
+def test_help_at_every_level_names_each_flag(capsys, path, flags):
+    for help_flag in ("--help", "-h", "--he"):
+        with pytest.raises(SystemExit) as exc:
+            main(path + [help_flag])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert out.startswith(f"usage: {' '.join(['supercyclic', *path])}")
+        rows = {line.split()[0]: line for line in out.splitlines()
+                if line.startswith("  ")}
+        # each flag's row gives its kind (the choices), default and help
+        for name, kind, default, text in flags:
+            assert rows[name].split()[:3] == [name, kind, default]
+            assert rows[name].endswith(text.strip())
+        below = cli._TREE[2] if not path else cli._TREE[2][path[0]][2]
+        if not flags:
+            assert set(rows) == set(below)
+
+
+def test_flag_grammar_reads_as_before(monkeypatch, capsys, tmp_path):
+    def gen(argv):
+        code, out, _ = run(monkeypatch, capsys, ["gen", "enum"] + argv)
+        assert code == 0
+        return out
+
+    want = gen(["--nx", "2", "--ny-max", "8"])
+    assert gen(["--nx", "2", "--ny-m", "8"]) == want
+    assert gen(["--nx=2", "--ny-max=8"]) == want
+    assert gen(["--ny-max", "3", "--nx", "2", "--ny-max", "8"]) == want
+    # an exact name wins over the longer flag it begins
+    path = tmp_path / "run.ckpt"
+    code, _, _ = run(monkeypatch, capsys,
+                     KCYCLIC_333 + ["--checkpoint", str(path)])
+    assert code == 0 and path.exists()
+    assert vars(cli._parse(["gen", "enum", "--nx", "3", "--ny-max", "4"])) \
+        == {"command": "gen", "generator": "enum", "func": cli._cmd_gen,
+            "nx": 3, "ny_max": 4, "min_x_degree": 0, "min_y_degree": 0,
+            "filter": None}
 
 
 def test_classify_human(monkeypatch, capsys):
@@ -665,6 +748,36 @@ def test_jobs_below_one_exit_2(monkeypatch, capsys, jobs):
                          KCYCLIC_333 + ["--jobs", str(jobs)])
     assert (code, out, evaluated) == (2, "", [])
     assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+@pytest.mark.parametrize("campaign", [
+    ["verify", "kcyclic", "--nx", "4", "--ny-max", "5", "--k", "3"],
+    ["hunt", "--nx", "4", "--ny-max", "5", "--random", "--trials", "40"],
+], ids=["verify", "hunt"])
+def test_jobs_above_the_cpu_count_start_one_worker_per_cpu(
+        monkeypatch, capsys, campaign, cpus, workers):
+    # a stand-in pool maps in this process, so no worker is ever started
+    import concurrent.futures
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = campaign + ["--format", "machine", "--jobs"]
+    code, one, _ = run(monkeypatch, capsys, argv + ["1"])
+    assert (code, sizes) == (0, [])
+    code, many, _ = run(monkeypatch, capsys, argv + ["16"])
+    assert (code, many, sizes) == (0, one, [workers])
 
 
 @pytest.mark.parametrize("campaign", [

@@ -135,6 +135,30 @@ def test_each_command_loads_only_its_modules(argv, stdin, status, runs,
     assert loaded & skips == set()
 
 
+@pytest.mark.parametrize("argv, stdin", [
+    (["gen", "complete", "--nx", "2", "--ny", "2"], ""),
+    (["check"], K33),
+    (["classify"], K33),
+    (["cycle", "--base", "1,2"], K33),
+    (["hunt", "--nx", "4", "--ny-max", "4", "--random", "--trials", "5"], ""),
+    (["verify", "kcyclic", "--nx", "3", "--ny-max", "3", "--k", "3"], ""),
+    (["--help"], ""),
+], ids=["gen", "check", "classify", "cycle", "hunt", "verify", "help"])
+def test_cli_calls_load_no_argument_parser(argv, stdin):
+    # argparse and the gettext and locale it imports cost every call ~3 ms
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import supercyclic.cli\n"
+            f"try: supercyclic.cli.main({argv!r})\n"
+            "except SystemExit: pass\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} "
+            "& set(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code,
+                           str(ROOT / "src")],
+                          capture_output=True, text=True, input=stdin,
+                          check=True)
+    assert proc.stderr.splitlines()[-1] == "[]"
+
+
 def test_lazy_exports_resolve_to_their_defining_modules():
     import supercyclic
     table = supercyclic._EXPORTS
