@@ -13,15 +13,15 @@ Exit codes are part of the contract for scripting:
 * 3: an internal error (any other exception), reported on one line.
 
 The command line is read against one table, ``_TREE``, without argparse.
-Each command imports the modules it runs when it runs, and ``cli_usage``
-prints help and usage errors, so a call compiles and loads only its own
-part of the package.
+Each command imports the modules it runs when it runs, so a call loads only
+its own part of the package.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import FormatError, InputError, SupercyclicError, is_number
 
@@ -322,74 +322,74 @@ def _cmd_hunt(args) -> int:
 
 # -- the command table -------------------------------------------------------
 
-# A flag is one string, "name kind default help": the kind is int, text,
-# switch or the choices joined by "|", and the default is "required",
-# "none", "off" for a switch, or a value.  A command is (its handler's
-# name, help, flags); a group is (the attribute that names its chosen
-# command, help, {name: command or group}).
-_DEFAULTS = {"required": ..., "none": None, "off": False}
-_INPUT = "--input text - graph stream file, or - for stdin"
-_HYPER = ("--as-hypergraph switch off input records are hypergraphs; "
-          "analyze their incidence bigraphs")
-_FORMAT = "--format human|machine human"
-_NX = "--nx int required |X|"
-_NY = "--ny int required |Y|"
-_NY_MAX = "--ny-max int required largest |Y|"
+# A flag is (name, kind, default, help): the kind is "int", "text", "switch"
+# or the choices joined by "|", and a required flag's default is ``...``.
+# A command is (its handler's name, help, flags); a group is (the attribute
+# that names its chosen command, help, {name: command or group}).
+_INPUT = ("--input", "text", "-", "graph stream file, or - for stdin")
+_HYPER = ("--as-hypergraph", "switch", False,
+          "input records are hypergraphs; analyze their incidence bigraphs")
+_FORMAT = ("--format", "human|machine", "human", "")
+_NX = ("--nx", "int", ..., "|X|")
+_NY = ("--ny", "int", ..., "|Y|")
+_NY_MAX = ("--ny-max", "int", ..., "largest |Y|")
 _CAMPAIGN = (
-    "--jobs int 1 worker processes, at most one per CPU; reports do not "
-    "depend on this",
-    "--checkpoint text none checkpoint file; a relative path resolves "
-    "under SUPERCYCLIC_CHECKPOINT_DIR when that is set",
-    "--checkpoint-every int none items between saves, default 500",
+    ("--jobs", "int", 1,
+     "worker processes, at most one per CPU; reports do not depend on this"),
+    ("--checkpoint", "text", None, "checkpoint file; a relative path "
+     "resolves under SUPERCYCLIC_CHECKPOINT_DIR when that is set"),
+    ("--checkpoint-every", "int", None, "items between saves, default 500"),
     _FORMAT,
-    "--progress switch off print progress lines to stderr")
+    ("--progress", "switch", False, "print progress lines to stderr"))
 
 _TREE = ("command", "Based cycles, the neighborhood condition, and "
                     "exhaustive verification for bipartite graphs with an "
                     "ordered bipartition.", {
     "check": ("_cmd_check", "neighborhood condition + degree bounds", (
         _INPUT, _HYPER, _FORMAT,
-        "--mode full|kim full both modes run the same scan; the mode only "
-        "labels the report")),
+        ("--mode", "full|kim", "full", "both modes run the same scan; the "
+         "mode only labels the report"))),
     "cycle": ("_cmd_cycle", "find a cycle based on given X-indices", (
-        _INPUT, "--base text required e.g. 1,3,4", _HYPER)),
-    "classify": ("_cmd_classify", "critical / saturated / Y-minimal report",
-                 (_INPUT, _HYPER, _FORMAT,
-                  "--ym-mode one_deletion|exhaustive one_deletion")),
-    "analyze": ("_cmd_analyze", "successor maps, fans, crossings for a cycle",
-                (_INPUT,
-                 "--cycle text required alternating indices x1,y1,x2,y2,... "
-                 "(x/y prefixes optional)",
-                 "--pair text none two cycle X-indices for the crossing "
-                 "count",
-                 "--fan-root int none off-cycle X-index (default: all "
-                 "off-cycle xs)")),
+        _INPUT, ("--base", "text", ..., "e.g. 1,3,4"), _HYPER)),
+    "classify": ("_cmd_classify", "critical / saturated / Y-minimal report", (
+        _INPUT, _HYPER, _FORMAT,
+        ("--ym-mode", "one_deletion|exhaustive", "one_deletion", ""))),
+    "analyze": ("_cmd_analyze", "successor maps, fans, crossings for a cycle", (
+        _INPUT,
+        ("--cycle", "text", ..., "alternating indices x1,y1,x2,y2,... "
+         "(x/y prefixes optional)"),
+        ("--pair", "text", None, "two cycle X-indices for the crossing count"),
+        ("--fan-root", "int", None,
+         "off-cycle X-index (default: all off-cycle xs)"))),
     "gen": ("generator", "emit graphs in the text format", {
         "g3": ("_cmd_gen", "three-part extremal construction", (
-            "--n text required part sizes n1,n2,n3", "--delta int required")),
+            ("--n", "text", ..., "part sizes n1,n2,n3"),
+            ("--delta", "int", ..., ""))),
         "complete": ("_cmd_gen", "complete bipartite graph", (_NX, _NY)),
         "enum": ("_cmd_gen", "all isomorphism classes within the caps", (
-            _NX, _NY_MAX, "--min-x-degree int 0", "--min-y-degree int 0",
-            "--filter cond1 none cond1: only graphs passing the condition")),
+            _NX, _NY_MAX, ("--min-x-degree", "int", 0, ""),
+            ("--min-y-degree", "int", 0, ""),
+            ("--filter", "cond1", None,
+             "cond1: only graphs passing the condition"))),
         "random": ("_cmd_gen", "seeded random bigraphs", (
-            _NX, _NY, "--min-x-degree int 0", "--seed int 0",
-            "--count int 1"))}),
+            _NX, _NY, ("--min-x-degree", "int", 0, ""),
+            ("--seed", "int", 0, ""), ("--count", "int", 1, "")))}),
     "verify": ("claim", "exhaustive desk-scale verification", {
         "kcyclic": ("_cmd_verify", "condition implies k-cyclic on the range",
-                    (_NX, _NY_MAX, "--k int required") + _CAMPAIGN),
+                    (_NX, _NY_MAX, ("--k", "int", ..., "")) + _CAMPAIGN),
         "degree": ("_cmd_verify",
                    "condition + quarter degree bound implies super-cyclic",
                    (_NX, _NY_MAX) + _CAMPAIGN)}),
     "hunt": ("_cmd_hunt", "search for a counterexample graph", (
         _NX, _NY_MAX,
-        "--random switch off seeded random trials instead of exhaustive "
-        "enumeration",
+        ("--random", "switch", False,
+         "seeded random trials instead of exhaustive enumeration"),
         # --random only; _cmd_hunt defaults them to 0, 0 and 2
-        "--seed int none", "--trials int none", "--min-x-degree int none")
-        + _CAMPAIGN)})
+        ("--seed", "int", None, ""), ("--trials", "int", None, ""),
+        ("--min-x-degree", "int", None, "")) + _CAMPAIGN)})
 
 
-def _parse(argv: list[str]):
+def _parse(argv: list[str]) -> SimpleNamespace:
     """Read ``argv`` against ``_TREE``: each group's choice, each flag of
     the command under its name with ``_`` for ``-``, and the command's
     handler as ``func``.  The last of a repeated flag wins."""
@@ -400,57 +400,69 @@ def _parse(argv: list[str]):
         if word == "-h" or word[2:] and "--help".startswith(word):
             _help(node, path)
         if word not in node[2]:
-            _fail(path, "expected a %s (%s), got %r", node[0],
-                  ", ".join(node[2]), word)
+            _fail(path, f"expected a {node[0]} ({', '.join(node[2])}), "
+                        f"got {word!r}")
         got[node[0]] = word
         node, path = node[2][word], path + " " + word
     kinds = {"-h": "switch", "--help": "switch"}
-    for spec in node[2]:
-        name, kind, default = spec.split(" ", 3)[:3]
+    for name, kind, default, _ in node[2]:
         kinds[name] = kind
-        got[name[2:].replace("-", "_")] = (
-            int(default) if default.isdigit() else
-            _DEFAULTS.get(default, default))
+        got[name[2:].replace("-", "_")] = default
     for word in words:
         name, eq, text = word.partition("=")
         # an exact name, or the prefix of one flag: "-" and "--" begin them all
         hits = [name] if name in kinds else [
             k for k in kinds if k.startswith(name)]
         if len(hits) != 1:
-            _fail(path, "unrecognized or ambiguous argument %r", word)
+            _fail(path, f"unrecognized or ambiguous argument {word!r}")
         name, kind = hits[0], kinds[hits[0]]
         if kind == "switch":
             if eq:
-                _fail(path, "argument %s: takes no value", name)
+                _fail(path, f"argument {name}: takes no value")
             if name in ("-h", "--help"):
                 _help(node, path)
             text = True
         elif not eq:
             text = next(words, "--")  # none left reads as the next flag
             if text[:2] == "--":
-                _fail(path, "argument %s: expected a value", name)
-        if kind == "int" and is_number(text.removeprefix("-")):
-            text = int(text)
-        elif kind == "int" or kind not in ("text", "switch") and \
-                text not in kind.split("|"):
-            _fail(path, "argument %s: invalid %s %r", name,
-                  "integer" if kind == "int" else "choice", text)
+                _fail(path, f"argument {name}: expected a value")
+        try:
+            if kind == "int" and is_number(text.removeprefix("-")):
+                text = int(text)  # past int()'s digit limit: a ValueError
+            elif kind == "int" or kind not in ("text", "switch") and \
+                    text not in kind.split("|"):
+                raise ValueError
+        except ValueError:
+            _fail(path, f"argument {name}: invalid "
+                        f"{'integer' if kind == 'int' else 'choice'} {text!r}")
         got[name[2:].replace("-", "_")] = text
     missing = ["--" + k.replace("_", "-") for k, v in got.items() if v is ...]
     if missing:
-        _fail(path, "missing %s", ", ".join(missing))
-    # type(sys.implementation) is types.SimpleNamespace, here not imported
-    return type(sys.implementation)(func=globals()[node[0]], **got)
+        _fail(path, "missing " + ", ".join(missing))
+    return SimpleNamespace(func=globals()[node[0]], **got)
 
 
-def _fail(path: str, message: str, *args):
-    from .cli_usage import fail  # only a usage error compiles it
-    fail(path, message % args)
+def _fail(path: str, message: str):
+    """A usage line and the error on stderr; exit 2."""
+    print(f"usage: {path} [-h] ...", f"{path}: error: {message}", sep="\n",
+          file=sys.stderr)
+    raise SystemExit(2)
 
 
-def _help(node, path: str):
-    from .cli_usage import show_help  # only a call for help compiles it
-    show_help(node, path)
+def _help(node: tuple, path: str):
+    """Each command of a group with its help, or each flag of a command
+    with its kind, its default and its help, in columns; exit 0."""
+    if type(node[2]) is dict:
+        rows = [(name, sub[1]) for name, sub in node[2].items()]
+    else:
+        rows = [("flag", "kind", "default", "help")] + [
+            (name, kind, "required" if default is ... else str(default), text)
+            for name, kind, default, text in node[2]]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    print(f"usage: {path} [-h] ...", "", node[1], "", *(
+        "  " + "  ".join(map(str.ljust, row, widths)).rstrip()
+        for row in rows), sep="\n")
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

@@ -180,7 +180,7 @@ def _commands(node=cli._TREE, path=()):
         for name, sub in below.items():
             yield from _commands(sub, path + (name,))
     else:
-        yield list(path), [(spec + " ").split(" ", 3) for spec in below]
+        yield list(path), below
 
 
 def test_no_flag_reads_its_number_with_int(capsys):
@@ -207,6 +207,8 @@ def test_no_flag_reads_its_number_with_int(capsys):
     ["gen", "complete", "--nx", "2"],
     ["gen", "complete", "--nx", "2", "--ny"],
     ["gen", "complete", "--nx", "--ny", "2"],
+    # more digits than int() converts from text
+    ["gen", "complete", "--nx", "1" * 5000, "--ny", "2"],
     ["check", "--format", "xml"],
     ["verify", "kcyclic", "--nx", "3", "--ny-max", "3", "--k", "3",
      "--progress=1"],
@@ -214,7 +216,7 @@ def test_no_flag_reads_its_number_with_int(capsys):
     ["-x", "check"],
 ], ids=["no-command", "unknown-command", "no-generator", "unknown-flag",
         "ambiguous-prefix", "missing-required", "missing-value",
-        "flag-for-value", "bad-choice", "switch-with-value",
+        "flag-for-value", "too-many-digits", "bad-choice", "switch-with-value",
         "stray-positional", "single-dash"])
 def test_usage_errors_exit_2_with_usage_and_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -242,8 +244,9 @@ def test_help_at_every_level_names_each_flag(capsys, path, flags):
                 if line.startswith("  ")}
         # each flag's row gives its kind (the choices), default and help
         for name, kind, default, text in flags:
-            assert rows[name].split()[:3] == [name, kind, default]
-            assert rows[name].endswith(text.strip())
+            shown = "required" if default is ... else str(default)
+            assert rows[name].split()[:3] == [name, kind, shown]
+            assert rows[name].endswith(text)
         below = cli._TREE[2] if not path else cli._TREE[2][path[0]][2]
         if not flags:
             assert set(rows) == set(below)
