@@ -181,7 +181,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .bigraph import SIDE_X
     from .structure import (crossing_bound_holds, crossings, max_fan,
                             successor_maps)
     graphs = _load_bigraphs(args)
@@ -207,17 +206,14 @@ def _cmd_analyze(args) -> int:
 
     print(f"cycle: {c}")
     print("successors along the orientation:")
-    for w in c.sequence():
-        side, idx = w
-        name = f"{'x' if side == SIDE_X else 'y'}{idx}"
-        print(f"  {name}: x+ = x{maps.x_plus[w]}  x- = x{maps.x_minus[w]}  "
+    for w in c.sequence():  # w is (side, index), the side "X" or "Y"
+        print(f"  {w[0].lower()}{w[1]}: x+ = x{maps.x_plus[w]}  x- = x{maps.x_minus[w]}  "
               f"y+ = y{maps.y_plus[w]}  y- = y{maps.y_minus[w]}")
     for root, fan in fans:
         print(f"fan from x{root}: size {fan.size}, "
               f"{fan.vertex_count} vertices")
         for p in fan.paths:
-            print("  path: " + " ".join(
-                f"{'x' if s == SIDE_X else 'y'}{i}" for s, i in p))
+            print("  path: " + " ".join(f"{s.lower()}{i}" for s, i in p))
     if args.pair:
         crossed = ",".join(f"x{w}" for w in rep.crossed_at) or "none"
         print(f"crossings of (x{u}, x{v}): {rep.count} (at {crossed})")
@@ -400,8 +396,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         if word == "-h" or word[2:] and "--help".startswith(word):
             _help(node, path)
         if word not in node[2]:
-            _fail(path, f"expected a {node[0]} ({', '.join(node[2])}), "
-                        f"got {word!r}")
+            _fail(path, "expected a %s (%s), got %r", node[0],
+                  ", ".join(node[2]), word)
         got[node[0]] = word
         node, path = node[2][word], path + " " + word
     kinds = {"-h": "switch", "--help": "switch"}
@@ -414,18 +410,18 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         hits = [name] if name in kinds else [
             k for k in kinds if k.startswith(name)]
         if len(hits) != 1:
-            _fail(path, f"unrecognized or ambiguous argument {word!r}")
+            _fail(path, "unrecognized or ambiguous argument %r", word)
         name, kind = hits[0], kinds[hits[0]]
         if kind == "switch":
             if eq:
-                _fail(path, f"argument {name}: takes no value")
+                _fail(path, "argument %s: takes no value", name)
             if name in ("-h", "--help"):
                 _help(node, path)
             text = True
         elif not eq:
             text = next(words, "--")  # none left reads as the next flag
             if text[:2] == "--":
-                _fail(path, f"argument {name}: expected a value")
+                _fail(path, "argument %s: expected a value", name)
         try:
             if kind == "int" and is_number(text.removeprefix("-")):
                 text = int(text)  # past int()'s digit limit: a ValueError
@@ -433,35 +429,34 @@ def _parse(argv: list[str]) -> SimpleNamespace:
                     text not in kind.split("|"):
                 raise ValueError
         except ValueError:
-            _fail(path, f"argument {name}: invalid "
-                        f"{'integer' if kind == 'int' else 'choice'} {text!r}")
+            _fail(path, "argument %s: invalid %s %r", name,
+                  "integer" if kind == "int" else "choice", text)
         got[name[2:].replace("-", "_")] = text
     missing = ["--" + k.replace("_", "-") for k, v in got.items() if v is ...]
     if missing:
-        _fail(path, "missing " + ", ".join(missing))
+        _fail(path, "missing %s", ", ".join(missing))
     return SimpleNamespace(func=globals()[node[0]], **got)
 
 
-def _fail(path: str, message: str):
-    """A usage line and the error on stderr; exit 2."""
-    print(f"usage: {path} [-h] ...", f"{path}: error: {message}", sep="\n",
-          file=sys.stderr)
+def _fail(path: str, message: str, *args):
+    """A usage line and the error, ``message % args``, on stderr; exit 2."""
+    print(f"usage: {path} [-h] ...", f"{path}: error: {message % args}",
+          sep="\n", file=sys.stderr)
     raise SystemExit(2)
 
 
 def _help(node: tuple, path: str):
     """Each command of a group with its help, or each flag of a command
     with its kind, its default and its help, in columns; exit 0."""
+    print(f"usage: {path} [-h] ...\n\n{node[1]}\n")
     if type(node[2]) is dict:
-        rows = [(name, sub[1]) for name, sub in node[2].items()]
-    else:
-        rows = [("flag", "kind", "default", "help")] + [
-            (name, kind, "required" if default is ... else str(default), text)
-            for name, kind, default, text in node[2]]
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    print(f"usage: {path} [-h] ...", "", node[1], "", *(
-        "  " + "  ".join(map(str.ljust, row, widths)).rstrip()
-        for row in rows), sep="\n")
+        for name, sub in node[2].items():
+            print("  %-10s%s" % (name, sub[1]))
+    else:  # each column two wider than its widest entry
+        for name, kind, default, text in node[2]:
+            print(("  %-20s%-25s%-14s%s" % (
+                name, kind, "required" if default is ... else default,
+                text)).rstrip())
     raise SystemExit(0)
 
 
