@@ -12,7 +12,7 @@ Exit codes are part of the contract for scripting:
 * 2: usage or format errors, and files that cannot be read or written;
 * 3: an internal error (any other exception), reported on one line.
 
-The command line is read against one table, ``_TREE``, without argparse.
+The command line is read against one table, ``_TREE``, by ``_parse``.
 Each command imports the modules it runs when it runs, so a call loads only
 its own part of the package.
 """
