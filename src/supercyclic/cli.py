@@ -224,8 +224,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_gen(args) -> int:
     from .formats import serialize
-    from .generators import (_condition_classes, complete_bipartite,
-                             construct_g3, enumerate_bigraphs, random_bigraph)
+    from .generators import (complete_bipartite, construct_g3,
+                             enumerate_bigraphs, random_bigraph)
     if args.generator == "g3":
         sizes = _parse_index_list(args.n, "--n")
         if len(sizes) != 3:
@@ -240,14 +240,14 @@ def _cmd_gen(args) -> int:
         graphs = (random_bigraph(args.nx, args.ny, args.min_x_degree,
                                  args.seed + i)
                   for i in range(args.count))
-    else:  # enum; cond1 decides the condition at each node of its walk
+    else:  # enum; the walk decides the X-degree floor and cond1 at each node
         if args.min_y_degree < 0:
             raise InputError(
                 f"--min-y-degree must be >= 0, got {args.min_y_degree}")
-        walk = _condition_classes if args.filter else enumerate_bigraphs
-        graphs = (g for g in walk(args.nx, args.ny_max, args.min_x_degree)
-                  if g.min_x_degree >= args.min_x_degree
-                  and (not g.y_count or g.min_y_degree >= args.min_y_degree))
+        graphs = (g for g in enumerate_bigraphs(
+                      args.nx, args.ny_max, args.min_x_degree,
+                      bool(args.filter))
+                  if not g.y_count or g.min_y_degree >= args.min_y_degree)
     first = True
     for g in graphs:
         if not first:
@@ -422,15 +422,12 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             text = next(words, "--")  # none left reads as the next flag
             if text[:2] == "--":
                 _fail(path, "argument %s: expected a value", name)
-        try:
-            if kind == "int" and is_number(text.removeprefix("-")):
-                text = int(text)  # past int()'s digit limit: a ValueError
-            elif kind == "int" or kind not in ("text", "switch") and \
-                    text not in kind.split("|"):
-                raise ValueError
-        except ValueError:
-            _fail(path, "argument %s: invalid %s %r", name,
-                  "integer" if kind == "int" else "choice", text)
+        if kind == "int":
+            if not is_number(text.removeprefix("-")):
+                _fail(path, "argument %s: invalid integer %r", name, text)
+            text = int(text)
+        elif kind not in ("text", "switch") and text not in kind.split("|"):
+            _fail(path, "argument %s: invalid choice %r", name, text)
         got[name[2:].replace("-", "_")] = text
     missing = ["--" + k.replace("_", "-") for k, v in got.items() if v is ...]
     if missing:

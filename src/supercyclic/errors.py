@@ -1,10 +1,17 @@
 """Exception types shared across the package, and the one digit rule."""
 
+import sys
+
 
 def is_number(text: str) -> bool:
-    """ASCII decimal digits, nothing else: ``int`` alone would also take a
-    sign, underscores, surrounding spaces and the digits of other scripts."""
-    return text.isascii() and text.isdigit()
+    """ASCII decimal digits, nothing else, and no more than ``int`` reads
+    from text: ``int`` alone would take a sign, underscores, spaces and the
+    digits of other scripts, and raise past its digit limit."""
+    # the limit is never below 640 (sys.int_info.str_digits_check_threshold)
+    # and Python before 3.10.7 has none: getattr's int() reads as 0, no limit
+    return text.isascii() and text.isdigit() and (
+        len(text) <= 640
+        or not 0 < getattr(sys, "get_int_max_str_digits", int)() < len(text))
 
 
 class SupercyclicError(Exception):

@@ -9,9 +9,9 @@ Record grammar (one graph per record, records separated by blank lines):
     s V1 V2 ...              one hyperedge per line (possibly empty after s)
 
 The parser is strict: numbers that fail :func:`errors.is_number` (ASCII
-decimal digits only), out-of-range indices, duplicate ``e`` lines,
-wrong token counts, an ``s``-line count that disagrees with NE, and unknown
-tags are all rejected with :class:`FormatError`.  Serialization is
+digits, no more than ``int`` reads), out-of-range indices, duplicate ``e``
+lines, wrong token counts, an ``s``-line count that disagrees with NE, and
+unknown tags are all rejected with :class:`FormatError`.  Serialization is
 canonical (sorted edges), so parse/serialize round-trips are bit-exact on
 canonical text and ``parse(serialize(g)) == g`` always.
 """
@@ -98,8 +98,8 @@ def _parse_record(lines: list[str]) -> Graph:
     if len(head) != 4:
         raise FormatError(f"p line needs 4 tokens, got {body[0]!r}")
     kind = head[1]
-    if not is_number(head[2] + head[3]):
-        raise FormatError(f"non-integer sizes in {body[0]!r}")
+    if not all(map(is_number, head[2:])):
+        raise FormatError(f"non-integer or over-long sizes in {body[0]!r}")
     a, b = int(head[2]), int(head[3])
     if kind == "bigraph":
         return _parse_bigraph_body(a, b, body[1:])
@@ -115,8 +115,8 @@ def _parse_bigraph_body(nx: int, ny: int, lines: list[str]) -> Bigraph:
         toks = ln.split()
         if toks[0] != "e" or len(toks) != 3:
             raise FormatError(f"expected 'e I J', got {ln!r}")
-        if not is_number(toks[1] + toks[2]):  # one check a line
-            raise FormatError(f"non-integer edge in {ln!r}")
+        if not (is_number(toks[1]) and is_number(toks[2])):
+            raise FormatError(f"non-integer or over-long edge in {ln!r}")
         x, y = int(toks[1]), int(toks[2])
         if not 1 <= x <= nx or not 1 <= y <= ny:
             raise FormatError(f"edge ({x}, {y}) out of range for ({nx}, {ny})")
@@ -136,8 +136,8 @@ def _parse_hypergraph_body(nv: int, ne: int, lines: list[str]) -> Hypergraph:
         toks = ln.split()
         if toks[0] != "s":
             raise FormatError(f"expected 's V1 V2 ...', got {ln!r}")
-        if len(toks) > 1 and not is_number("".join(toks[1:])):
-            raise FormatError(f"non-integer vertex in {ln!r}")
+        if not all(map(is_number, toks[1:])):
+            raise FormatError(f"non-integer or over-long vertex in {ln!r}")
         vs = [int(t) for t in toks[1:]]
         if len(set(vs)) != len(vs):
             raise FormatError(f"repeated vertex within one edge: {ln!r}")

@@ -44,34 +44,35 @@ x with at most one neighbor in H_T, which has at least the three vertices
 of T, so x is isolated or hangs on a cut vertex, H_T is not 2-connected,
 and the neighborhood condition fails too.  Since slack never grows, every
 ancestor of a node whose fields are all non-negative is walked, so the cut
-walk emits exactly the nodes of the full walk at which every field is
+walk reaches exactly the nodes of the full walk at which every field is
 still non-negative, in the same order.
 
 One walk, ``_walk``, serves every caller.  At each canonical node it calls
 a visitor with the node's columns, its ``x_adj`` (the parent's with one bit
 set per X-vertex of the new column), its slack pack and the state the
 visitor returned at the parent; the visitor returns the node's state and
-what the walk yields there.  ``enumerate_bigraphs`` is the visitor that
-builds each graph; the campaigns in ``verifier`` evaluate each node without
-building it unless a search needs it.  Two lemmas make that cheap.
+what the walk yields there.  ``enumerate_bigraphs``'s visitor builds each
+graph that passes the node test; the campaigns in ``verifier`` evaluate
+each node without building it unless a search needs it.  Two lemmas make
+that cheap.
 
-The condition, read from the pack (``_passes_condition``).  At a node with
-|Y| = m, a field of threshold t holds ``guard + ny_max - t - (m - count)``:
-each of the m columns so far either serves it, and is counted, or took one
-off.  So the field less guard, less ``ny_max - m``, is count - t.  Every
-field of a walked node holds at least guard, as the walk cuts on each, so
-subtracting ``ny_max - m < guard`` from every size and triple-degree field
-at once borrows from no neighbour, and it clears a field's guard bit
-exactly when its count falls short: |N^(A)| < |A|, or x has fewer than two
-neighbours in N^(T).  That one subtraction and one mask, with one more
-test, decide the whole condition.  Lemma: a triple T passes it iff
+The node test, read from the pack (``_passes``).  At a node with |Y| = m, a
+field of threshold t holds ``guard + ny_max - t - (m - count)``: each of
+the m columns so far either serves it, and is counted, or took one off.  So
+the field less guard, less ``ny_max - m``, is count - t.  Every field of a
+walked node holds at least guard, as the walk cuts on each, so subtracting
+``ny_max - m < guard`` from every field at once borrows from no neighbour,
+and it clears a field's guard bit exactly when its count falls short: an x
+of degree below d, |N^(A)| < |A|, or x has fewer than two neighbours in
+N^(T).  That one subtraction and one mask decide the degree floor, and with
+one more test the whole condition.  Lemma: a triple T passes it iff
 |N^(T)| >= 3, each pair of T shares a y, and each x of T has at least two
 neighbours in N^(T).  Proof: with p, q, r the common neighbours of the
 pairs x1x2, x2x3, x1x3, T passes iff p, q, r are non-empty, each union of
 two has at least two ys and p | q | r has at least three (``condition``
 docstring); N^(T) is p | q | r, and the neighbours of x1 in it are p | r,
-of x2 p | q, of x3 q | r.  When |X| >= 3 every pair of X lies in a
-triple, so the triples all pass iff every pair of X shares a y and every
+of x2 p | q, of x3 q | r.  When |X| >= 3 every pair of X lies in a triple,
+so the triples all pass iff every pair of X shares a y and every
 triple-degree field meets 2.  When |X| < 3 the condition is vacuous: there
 are no condition fields, and no pair is tested.
 
@@ -151,39 +152,24 @@ def complete_bipartite(nx: int, ny: int) -> Bigraph:
 def enumerate_bigraphs(nx: int, ny_max: int, min_x_degree: int = 0,
                        condition: bool = False) -> Iterator[Bigraph]:
     """All bigraphs with |X| = nx and |Y| <= ny_max, one per isomorphism
-    class (isomorphism respects the bipartition and may permute both sides).
+    class (isomorphism respects the bipartition and may permute both sides),
+    whose ``min_x_degree`` reaches the given one (an empty X has 0) and,
+    with ``condition``, that pass the neighborhood condition.
 
     Deterministic order: depth-first by appending Y-columns in nondecreasing
-    bitmask order, emitting a graph at every canonical node, smallest |Y|
-    first along each branch.  With ``min_x_degree`` d > 0 the walk cuts
-    every node where some x has degree plus columns left below d; with
-    ``condition`` it also cuts every node below which every class fails the
-    neighborhood condition (module docstring).  It skips only such classes,
-    the graphs it emits keep the full stream's order, and callers still
-    filter them as they need.
+    bitmask order, one graph per canonical node, smallest |Y| first along
+    each branch.  The walk cuts every node below which no class
+    meets the floor or the condition, and decides each node it walks by one
+    test on its slack pack (module docstring), so it emits exactly the
+    classes of the full stream that meet them, in the same order.
     """
     _check_sizes(nx, ny_max, min_x_degree)
     tree = _tree(nx, ny_max, min_x_degree, condition)
-    if tree is not None:
-        yield from _walk(tree, _graph_at)
-
-
-def _graph_at(cols: tuple[int, ...], x_adj: tuple[int, ...], slack: int,
-              state: None) -> tuple[None, Bigraph]:
-    return None, _graph(cols, x_adj)
-
-
-def _condition_classes(nx: int, ny_max: int,
-                       min_x_degree: int = 0) -> Iterator[Bigraph]:
-    """The classes of ``enumerate_bigraphs(nx, ny_max, min_x_degree, True)``
-    that pass the neighborhood condition, each decided at its node."""
-    _check_sizes(nx, ny_max, min_x_degree)
-    tree = _tree(nx, ny_max, min_x_degree, True)
-    if tree is None:
+    if tree is None or nx == 0 < min_x_degree:
         return
 
     def visit(cols, x_adj, slack, state):
-        if _passes_condition(tree, len(cols), x_adj, slack):
+        if _passes(tree, len(cols), x_adj, slack):
             return None, _graph(cols, x_adj)
         return None, None
 
@@ -192,32 +178,31 @@ def _condition_classes(nx: int, ny_max: int,
 
 class _Tree:
     """The tables of one walk: the canonicity pack's guard and per-column
-    steps, the slack pack's guard, root and per-column spends, per depth m
-    and column c what c adds to ``x_adj`` as y_{m+1}, and for the condition
-    one unit in each condition field and the pairs of X that it tests."""
+    steps, the slack pack's guard, root, per-column spends and one unit in
+    each of its fields, per depth m and column c what c adds to ``x_adj``
+    as y_{m+1}, and the pairs of X that the node test checks."""
 
     __slots__ = ("nx", "ny_max", "guard", "steps", "slack_guard", "root",
-                 "spends", "bits", "conditions", "pairs")
+                 "spends", "ones", "bits", "pairs")
 
     def __init__(self, nx: int, ny_max: int,
-                 fields: list[tuple[int, set[int], bool]]) -> None:
+                 fields: list[tuple[int, set[int]]], condition: bool) -> None:
         self.nx, self.ny_max = nx, ny_max
         self.guard, self.steps = _canonicity_steps(nx, ny_max)
         # each field: digit + 1 bits, guard bit on top (module docstring)
         width = ny_max.bit_length() + 1
         units = [1 << width * i for i in range(len(fields))]
-        self.slack_guard = sum(units) << width - 1
+        self.ones = sum(units)
+        self.slack_guard = self.ones << width - 1
         self.root = self.slack_guard + sum(
             (ny_max - threshold) * unit
-            for (threshold, _, _), unit in zip(fields, units))
-        self.spends = [-sum(unit for (_, serves, _), unit in zip(fields, units)
+            for (threshold, _), unit in zip(fields, units))
+        self.spends = [-sum(unit for (_, serves), unit in zip(fields, units)
                             if c not in serves) for c in range(1 << nx)]
         self.bits = [[tuple((c << 1 >> x & 1) << m + 1 for x in range(nx + 1))
                       for c in range(1 << nx)] for m in range(ny_max)]
-        self.conditions = sum(unit for (_, _, condition), unit
-                              in zip(fields, units) if condition)
         self.pairs = (tuple(combinations(range(1, nx + 1), 2))
-                      if self.conditions else ())
+                      if condition and nx >= 3 else ())
 
 
 class _Subtree(tuple):
@@ -234,9 +219,9 @@ def _tree(nx: int, ny_max: int, min_x_degree: int = 0,
     with it the whole tree, before any table is built.  Cached, so that a
     worker builds them once for all its shards."""
     fields = _slack_fields(nx, min_x_degree, condition)
-    if any(threshold > ny_max for threshold, _, _ in fields):
+    if any(threshold > ny_max for threshold, _ in fields):
         return None
-    return _Tree(nx, ny_max, fields)
+    return _Tree(nx, ny_max, fields, condition)
 
 
 def _walk(tree: _Tree,
@@ -278,14 +263,12 @@ def _walk(tree: _Tree,
     return walk(*node)
 
 
-def _passes_condition(tree: _Tree, m: int, x_adj: tuple[int, ...],
-                      slack: int) -> bool:
-    """The neighborhood condition at a node with |Y| = m of a walk with
-    ``condition``: every condition field of the slack pack meets its
-    threshold, and every pair of X shares a y (module docstring)."""
-    conditions = tree.conditions
-    guard = conditions << tree.ny_max.bit_length()
-    if slack - conditions * (tree.ny_max - m) & guard != guard:
+def _passes(tree: _Tree, m: int, x_adj: tuple[int, ...], slack: int) -> bool:
+    """The node test at a node with |Y| = m: every field of the slack pack
+    meets its threshold, and with ``condition`` and |X| >= 3 every pair of
+    X shares a y (module docstring)."""
+    guard = tree.slack_guard
+    if slack - tree.ones * (tree.ny_max - m) & guard != guard:
         return False
     for i, j in tree.pairs:
         if not x_adj[i] & x_adj[j]:
@@ -378,22 +361,20 @@ def _canonicity_steps(nx: int, ny_max: int) -> tuple[int, list[int]]:
 
 
 def _slack_fields(nx: int, min_x_degree: int, condition: bool
-                  ) -> list[tuple[int, set[int], bool]]:
-    """The threshold of each slack field, the columns that serve it, and
-    whether it is a condition field: a size or a triple-degree field."""
+                  ) -> list[tuple[int, set[int]]]:
+    """The threshold of each slack field and the columns that serve it."""
     cols = range(1 << nx)
     bits = [1 << x for x in range(nx)]
     fields = []
     if min_x_degree > 0:
-        fields += [(min_x_degree, {c for c in cols if c & x}, False)
-                   for x in bits]
+        fields += [(min_x_degree, {c for c in cols if c & x}) for x in bits]
     if condition:
         for size in range(3, nx + 1):
             for a in map(sum, combinations(bits, size)):
                 pairs = {c for c in cols if (c & a).bit_count() >= 2}
-                fields.append((size, pairs, True))
+                fields.append((size, pairs))
                 if size == 3:
-                    fields += [(2, {c for c in pairs if c & x}, True)
+                    fields += [(2, {c for c in pairs if c & x})
                                for x in bits if a & x]
     return fields
 

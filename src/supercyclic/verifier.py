@@ -27,8 +27,8 @@ from .condition import (_first_failure, _retally, _thresholds,
                         check_condition, min_deficiency)
 from .cycles import BaseCycle, find_based_cycle, is_k_cyclic, is_super_cyclic
 from .errors import InputError, SupercyclicError
-from .generators import (_Subtree, _Tree, _graph, _passes_condition, _tree,
-                         _walk, expected_class_count, random_bigraph)
+from .generators import (_Subtree, _Tree, _graph, _passes, _tree, _walk,
+                         expected_class_count, random_bigraph)
 from .reports import machine_lines
 from .verifier_checkpoint import (CheckpointConfig, CheckpointState,
                                   load_checkpoint, save_checkpoint)
@@ -218,15 +218,15 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     ``results(skip, jobs)`` gives the stream, one (checked, violation) per
     position; it walks its first ``skip`` positions without evaluating
     them and reads them as unchecked.  ``length`` is what the stream stands
-    for: the Burnside count of the classes of an enumerated stream, or the
-    trials of a random hunt.  An
+    for, and the report gives it as examined: the Burnside count of the
+    classes of an enumerated stream, or the trials of a random hunt.  An
     uncut stream must yield exactly that many.  A ``cut`` stream, the
     condition-cut walk of every enumerated campaign, yields at most that
-    many, and the report gives ``length`` as examined.  Any other count is
-    a fault of the walk and raises RuntimeError, which the CLI reports as
-    an internal error.  The checkpoints and progress lines of a cut stream
-    count its positions, and ``;stream=condition`` ends its checkpoint key,
-    so that no checkpoint of another stream resumes it.
+    many.  Any other count is a fault of the walk and raises RuntimeError,
+    which the CLI reports as an internal error.  The checkpoints and
+    progress lines of a cut stream count its positions, and
+    ``;stream=condition`` ends its checkpoint key, so that no checkpoint of
+    another stream resumes it.
 
     A checkpoint is written once before the first item, so that a path that
     cannot be written fails the campaign before any work is done.  A
@@ -249,7 +249,7 @@ def _drive(campaign: str, parameters: tuple[tuple[str, str], ...],
     def assemble() -> VerificationReport:
         return VerificationReport(
             campaign=campaign, parameters=tuple(parameters),
-            graphs_examined=length if cut else examined,
+            graphs_examined=length,
             graphs_checked=checked, violations=tuple(violations),
             deterministic=True, elapsed_seconds=time.perf_counter() - start)
 
@@ -450,7 +450,7 @@ def _condition_visitor(verdict: Callable[[Bigraph], tuple[bool,
                 return certified, _UNCHECKED
         if certified:
             return True, _CHECKED
-        if not _passes_condition(tree, m, x_adj, slack):
+        if not _passes(tree, m, x_adj, slack):
             return False, _UNCHECKED
         result = verdict(_graph(cols, x_adj))
         return result[1] is None, result

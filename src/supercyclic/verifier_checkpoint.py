@@ -96,7 +96,7 @@ def load_checkpoint(path: str | os.PathLike, campaign: str,
         value = text(name)
         if not is_number(value):
             raise InputError(f"checkpoint {path}: {name}={value!r} is not "
-                             f"a nonnegative integer")
+                             f"a nonnegative integer, or is over-long")
         return int(value)
 
     complete = text("complete")

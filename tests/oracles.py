@@ -2,7 +2,8 @@
 
 Everything here is written with explicit loops over flattened adjacency or
 raw combinatorics, deliberately avoiding the bitmask machinery and search
-strategies of the library under test.
+strategies of the library under test.  ``cut_stream`` alone reads the
+library's walk: it is the stream the referees check, not one of them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from supercyclic import (Bigraph, Hypergraph, Violation, check_condition,
                          degree_hypothesis, is_k_cyclic, is_super_cyclic,
                          min_deficiency)
 from supercyclic.formats import serialize_bigraph
+from supercyclic.generators import _graph, _tree, _walk
 from supercyclic.verifier import _hunt_verdict
 
 
@@ -400,6 +402,21 @@ def burnside_class_count(nx: int, k: int) -> int:
                 prod *= fixed_cols[ln]
             total += prod
     return total // (factorial(nx) * factorial(k))
+
+
+# -- the cut stream -----------------------------------------------------------
+
+def cut_stream(nx: int, ny_max: int, min_x_degree: int = 0,
+               condition: bool = False) -> list[Bigraph]:
+    """Every node the slack cuts of ``generators._tree(nx, ny_max,
+    min_x_degree, condition)`` leave to the walk, as a graph, in its order:
+    the classes ``enumerate_bigraphs`` and the campaigns' visitors decide
+    with the node test."""
+    tree = _tree(nx, ny_max, min_x_degree, condition)
+    if tree is None:
+        return []
+    return list(_walk(tree, lambda cols, x_adj, slack, state:
+                      (None, _graph(cols, x_adj))))
 
 
 # -- the campaigns' per-graph referees ---------------------------------------

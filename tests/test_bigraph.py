@@ -226,7 +226,7 @@ def _hall(a, b, c):
     """Hall's rule for the triple with Y-neighborhoods a, b, c, as the
     condition's pack decides it: the three pairwise intersections are
     non-empty and each union of two has at least two ys.  The walk's
-    ``generators._passes_condition`` decides it in another form, refereed
+    ``generators._passes`` decides it in another form, refereed
     against this one below."""
     p, q, r = a & b, b & c, a & c
     return bool(p and q and r) and min((p | q).bit_count(),

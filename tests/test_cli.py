@@ -156,6 +156,36 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv):
     assert (exc.value.code, out) == (2, "") and "invalid integer" in err
 
 
+LONG = "1" * 5000  # more digits than int() converts from text
+
+
+@pytest.mark.parametrize("argv, stdin, checkpoint", [
+    (["cycle", "--base", f"1,2,{LONG}"], serialize(K33), None),
+    (["analyze", "--cycle", f"1,1,{LONG},2"], serialize(K33), None),
+    (["analyze", "--cycle", "1,1,2,2", "--pair", f"1,{LONG}"],
+     serialize(K33), None),
+    (["gen", "g3", "--n", f"{LONG},1,1", "--delta", "3"], "", None),
+    (["check"], f"p bigraph {LONG} 2\n", None),
+    (["check"], f"p bigraph 2 2\ne 1 {LONG}\n", None),
+    (["check", "--as-hypergraph"], f"p hgraph 3 1\ns 1 {LONG}\n", None),
+    (["verify", "kcyclic", "--nx", "3", "--ny-max", "3", "--k", "3",
+      "--checkpoint", "long.ckpt"], "",
+     "checkpoint=1\ncampaign=verify-k-cyclic\n"
+     f"key=nx=3;ny_max=3;k=3;stream=condition\nexamined={LONG}\n"
+     "checked=0\ncomplete=0\nviolations=0\n"),
+], ids=["cycle-base", "analyze-cycle", "analyze-pair", "g3-n", "p-line",
+        "e-line", "s-line", "checkpoint-examined"])
+def test_over_long_numbers_exit_2_everywhere(monkeypatch, capsys, tmp_path,
+                                             argv, stdin, checkpoint):
+    # is_number refuses what int() would raise on, so no reader exits 3
+    if checkpoint is not None:
+        (tmp_path / "long.ckpt").write_text(checkpoint)
+        monkeypatch.setenv("SUPERCYCLIC_CHECKPOINT_DIR", str(tmp_path))
+    code, out, err = run(monkeypatch, capsys, argv, stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "internal error" not in err
+
+
 def test_minus_signs_and_spaced_lists_read_as_before(monkeypatch, capsys):
     # one leading '-' reaches the library, which takes any seed
     code, out, _ = run(monkeypatch, capsys,
@@ -419,6 +449,39 @@ def test_gen_enum_min_x_degree_output_frozen(monkeypatch, capsys, nx,
         assert sha256(out.encode()).hexdigest()[:16] == digest
         assert list(iter_records(out)) == [g for g in full
                                            if g.min_x_degree >= d]
+
+
+@pytest.mark.parametrize("nx, digests", [
+    (0, ["9f71cfabf958f2c8", "c553fd0e35abf2c0", "5d3bd4f1a64312f9",
+         "377e267e33cebadf", "3d1bfb3bcf541f95"]),
+    (1, ["6093d6f3e6156468", "517f2170c4b48d0d", "d447201c92584a0a",
+         "08b80c33b68c833f", "5dffff4da8c4aa1d"]),
+    (2, ["c9de14d50df545cd", "4f14210e16b762c1", "936c24bb2cabaf66",
+         "429cb9526098db85", "d762527188c25579"]),
+    (3, ["6431fc3a47c37416", "26ed84d098cd243b", "160fbc6eb0491599",
+         "50c37abc34628f3f", "60eaa336471430b5"]),
+    (4, ["6c50044e5b4d788f", "8227f5b41c099e3f", "38402cf64008c68d",
+         "2a8691037a2576c5", "90e03f11bcca1fca"]),
+])
+def test_gen_enum_output_frozen_at_every_edge(monkeypatch, capsys, nx,
+                                              digests):
+    # one digest per ny_max over every floor D = 0 .. ny_max + 1, with and
+    # without cond1, and --min-y-degree 0 and 2; an empty X meets no floor
+    # D > 0, so those calls print nothing
+    for ny_max, digest in enumerate(digests):
+        h = sha256()
+        for d in range(ny_max + 2):
+            for flags in ([], ["--filter", "cond1"]):
+                for y in ("0", "2"):
+                    code, out, _ = run(monkeypatch, capsys, [
+                        "gen", "enum", "--nx", str(nx),
+                        "--ny-max", str(ny_max), "--min-x-degree", str(d),
+                        "--min-y-degree", y, *flags])
+                    assert code == 0
+                    if nx == 0 < d:
+                        assert out == ""
+                    h.update(out.encode() + b"\0")
+        assert h.hexdigest()[:16] == digest, ny_max
 
 
 def test_gen_random_deterministic(monkeypatch, capsys):

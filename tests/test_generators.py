@@ -30,6 +30,7 @@ from oracles import (
     canonicity_steps_bytewise,
     condition_bruteforce,
     condition_slacks,
+    cut_stream,
     orbit_canonical,
     orbit_representatives,
     orderly_columns,
@@ -132,7 +133,7 @@ def test_degree_cut_stream_is_the_full_stream_filtered(nx, top):
             want = [cols for cols in full if all(
                 sum(c >> x & 1 for c in cols) + ny_max - len(cols) >= d
                 for x in range(nx))]
-            got = [_columns(g) for g in enumerate_bigraphs(nx, ny_max, d)]
+            got = [_columns(g) for g in cut_stream(nx, ny_max, d)]
             assert got == want, (ny_max, d)
 
 
@@ -149,8 +150,7 @@ def test_condition_cut_stream_is_the_full_stream_filtered(nx, top):
                 for g in full]
         dropped.update(g for g, kept in zip(full, keep) if not kept)
         want = [_columns(g) for g, kept in zip(full, keep) if kept]
-        got = [_columns(g)
-               for g in enumerate_bigraphs(nx, ny_max, condition=True)]
+        got = [_columns(g) for g in cut_stream(nx, ny_max, condition=True)]
         assert got == want, ny_max
     if nx < 6:
         assert not any(map(condition_bruteforce, dropped))
@@ -172,8 +172,25 @@ def test_condition_cut_with_a_degree_cut_keeps_both_fields(nx=4, ny_max=5):
                                                         _columns(g)))
                 and min(m.bit_count() for m in g.x_adj[1:]) + ny_max
                 - g.y_count >= d]
-        got = [_columns(g) for g in enumerate_bigraphs(nx, ny_max, d, True)]
+        got = [_columns(g) for g in cut_stream(nx, ny_max, d, True)]
         assert got == want, d
+
+
+@pytest.mark.parametrize("nx, top", [(0, 5), (1, 5), (2, 5), (3, 5),
+                                     (4, 5), (5, 4), (6, 3)])
+def test_enumeration_emits_exactly_the_classes_that_meet_its_tests(nx, top):
+    # the walk decides the floor and the condition at each node, so no
+    # caller filters again; an empty X has min_x_degree 0, below any floor
+    for ny_max in range(top + 1):
+        full = list(enumerate_bigraphs(nx, ny_max))
+        passed = [check_condition(g).passed for g in full]
+        for d in range(ny_max + 2):
+            for condition in (False, True):
+                want = [_columns(g) for g, ok in zip(full, passed)
+                        if g.min_x_degree >= d and (ok or not condition)]
+                got = [_columns(g) for g in
+                       enumerate_bigraphs(nx, ny_max, d, condition)]
+                assert got == want, (ny_max, d, condition)
 
 
 def test_degree_cut_returns_before_building_the_table(monkeypatch):
@@ -237,9 +254,9 @@ def test_enumeration_caps_and_validation():
     with pytest.raises(InputError):
         list(enumerate_bigraphs(-1, 2))
     # a negative degree floor is refused, not read as no floor
-    for walk in (enumerate_bigraphs, generators._condition_classes):
+    for condition in (False, True):
         with pytest.raises(InputError, match="min_x_degree"):
-            list(walk(3, 2, -1))
+            list(enumerate_bigraphs(3, 2, -1, condition))
 
 
 def test_random_bigraph_deterministic():

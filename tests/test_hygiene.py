@@ -54,6 +54,17 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
+def test_cli_imports_no_private_name_of_the_package():
+    # the command line runs on the library's public API
+    path = ROOT / "src" / "supercyclic" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = [(node.lineno, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.split(".")[0] == "supercyclic")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_cli_import_skips_heavy_modules():
     # every CLI call would pay their import; dataclasses also pulls in
     # inspect, ast, dis and tokenize
@@ -109,6 +120,11 @@ K33 = "p bigraph 3 3\n" + "".join(f"e {x} {y}\n" for x in (1, 2, 3)
      {"generators", "formats"},
      {"condition", "cycles", "classify", "verifier", "structure",
       "verifier_checkpoint", "reports"}),
+    # the walk decides cond1 on its slack pack, without ``condition``
+    (["gen", "enum", "--nx", "4", "--ny-max", "4", "--filter", "cond1"], "",
+     0, {"generators", "formats"},
+     {"condition", "cycles", "classify", "verifier", "structure",
+      "verifier_checkpoint", "reports"}),
     # exit 1: K(3, 3) is super-cyclic, so not critical
     (["classify"], K33, 1, {"classify", "formats"},
      {"verifier", "generators", "structure", "verifier_checkpoint"}),
@@ -124,7 +140,7 @@ K33 = "p bigraph 3 3\n" + "".join(f"e {x} {y}\n" for x in (1, 2, 3)
     (["hunt", "--nx", "4", "--ny-max", "4", "--random", "--seed", "1",
       "--trials", "5"], "", 0, {"verifier", "generators"},
      {"classify", "structure", "formats"}),
-], ids=["gen", "classify", "check", "cycle", "hunt"])
+], ids=["gen", "gen-enum", "classify", "check", "cycle", "hunt"])
 def test_each_command_loads_only_its_modules(argv, stdin, status, runs,
                                             skips):
     loaded = _loaded_after("import supercyclic.cli; "

@@ -33,7 +33,7 @@ from supercyclic.verifier_checkpoint import (CheckpointState, load_checkpoint,
                                              save_checkpoint)
 
 import oracles
-from oracles import (burnside_class_count, condition_bruteforce,
+from oracles import (burnside_class_count, condition_bruteforce, cut_stream,
                      eval_degree, eval_hunt_graph, eval_k_cyclic)
 from strategies import bigraphs
 
@@ -144,7 +144,7 @@ def _visited(spec, make_visitor):
 
 def _refereed(spec, evaluate):
     """The same, from a per-graph referee on each graph of the same walk."""
-    return [evaluate(g) for g in enumerate_bigraphs(*spec)]
+    return [evaluate(g) for g in cut_stream(*spec)]
 
 
 @pytest.mark.parametrize("nx, ny_max", [(nx, ny_max) for nx in range(6)
@@ -291,7 +291,7 @@ def test_checkpoint_resume_partial(tmp_path):
     path = tmp_path / "partial.ckpt"
     key = "nx=3;ny_max=4;k=3;stream=condition"
     # fabricate the state a run would have after 30 graphs of the cut stream
-    stream = list(enumerate_bigraphs(3, 4, condition=True))
+    stream = cut_stream(3, 4, condition=True)
     prefix_checked = sum(check_condition(g, "kim").passed
                          for g in stream[:30])
     save_checkpoint(str(path), CheckpointState(
@@ -384,8 +384,7 @@ def test_complete_cut_checkpoint_reports_every_class(monkeypatch, tmp_path):
     state = load_checkpoint(cfg.path, "verify-degree-theorem",
                             "nx=4;ny_max=7;stream=condition")
     assert state.complete
-    assert state.examined == len(list(enumerate_bigraphs(4, 7, 4, True))) \
-        == 2139
+    assert state.examined == len(cut_stream(4, 7, 4, True)) == 2139
 
     def no_evaluation(*args):
         raise AssertionError("a complete checkpoint evaluated a class")
