@@ -35,14 +35,16 @@ Y-vertices with two neighbors in A: it folds A's X-neighborhoods into the
 masks of the Y-vertices seen once and twice.  Criticality, the hunt's
 repairs and the condition's pack call it, the pack over a Y-column's
 X-vertices on per-x field masks.  The based-cycle DFS folds inline,
-together with its degree prune.
+together with its degree prune.  Beside it, ``_condition_fields`` is the
+one table of the condition's fields, for its levels and the walk's pack.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .bitset import MAX_SIDE, full_mask, indices_of, iter_bits, mask_of
+from .bitset import (MAX_SIDE, full_mask, indices_of, iter_bits, mask_of,
+                     subset_masks)
 from .errors import InputError
 
 SIDE_X = "X"
@@ -302,6 +304,20 @@ def _cover(x_adj: tuple[int, ...], members: Iterable[int]) -> tuple[int, int]:
         twice |= once & nbr
         once |= nbr
     return once, twice
+
+
+def _condition_fields(nx: int, size: int) -> Iterator[tuple[int, int, int]]:
+    """The condition's fields for the A of one size, in scan order, as
+    (threshold, scope, need) on X-masks, held when at least ``threshold``
+    Y-columns hold two X-vertices of ``scope`` and all of ``need``: per A
+    |N^(A)|, then per triple T the degrees in H_T and the pairs' common ys."""
+    for a in subset_masks(full_mask(nx), size):
+        yield size, a, 0
+        if size == 3:
+            x1, x3 = a & -a, 1 << a.bit_length() - 1
+            x2 = a ^ x1 ^ x3
+            yield from ((2, a, x1), (2, a, x2), (2, a, x3),
+                        (1, x1 | x2, 0), (1, x1 | x3, 0), (1, x2 | x3, 0))
 
 
 def induced_with_superneighborhood(g: Bigraph, a: VertexSet) -> InducedSubgraph:

@@ -31,38 +31,40 @@ the first failure is always a size failure or a triple.  The ``full`` and
 the report; ``tests/oracles.py`` keeps the literal every-A scan as the
 referee.
 
-The scan runs on packed counts.  For each (|X|, size) a level (``_Level``)
-holds one 8-bit field per A of that size, in lex order
-(``bitset.subset_masks``, which ``cycles`` follows too), and the scan takes
-the levels by ascending size.  A triple has seven fields: |N^(T)| (threshold
-3), the degrees of x1, x2, x3 in H_T (threshold 2), then |p|, |r|, |q| for
-the pairs x1x2, x1x3, x2x3 (threshold 1); a larger A has one, |N^(A)|
-(threshold |A|).  A Y-column c, the mask of a y's X-neighbors, serves the
-fields it counts toward, and ``served(c)``, the level's ``self[c]``, holds a
-one in each of them; a graph's counts are the sum of ``served`` over its
-columns.  ``served(c)`` is the ``twice`` mask of ``bigraph._cover`` over c's
-X-vertices, applied to per-x field masks, with the degree fields kept only
-for the x in c.  It is memoised by column.
+The scan runs on packed counts.  A level (``_Level``) of (|X|, size) holds
+one 8-bit count per field of ``bigraph._condition_fields(|X|, size)``: a
+row of fields per A, in lex order (``bitset.subset_masks``, which
+``cycles`` follows too), |N^(A)| first.  A Y-column c, the mask of a y's
+X-neighbors, serves the fields it counts toward, and ``served(c)``, the
+level's ``self[c]``, holds a one in each of them; a graph's counts are the
+sum of ``served`` over its columns.  ``served(c)`` is the ``twice`` mask of
+``bigraph._cover`` over c's X-vertices, applied to per-x masks of the
+fields whose scope holds x, with the fields that need an x kept only for
+the x in c.  It is memoised by column.
 
 Byte arithmetic.  A count is at most |Y| <= 64 and a threshold at most
 |X| <= 64, so each field of ``counts + (guard - thresholds)``, with guard
 128 in every field, stays in 64..191 and never carries: its guard bit is
 set iff the count meets its threshold.  The lowest guard bit cleared is
 the first failure.  Its field gives A, and its offset within a triple's
-seven fields the kind: "size" at offset 0, "triple" after it.  Levels are
-built lazily in size order and the scan stops at the first failing level,
-so a large |X| whose first triple fails builds level 3 only.  A caller
-that edits one column keeps the counts of the levels scanned so far
-(``_retally``), and each rescan costs O(levels), with no walk.
+fields the kind: "size" at offset 0, "triple" after it.  Levels are built
+lazily in size order and the scan stops at the first failing level, so a
+large |X| whose first triple fails builds level 3 only.  A level of more
+than ``LEVEL_CAP`` = 2^20 rows is refused unbuilt, with ``CapacityError``;
+every level up to |X| = 22 fits.  A caller that edits one column keeps
+the counts of the levels scanned so far (``_retally``), and each rescan
+costs O(levels), with no walk.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .bigraph import Bigraph, VertexSet, SIDE_X, _Record, _cover
-from .bitset import full_mask, indices_of, iter_bits, subset_masks
-from .errors import InputError
+from .bigraph import (Bigraph, VertexSet, SIDE_X, _Record, _condition_fields,
+                      _cover)
+from .bitset import indices_of
+from .errors import CapacityError, InputError
 
 MODES = ("full", "kim")
 
@@ -152,7 +154,8 @@ def min_deficiency(g: Bigraph) -> tuple[int, VertexSet]:
     Ties break to the smallest subset, then lexicographically.  Negative
     means the size clause of the condition fails; 0 means the graph sits on
     its boundary.  Defined only for |X| >= 3.  Each level's |N^(A)| fields
-    are every ``stride``-th byte of its counts.
+    are every ``stride``-th byte of its counts.  It reads every level, so
+    from |X| = 23 on (``LEVEL_CAP``) it raises ``CapacityError``.
     """
     nx = g.x_count
     if nx < 3:
@@ -176,13 +179,19 @@ _LEVELS: dict[tuple[int, int], "_Level"] = {}
 _LEVEL_ROWS = 1 << 16
 #: a level empties its memo of served columns past this many bytes of fields
 _MEMO_BYTES = 1 << 20
+#: the most rows (subsets A) one level may have; a larger one is refused
+LEVEL_CAP = 1 << 20
 
 
 def _level(nx: int, size: int) -> "_Level":
     level = _LEVELS.get((nx, size))
     if level is None:
+        rows = comb(nx, size)
+        if rows > LEVEL_CAP:
+            raise CapacityError(f"condition levels are capped at LEVEL_CAP = "
+                                f"{LEVEL_CAP} rows; |X| = {nx} needs C({nx}, "
+                                f"{size}) = {rows}")
         level = _Level(nx, size)
-        rows = len(level.masks)
         if rows <= _LEVEL_ROWS:
             if rows + sum(len(held.masks)
                           for held in _LEVELS.values()) > _LEVEL_ROWS:
@@ -191,11 +200,7 @@ def _level(nx: int, size: int) -> "_Level":
     return level
 
 
-#: the offsets, among a triple's seven fields, that x1, x2 and x3 each
-#: fold into: |N^(T)|, the three degrees, and its two of the pairs x1x2,
-#: x1x3, x2x3; x1's own degree is at offset 1, x2's at 2, x3's at 3
-_TRIPLE_FIELDS = ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 5, 6))
-_TRIPLE_THRESHOLDS = bytes((3, 2, 2, 2, 1, 1, 1))
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to bytes 0, 1
 
 
 class _Level(dict):
@@ -204,8 +209,8 @@ class _Level(dict):
 
     ``masks`` lists the level's A in lex order, ``stride`` is the number
     of fields per A, ``bias`` holds guard - threshold in each field and
-    ``guards`` the guard bits.  ``_grow`` holds the per-x field masks and
-    ``_degs`` the per-x degree masks; ``_keep`` clears the degree fields.
+    ``guards`` the guard bits.  ``_grow`` holds the per-x field masks,
+    ``_degs`` those of the fields that need x, and ``_keep`` clears these.
     """
 
     __slots__ = ("masks", "stride", "bias", "guards", "_grow", "_degs",
@@ -213,31 +218,24 @@ class _Level(dict):
 
     def __init__(self, nx: int, size: int) -> None:
         super().__init__()
-        self.masks = tuple(subset_masks(full_mask(nx), size))
-        self.stride = stride = 7 if size == 3 else 1
-        rows = len(self.masks)
-        fields = rows * stride
-        grow = [bytearray(fields) for _ in range(nx + 1)]
-        if size == 3:
-            degs = [bytearray(fields) for _ in range(nx + 1)]
-            for f, amask in zip(range(0, fields, 7), self.masks):
-                for own, (x, offsets) in enumerate(
-                        zip(iter_bits(amask), _TRIPLE_FIELDS), start=1):
-                    for offset in offsets:
-                        grow[x][f + offset] = 1
-                    degs[x][f + own] = 1
-            self._degs = tuple(int.from_bytes(d, "little") for d in degs)
-            self._keep = ~int.from_bytes(bytes((0, 1, 1, 1, 0, 0, 0)) *
-                                         rows, "little")
-            thresholds = _TRIPLE_THRESHOLDS * rows
-        else:
-            for f, amask in enumerate(self.masks):
-                for x in iter_bits(amask):
-                    grow[x][f] = 1
-            self._degs = (0,) * (nx + 1)
-            self._keep = -1
-            thresholds = bytes((size,)) * fields
-        self._grow = tuple(int.from_bytes(g, "little") for g in grow)
+        thresholds, scopes = bytearray(), []
+        degs = [bytearray() for _ in range(nx + 1)]  # grown to x's last need
+        for f, (t, scope, need) in enumerate(_condition_fields(nx, size)):
+            thresholds.append(t)
+            scopes.append(scope)
+            if need:
+                deg = degs[need.bit_length() - 1]
+                deg += bytes(f - len(deg)) + b"\1"
+        fields = len(scopes)
+        self.stride = stride = fields // comb(nx, size)
+        self.masks = tuple(scopes[::stride])
+        # each scope as nx + 1 binary digits, bit x at offset nx - x
+        digits = (f"{{:0{nx + 1}b}}" * fields).format(*scopes).encode()
+        self._grow = tuple(
+            int.from_bytes(digits[nx - x::nx + 1].translate(_DIGITS), "little")
+            for x in range(nx + 1))
+        self._degs = tuple(int.from_bytes(d, "little") for d in degs)
+        self._keep = ~sum(self._degs)
         self.guards = int.from_bytes(b"\x80" * fields, "little")
         self.bias = self.guards - int.from_bytes(thresholds, "little")
         self._room = max(1, _MEMO_BYTES // fields)

@@ -20,19 +20,21 @@ every guard bit survives, exactly as sorting decides: the stream is unchanged.
 Cuts go in a second, small int, the slack pack, tested before the
 canonicity add so that a child it rejects never touches the large pack.
 Each field is ``digit + 1`` bits wide with a guard bit on top, where
-``digit = ny_max.bit_length()``, and holds ``guard + ny_max - threshold -
+``digit = ny_max.bit_length()``, and holds ``guard + ny_max - cut -
 (columns so far that do not serve it)``: how many columns serve it, plus
-the columns still to come, less its threshold.  A column that does not
+the columns still to come, less its cut threshold.  A column that does not
 serve a field subtracts one from it inside the same precomputed int, and a
-child is cut when any guard bit is lost.  There are three kinds of field:
+child is cut when any guard bit is lost.  The fields (``_slack_fields``):
 
-- with a minimum X-degree d, one per x, threshold d, served by the columns
+- with a minimum X-degree d, one per x, cut at d, served by the columns
   that contain x;
-- with ``condition``, one per A in X with |A| >= 3, threshold |A|, served by
-  the columns c with |c & A| >= 2: their count is |N^(A)|;
-- with ``condition``, one per triple T and x in T, threshold 2, served by
-  the columns that contain x and at least two vertices of T: their count
-  is the degree of x in H_T = G[T union N^(T)].
+- with ``condition``, one per field of ``bigraph._condition_fields``, served
+  by the columns that hold two vertices of its scope and all of its need:
+  per A with |A| >= 3, |N^(A)| (threshold |A|); per triple T and x in T, the
+  degree of x in H_T = G[T union N^(T)] (threshold 2); per pair of T, its
+  common ys (threshold 1).  Each is cut at its threshold but a pair field,
+  cut at 0: as m <= ny_max, it holds ``guard + ny_max - (m - count) >=
+  guard``, so it never cuts, and the cut stream keeps its positions.
 
 Why the cut is sound: a column either serves a field, adding one to its
 count and using up one column to come, or does not and only uses one up,
@@ -57,24 +59,15 @@ each node without building it unless a search needs it.  Two lemmas make
 that cheap.
 
 The node test, read from the pack (``_passes``).  At a node with |Y| = m, a
-field of threshold t holds ``guard + ny_max - t - (m - count)``: each of
-the m columns so far either serves it, and is counted, or took one off.  So
-the field less guard, less ``ny_max - m``, is count - t.  Every field of a
-walked node holds at least guard, as the walk cuts on each, so subtracting
-``ny_max - m < guard`` from every field at once borrows from no neighbour,
-and it clears a field's guard bit exactly when its count falls short: an x
-of degree below d, |N^(A)| < |A|, or x has fewer than two neighbours in
-N^(T).  That one subtraction and one mask decide the degree floor, and with
-one more test the whole condition.  Lemma: a triple T passes it iff
-|N^(T)| >= 3, each pair of T shares a y, and each x of T has at least two
-neighbours in N^(T).  Proof: with p, q, r the common neighbours of the
-pairs x1x2, x2x3, x1x3, T passes iff p, q, r are non-empty, each union of
-two has at least two ys and p | q | r has at least three (``condition``
-docstring); N^(T) is p | q | r, and the neighbours of x1 in it are p | r,
-of x2 p | q, of x3 q | r.  When |X| >= 3 every pair of X lies in a triple,
-so the triples all pass iff every pair of X shares a y and every
-triple-degree field meets 2.  When |X| < 3 the condition is vacuous: there
-are no condition fields, and no pair is tested.
+field cut at t holds ``guard + ny_max - t - (m - count)``: each of the m
+columns so far either serves it, and is counted, or took one off.  The
+test subtracts ``drops[m]``, ``ny_max - m`` in every field plus a lift of
+1 in each pair field, which leaves guard + count - threshold in each.
+Nothing borrows: a field cut at t > 0 holds at least guard at a walked
+node, and ``ny_max - m < guard``; a pair field holds at least ``guard +
+ny_max - m``.  So one subtraction and one mask clear a guard bit exactly
+where a count falls short, and decide the degree floor and, as these are
+the condition's fields (``condition`` docstring), the whole condition.
 
 Inheritance.  A child adds one Y-vertex y to its parent and keeps X.  For
 each A, N^(A) gains y when y has two neighbours in A and is unchanged
@@ -95,12 +88,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial, prod
 from operator import or_
 from typing import Any, Callable, Iterator
 
-from .bigraph import MAX_SIDE, Bigraph
+from .bigraph import MAX_SIDE, Bigraph, _condition_fields
 from .bitset import iter_bits
 from .errors import CapacityError, InputError
 
@@ -169,7 +162,7 @@ def enumerate_bigraphs(nx: int, ny_max: int, min_x_degree: int = 0,
         return
 
     def visit(cols, x_adj, slack, state):
-        if _passes(tree, len(cols), x_adj, slack):
+        if _passes(tree, len(cols), slack):
             return None, _graph(cols, x_adj)
         return None, None
 
@@ -178,31 +171,34 @@ def enumerate_bigraphs(nx: int, ny_max: int, min_x_degree: int = 0,
 
 class _Tree:
     """The tables of one walk: the canonicity pack's guard and per-column
-    steps, the slack pack's guard, root, per-column spends and one unit in
-    each of its fields, per depth m and column c what c adds to ``x_adj``
-    as y_{m+1}, and the pairs of X that the node test checks."""
+    steps, the slack pack's guard, root and per-column spends, and per
+    depth m what the node test subtracts and what each column c adds to
+    ``x_adj`` as y_{m+1}."""
 
     __slots__ = ("nx", "ny_max", "guard", "steps", "slack_guard", "root",
-                 "spends", "ones", "bits", "pairs")
+                 "spends", "drops", "bits")
 
     def __init__(self, nx: int, ny_max: int,
-                 fields: list[tuple[int, set[int]]], condition: bool) -> None:
+                 fields: list[tuple[int, int, int, int]]) -> None:
         self.nx, self.ny_max = nx, ny_max
         self.guard, self.steps = _canonicity_steps(nx, ny_max)
         # each field: digit + 1 bits, guard bit on top (module docstring)
         width = ny_max.bit_length() + 1
         units = [1 << width * i for i in range(len(fields))]
-        self.ones = sum(units)
-        self.slack_guard = self.ones << width - 1
+        ones = sum(units)
+        self.slack_guard = ones << width - 1
         self.root = self.slack_guard + sum(
-            (ny_max - threshold) * unit
-            for (threshold, _), unit in zip(fields, units))
-        self.spends = [-sum(unit for (_, serves), unit in zip(fields, units)
-                            if c not in serves) for c in range(1 << nx)]
+            (ny_max - cut) * unit for (cut, *_), unit in zip(fields, units))
+        lift = sum(lift * unit for (_, lift, *_), unit in zip(fields, units))
+        self.drops = [ones * (ny_max - m) + lift for m in range(ny_max + 1)]
+        # column c is the X-mask c << 1 (``_slack_fields``)
+        self.spends = [-sum(unit for (_, _, scope, need), unit
+                            in zip(fields, units)
+                            if col & need != need
+                            or scope and (col & scope).bit_count() < 2)
+                       for col in range(0, 2 << nx, 2)]
         self.bits = [[tuple((c << 1 >> x & 1) << m + 1 for x in range(nx + 1))
                       for c in range(1 << nx)] for m in range(ny_max)]
-        self.pairs = (tuple(combinations(range(1, nx + 1), 2))
-                      if condition and nx >= 3 else ())
 
 
 class _Subtree(tuple):
@@ -219,9 +215,9 @@ def _tree(nx: int, ny_max: int, min_x_degree: int = 0,
     with it the whole tree, before any table is built.  Cached, so that a
     worker builds them once for all its shards."""
     fields = _slack_fields(nx, min_x_degree, condition)
-    if any(threshold > ny_max for threshold, _ in fields):
+    if any(cut > ny_max for cut, *_ in fields):
         return None
-    return _Tree(nx, ny_max, fields, condition)
+    return _Tree(nx, ny_max, fields)
 
 
 def _walk(tree: _Tree,
@@ -263,17 +259,11 @@ def _walk(tree: _Tree,
     return walk(*node)
 
 
-def _passes(tree: _Tree, m: int, x_adj: tuple[int, ...], slack: int) -> bool:
+def _passes(tree: _Tree, m: int, slack: int) -> bool:
     """The node test at a node with |Y| = m: every field of the slack pack
-    meets its threshold, and with ``condition`` and |X| >= 3 every pair of
-    X shares a y (module docstring)."""
+    meets its threshold (module docstring)."""
     guard = tree.slack_guard
-    if slack - tree.ones * (tree.ny_max - m) & guard != guard:
-        return False
-    for i, j in tree.pairs:
-        if not x_adj[i] & x_adj[j]:
-            return False
-    return True
+    return slack - tree.drops[m] & guard == guard
 
 
 def _graph(cols: tuple[int, ...], x_adj: tuple[int, ...]) -> Bigraph:
@@ -361,21 +351,16 @@ def _canonicity_steps(nx: int, ny_max: int) -> tuple[int, list[int]]:
 
 
 def _slack_fields(nx: int, min_x_degree: int, condition: bool
-                  ) -> list[tuple[int, set[int]]]:
-    """The threshold of each slack field and the columns that serve it."""
-    cols = range(1 << nx)
-    bits = [1 << x for x in range(nx)]
-    fields = []
-    if min_x_degree > 0:
-        fields += [(min_x_degree, {c for c in cols if c & x}) for x in bits]
+                  ) -> list[tuple[int, int, int, int]]:
+    """Each slack field as (cut, lift, scope, need): its cut threshold, what
+    the node test adds to it, and, as in ``bigraph._condition_fields``, the
+    columns that serve it; a degree field has no scope and needs its x."""
+    fields = [(min_x_degree, 0, 0, 2 << x) for x in range(nx) if min_x_degree]
     if condition:
         for size in range(3, nx + 1):
-            for a in map(sum, combinations(bits, size)):
-                pairs = {c for c in cols if (c & a).bit_count() >= 2}
-                fields.append((size, pairs))
-                if size == 3:
-                    fields += [(2, {c for c in pairs if c & x})
-                               for x in bits if a & x]
+            for threshold, scope, need in _condition_fields(nx, size):
+                lift = threshold == 1  # a pair field (module docstring)
+                fields.append((threshold - lift, lift, scope, need))
     return fields
 
 

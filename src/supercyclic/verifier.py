@@ -450,7 +450,7 @@ def _condition_visitor(verdict: Callable[[Bigraph], tuple[bool,
                 return certified, _UNCHECKED
         if certified:
             return True, _CHECKED
-        if not _passes(tree, m, x_adj, slack):
+        if not _passes(tree, m, slack):
             return False, _UNCHECKED
         result = verdict(_graph(cols, x_adj))
         return result[1] is None, result

@@ -24,7 +24,7 @@ from supercyclic import (
     parse_bigraph,
     serialize,
 )
-from supercyclic import classify, cli, formats, generators, verifier
+from supercyclic import classify, cli, condition, formats, generators, verifier
 from supercyclic.cli import main
 from supercyclic.reports import unescape_value
 
@@ -54,6 +54,20 @@ def test_check_fail_human(monkeypatch, capsys):
                        serialize(construct_g3(1, 1, 1, 3)))
     assert code == 1
     assert "FAIL" in out and "|N^(X{1,2,3})| < 3" in out
+
+
+def test_condition_level_past_its_cap_exits_2(monkeypatch, capsys):
+    # C(8, 3) = 56 rows fit under the cap; C(8, 4) = 70 are refused
+    monkeypatch.setattr(condition, "LEVEL_CAP", 60)
+    monkeypatch.setattr(condition, "_LEVELS", {})
+    code, out, err = run(monkeypatch, capsys, ["check"],
+                         serialize(complete_bipartite(8, 8)))
+    assert code == 2 and out == ""
+    assert "LEVEL_CAP = 60" in err and "|X| = 8" in err
+    # a graph that fails at a triple gets its verdict before level 4
+    code, out, _ = run(monkeypatch, capsys, ["check"],
+                       serialize(construct_g3(6, 1, 1, 3)))
+    assert code == 1 and "|N^(X{1,7,8})| < 3" in out
 
 
 def test_check_machine_stream(monkeypatch, capsys):

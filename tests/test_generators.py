@@ -194,11 +194,16 @@ def test_enumeration_emits_exactly_the_classes_that_meet_its_tests(nx, top):
 
 
 def test_degree_cut_returns_before_building_the_table(monkeypatch):
-    def no_table(nx, ny_max):
-        raise AssertionError("canonicity table built")
+    # the thresholds alone decide that the cuts cut the root: neither the
+    # canonicity table nor the slack pack's serving sets are built
+    def no_table(*args):
+        raise AssertionError("walk table built")
 
+    generators._tree.cache_clear()
     monkeypatch.setattr(generators, "_canonicity_steps", no_table)
+    monkeypatch.setattr(generators, "_Tree", no_table)
     assert list(enumerate_bigraphs(6, 3, 6)) == []
+    assert list(enumerate_bigraphs(6, 3, 6, True)) == []
     assert list(enumerate_bigraphs(1, 0, 1)) == []
 
 
